@@ -16,11 +16,11 @@
 // 256-processor machines under recurring (Poisson) fault *rates* with
 // repair, the regime large fleets actually live in. Table 3 (E16): wall-
 // clock throughput of the simulator itself — events/sec, heap allocations
-// per event (global counting allocator in this binary), and peak RSS — at
-// 32/64/128/256 processors. `--perf-json PATH` dumps table 3 as JSON;
-// scripts/bench_json.py wraps it into BENCH_PR9.json and enforces the
+// per event and the row's peak live heap (global counting allocator in this
+// binary) — at 32/64/128/256 processors. `--perf-json PATH` dumps table 3 as
+// JSON; scripts/bench_json.py wraps it into BENCH_PR9.json and enforces the
 // regression guard.
-#include <sys/resource.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
@@ -36,10 +36,40 @@
 // ---------------------------------------------------------------------------
 // Counting allocator: every heap allocation in this binary bumps a counter,
 // so the throughput table can report allocations *per simulated event* — the
-// metric the allocation-free messaging work is held to.
+// metric the allocation-free messaging work is held to — and tracks live
+// bytes (malloc_usable_size, so delete needs no size header) with a
+// resettable high-water mark, so each row reports its own peak heap.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<unsigned long long> g_allocs{0};
+std::atomic<long long> g_live_bytes{0};
+std::atomic<long long> g_peak_bytes{0};
+
+void note_alloc(void* p) noexcept {
+  const auto bytes = static_cast<long long>(malloc_usable_size(p));
+  const long long live =
+      g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  long long peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+}
+
+void release(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+
+/// Restart the high-water mark at the current live bytes; returns them.
+long long reset_peak_heap() noexcept {
+  const long long live = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_bytes.store(live, std::memory_order_relaxed);
+  return live;
+}
 }  // namespace
 
 // noinline: when GCC >= 12 inlines these TU-local replacements into STL
@@ -47,33 +77,32 @@ std::atomic<unsigned long long> g_allocs{0};
 // inlined delete and misreports -Wmismatched-new-delete; keeping the bodies
 // opaque preserves the standard new/delete pairing the analyzer checks.
 __attribute__((noinline)) void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  note_alloc(p);
+  return p;
 }
 __attribute__((noinline)) void* operator new(std::size_t n,
                                              std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (n + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
+  const auto a = static_cast<std::size_t>(align);
+  void* p = std::aligned_alloc(a, ((n == 0 ? 1 : n) + a - 1) & ~(a - 1));
+  if (p == nullptr) throw std::bad_alloc();
+  note_alloc(p);
+  return p;
 }
 __attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
+  release(p);
 }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 __attribute__((noinline)) void operator delete(void* p,
                                                std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 __attribute__((noinline)) void operator delete(void* p, std::size_t,
                                                std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 using namespace splice;
@@ -104,16 +133,11 @@ struct ThroughputRow {
   double events_per_sec = 0;
   double allocs_per_event = 0;
   std::uint64_t events = 0;
-  long peak_rss_kb = 0;
+  /// Highest live heap during the row, above what was live when it began.
+  long long peak_heap_kb = 0;
   std::uint64_t checkpoint_peak = 0;
   std::uint64_t eventfn_heap_fallbacks = 0;
 };
-
-[[nodiscard]] long peak_rss_kb() {
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;
-}
 
 }  // namespace
 
@@ -635,11 +659,12 @@ int main(int argc, char** argv) {
   const lang::Program perf_program = lang::programs::tree_sum(12, 2, 60, 10);
   const int perf_reps = opt.quick ? 3 : 5;
   util::Table perf({"procs", "events/sec", "allocs/event", "events/run",
-                    "peak RSS (KB)", "ckpt peak", "EventFn spills"});
+                    "peak heap (KB)", "ckpt peak", "EventFn spills"});
   perf.set_title(
       "simulator throughput — tree_sum(12,2) + one fault, sequential runs");
   std::vector<ThroughputRow> rows;
   for (std::uint32_t procs : {32U, 64U, 128U, 256U}) {
+    const long long heap_at_start = reset_peak_heap();
     core::SystemConfig cfg =
         config_for(procs, net::TopologyKind::kTorus2D, 71);
     const std::int64_t makespan =
@@ -682,14 +707,16 @@ int main(int argc, char** argv) {
                            static_cast<double>(3 * row.events);
     row.events /= static_cast<std::uint64_t>(perf_reps);
     row.checkpoint_peak /= static_cast<std::uint64_t>(perf_reps);
-    row.peak_rss_kb = peak_rss_kb();
+    row.peak_heap_kb =
+        (g_peak_bytes.load(std::memory_order_relaxed) - heap_at_start) / 1024;
     row.eventfn_heap_fallbacks = sim::EventFn::heap_fallbacks() - spills0;
     rows.push_back(row);
     perf.add_row({util::Table::num(static_cast<std::uint64_t>(procs)),
                   util::Table::num(row.events_per_sec, 0),
                   util::Table::num(row.allocs_per_event, 2),
                   util::Table::num(row.events),
-                  util::Table::num(static_cast<std::uint64_t>(row.peak_rss_kb)),
+                  util::Table::num(
+                      static_cast<std::uint64_t>(row.peak_heap_kb)),
                   util::Table::num(row.checkpoint_peak),
                   util::Table::num(row.eventfn_heap_fallbacks)});
   }
@@ -823,12 +850,12 @@ int main(int argc, char** argv) {
                    "    {\"procs\": %u, \"events_per_sec\": %.0f, "
                    "\"normalized_events_per_mop\": %.1f, "
                    "\"allocs_per_event\": %.2f, \"events_per_run\": %llu, "
-                   "\"peak_rss_kb\": %ld, \"checkpoint_peak_records\": %llu, "
+                   "\"peak_heap_kb\": %lld, \"checkpoint_peak_records\": %llu, "
                    "\"eventfn_heap_fallbacks\": %llu}%s\n",
                    r.procs, r.events_per_sec,
                    r.events_per_sec / calib,
                    r.allocs_per_event,
-                   static_cast<unsigned long long>(r.events), r.peak_rss_kb,
+                   static_cast<unsigned long long>(r.events), r.peak_heap_kb,
                    static_cast<unsigned long long>(r.checkpoint_peak),
                    static_cast<unsigned long long>(r.eventfn_heap_fallbacks),
                    i + 1 < rows.size() ? "," : "");

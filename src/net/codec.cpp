@@ -220,6 +220,10 @@ TaskPacket get_packet(Reader& r) {
 struct PayloadEncoder {
   Writer& w;
 
+  template <typename T>
+  void operator()(const Boxed<T>& box) const {
+    (*this)(*box);
+  }
   void operator()(const std::monostate&) const {}
   void operator()(const TaskPacket& p) const { put_packet(w, p); }
   void operator()(const AckMsg& m) const {

@@ -8,19 +8,29 @@
 // periodic-global baseline.
 //
 // Payloads are a *closed* variant over the concrete protocol message types,
-// not std::any: a send costs zero payload allocations (the variant lives
-// inline in the envelope), receivers dispatch with std::get, and adding a
+// not std::any: receivers dispatch with std::visit/std::get, and adding a
 // kind without a payload alternative is a compile-time error at the
-// construction site instead of a bad_any_cast at delivery time. The one
-// recursive case — a delivery-failure notice carries the lost envelope —
-// is boxed through EnvelopeBox (a unique_ptr, so still one allocation, but
-// bounces are the cold path by construction).
+// construction site instead of a bad_any_cast at delivery time. The variant
+// is sized for the small signals (error detection, heartbeats, rejoin,
+// load, control, state requests: at most 16 bytes, inline, zero
+// allocations). The five large payloads — task packets, acks, results,
+// cancels and state chunks — live out of line behind Boxed<T>, one
+// allocation per send, so an envelope is 48 bytes (320 with them inline).
+// That matters when envelopes pile up. While a partition stands, every
+// error-detection broadcast across the cut bounces (§1: unreachable is
+// faulty) and is retried after a backoff until the heal: on perfbench's
+// `partition-heal` 191k-195k envelopes, nearly all such notices, are in
+// flight or parked at the peak of a run, and a run bounces ~720k times, so
+// bounces are not a cold path. The recursive case — a delivery-failure
+// notice carries the lost envelope — is boxed through EnvelopeBox, one
+// 48-byte allocation per bounce.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
 #include "net/topology.h"
@@ -78,22 +88,59 @@ class EnvelopeBox {
   std::unique_ptr<Envelope> boxed_;
 };
 
+/// Owning, deep-copying heap cell for a large payload. Implicitly built
+/// from the message itself, so senders assign the message
+/// (`env.payload = packet;`) and readers unwrap with `*`. A moved-from box
+/// is empty: it may only be destroyed or assigned to.
+template <typename T>
+class Boxed {
+ public:
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Boxed(const T& value) : cell_(new T(value)) {}
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Boxed(T&& value) : cell_(new T(std::move(value))) {}
+  Boxed(const Boxed& other)
+      : cell_(other.cell_ != nullptr ? new T(*other.cell_) : nullptr) {}
+  Boxed(Boxed&& other) noexcept : cell_(std::exchange(other.cell_, nullptr)) {}
+  Boxed& operator=(const Boxed& other) {
+    if (this != &other) *this = Boxed(other);
+    return *this;
+  }
+  Boxed& operator=(Boxed&& other) noexcept {
+    if (this != &other) {
+      delete cell_;
+      cell_ = std::exchange(other.cell_, nullptr);
+    }
+    return *this;
+  }
+  ~Boxed() { delete cell_; }
+
+  [[nodiscard]] T& operator*() noexcept { return *cell_; }
+  [[nodiscard]] const T& operator*() const noexcept { return *cell_; }
+  [[nodiscard]] T* operator->() noexcept { return cell_; }
+  [[nodiscard]] const T* operator->() const noexcept { return cell_; }
+  [[nodiscard]] bool has_value() const noexcept { return cell_ != nullptr; }
+
+ private:
+  T* cell_ = nullptr;
+};
+
 /// The closed set of wire payloads, one alternative per payload-bearing
 /// MsgKind (monostate covers the kinds that are pure signals). Keep this in
 /// sync with MsgKind: receivers std::get the alternative keyed by `kind`.
 using Payload = std::variant<std::monostate,
-                             runtime::TaskPacket,       // kTaskPacket
-                             runtime::AckMsg,           // kSpawnAck
-                             runtime::ResultMsg,        // kForwardResult
-                             runtime::ErrorMsg,         // kErrorDetection
-                             runtime::HeartbeatMsg,     // kHeartbeat
-                             runtime::RejoinMsg,        // kRejoinNotice
-                             runtime::LoadMsg,          // kLoadUpdate
-                             runtime::ControlMsg,       // kControl
-                             runtime::CancelMsg,        // kCancel
-                             store::StateRequestMsg,    // kStateRequest
-                             store::StateChunkMsg,      // kStateChunk
-                             EnvelopeBox>;              // kDeliveryFailure
+                             Boxed<runtime::TaskPacket>,     // kTaskPacket
+                             Boxed<runtime::AckMsg>,         // kSpawnAck
+                             Boxed<runtime::ResultMsg>,      // kForwardResult
+                             runtime::ErrorMsg,              // kErrorDetection
+                             runtime::HeartbeatMsg,          // kHeartbeat
+                             runtime::RejoinMsg,             // kRejoinNotice
+                             runtime::LoadMsg,               // kLoadUpdate
+                             runtime::ControlMsg,            // kControl
+                             Boxed<runtime::CancelMsg>,      // kCancel
+                             store::StateRequestMsg,         // kStateRequest
+                             Boxed<store::StateChunkMsg>,    // kStateChunk
+                             EnvelopeBox>;                   // kDeliveryFailure
 
 /// An in-flight message. `payload` is owned; receivers std::get the
 /// concrete payload alternative keyed by `kind`. Envelopes are move-only:
@@ -121,6 +168,9 @@ struct Envelope {
 static_assert(std::is_nothrow_move_constructible_v<Envelope>);
 static_assert(std::is_nothrow_move_assignable_v<Envelope>);
 static_assert(!std::is_copy_constructible_v<Envelope>);
+// Envelopes park in transport pools, backoff slots and bounce boxes by the
+// hundred thousand; only the small signals may stay inline.
+static_assert(sizeof(Envelope) <= 48);
 
 /// The variant index of the payload alternative each kind carries
 /// (monostate for the pure-signal kinds). This is the single kind→payload
@@ -153,11 +203,11 @@ static_assert(!std::is_copy_constructible_v<Envelope>);
 // updating payload_index_of is a compile error, not a wire corruption.
 static_assert(std::variant_size_v<Payload> == 13);
 static_assert(std::is_same_v<std::variant_alternative_t<1, Payload>,
-                             runtime::TaskPacket>);
+                             Boxed<runtime::TaskPacket>>);
 static_assert(std::is_same_v<std::variant_alternative_t<2, Payload>,
-                             runtime::AckMsg>);
+                             Boxed<runtime::AckMsg>>);
 static_assert(std::is_same_v<std::variant_alternative_t<3, Payload>,
-                             runtime::ResultMsg>);
+                             Boxed<runtime::ResultMsg>>);
 static_assert(std::is_same_v<std::variant_alternative_t<4, Payload>,
                              runtime::ErrorMsg>);
 static_assert(std::is_same_v<std::variant_alternative_t<5, Payload>,
@@ -169,11 +219,11 @@ static_assert(std::is_same_v<std::variant_alternative_t<7, Payload>,
 static_assert(std::is_same_v<std::variant_alternative_t<8, Payload>,
                              runtime::ControlMsg>);
 static_assert(std::is_same_v<std::variant_alternative_t<9, Payload>,
-                             runtime::CancelMsg>);
+                             Boxed<runtime::CancelMsg>>);
 static_assert(std::is_same_v<std::variant_alternative_t<10, Payload>,
                              store::StateRequestMsg>);
 static_assert(std::is_same_v<std::variant_alternative_t<11, Payload>,
-                             store::StateChunkMsg>);
+                             Boxed<store::StateChunkMsg>>);
 static_assert(std::is_same_v<std::variant_alternative_t<12, Payload>,
                              EnvelopeBox>);
 

@@ -238,6 +238,12 @@ class Network {
   /// envelope back through the same sink every transport funnels into.
   void deliver_routed(Envelope&& envelope) { deliver(std::move(envelope)); }
 
+  /// Field-by-field copy for duplicate delivery (the payload variant is not
+  /// copy-assignable as a whole because EnvelopeBox is move-only; shaped
+  /// traffic never carries one). A boxed payload is deep-copied, so the
+  /// duplicate owns its own cell.
+  [[nodiscard]] static Envelope clone_envelope(const Envelope& envelope);
+
  private:
   /// The single delivery sink every transport funnels into.
   void deliver(Envelope&& envelope);
@@ -245,10 +251,6 @@ class Network {
   /// Hand a shaped envelope to the substrate: transport (relative delay) or
   /// router (absolute delivery time).
   void dispatch(Envelope&& envelope, sim::SimTime delay);
-  /// Field-by-field copy for duplicate delivery (the payload variant is not
-  /// copy-assignable as a whole because EnvelopeBox is move-only; shaped
-  /// traffic never carries one).
-  [[nodiscard]] static Envelope clone_envelope(const Envelope& envelope);
 
   /// The calling thread's simulated clock: the context override inside a
   /// shard window, else the owning (classic/coordinator) simulator.

@@ -52,7 +52,8 @@ std::uint64_t now_ns() {
 /// The pooled mailbox that used to live inside Network. In-flight
 /// envelopes park in a recycled pool while their delivery event waits in
 /// the queue; the event captures only {this, slot} — 16 bytes, inside
-/// EventFn's inline buffer — so a send is allocation-free end to end. A
+/// EventFn's inline buffer — so the transport allocates nothing per send
+/// (a large payload's box is the sender's one allocation). A
 /// deque, deliberately: growth never relocates existing slots, so the
 /// reference the delivery dispatches through stays valid even when a
 /// receiver's nested send grows the pool; a slot returns to the free list

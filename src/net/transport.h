@@ -94,8 +94,9 @@ class Transport {
   WireStats wire_;
 };
 
-/// Today's pooled mailbox: zero-copy, allocation-free steady state, and the
-/// deterministic A/B oracle the byte backends are validated against.
+/// Today's pooled mailbox: zero-copy, no allocation of its own in steady
+/// state, and the deterministic A/B oracle the byte backends are validated
+/// against.
 [[nodiscard]] std::unique_ptr<Transport> make_in_process_transport(
     sim::Simulator& sim);
 

@@ -11,9 +11,11 @@
 // twin's children equal to the stamps of the dead task's children — the
 // property splice recovery keys on.
 //
-// Stamps ride in every protocol message, so their digit strings live in a
-// small-buffer vector: copying a stamp of depth <= kInlineDepth (every
-// workload in EXPERIMENTS.md) costs zero heap allocations.
+// Stamps ride in every protocol message and every task and checkpoint
+// record, so their digit strings live in a small-buffer vector: copying a
+// stamp of depth <= kInlineDepth costs zero heap allocations. Depth 15 covers
+// a 65,535-task binary tree (perfbench's `one-crash`); deeper programs still
+// work, at one allocation per stamp copy.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +30,9 @@ using StampDigit = std::uint32_t;
 
 class LevelStamp {
  public:
-  /// Digit strings up to this depth are stored inline (no heap).
-  static constexpr std::size_t kInlineDepth = 12;
+  /// Digit strings up to this depth are stored inline (no heap). 15 digits
+  /// plus SmallVec's 4-byte header fill exactly one cache line.
+  static constexpr std::size_t kInlineDepth = 15;
   using Digits = util::SmallVec<StampDigit, kInlineDepth>;
 
   /// Root stamp: the null (empty) level number.
@@ -86,5 +89,9 @@ class LevelStamp {
  private:
   Digits digits_;
 };
+
+// Stamps are embedded in every task, packet, journal event and checkpoint
+// record: a deeper inline buffer must not grow them past one cache line.
+static_assert(sizeof(LevelStamp) == 64);
 
 }  // namespace splice::runtime

@@ -90,12 +90,15 @@ void Processor::handle(Envelope&& env) {
   // `env` may alias transport-owned storage (stable for the duration of
   // this call). Each overload consumes the payload by move while evaluating
   // its handler's *arguments*, so handlers own their data outright and
-  // never hold references into that storage.
+  // never hold references into that storage. Taking the payload out first
+  // frees a boxed payload's cell on return instead of leaving it in the
+  // transport's slot until reuse.
+  net::Payload payload = std::move(env.payload);
   std::visit(
-      [&](auto&& payload) {
-        on_payload(env, std::forward<decltype(payload)>(payload));
+      [&](auto&& alternative) {
+        on_payload(env, std::forward<decltype(alternative)>(alternative));
       },
-      std::move(env.payload));
+      std::move(payload));
 }
 
 void Processor::on_payload(Envelope&, std::monostate&&) {
@@ -729,7 +732,7 @@ void Processor::handle_delivery_failure(Envelope original) {
         retransmit_after_backoff(std::move(original));
       } else {
         rt_.policy().on_spawn_undeliverable(
-            *this, std::get<TaskPacket>(original.payload));
+            *this, *std::get<net::Boxed<TaskPacket>>(original.payload));
       }
       break;
     case MsgKind::kForwardResult:
@@ -737,7 +740,8 @@ void Processor::handle_delivery_failure(Envelope original) {
         retransmit_after_backoff(std::move(original));
       } else {
         rt_.policy().on_result_undeliverable(
-            *this, std::get<ResultMsg>(std::move(original.payload)));
+            *this,
+            std::move(*std::get<net::Boxed<ResultMsg>>(original.payload)));
       }
       break;
     case MsgKind::kStateRequest:
@@ -784,30 +788,44 @@ void Processor::handle_delivery_failure(Envelope original) {
 }
 
 void Processor::retransmit_after_backoff(Envelope env) {
-  const net::ProcId dest = env.to;
-  const bool is_cancel = env.kind == MsgKind::kCancel;
   // Register waiting cancels with the runtime so the gc oracle knows the
   // lineage's reclaim is delayed in this pipeline, not leaked.
-  LevelStamp cancel_stamp;
-  if (is_cancel) {
-    cancel_stamp = std::get<CancelMsg>(env.payload).stamp;
-    note_cancel_backoff(cancel_stamp, +1);
+  if (env.kind == MsgKind::kCancel) {
+    note_cancel_backoff(std::get<net::Boxed<CancelMsg>>(env.payload)->stamp,
+                        +1);
+  }
+  std::uint32_t slot = 0;
+  if (parked_free_.empty()) {
+    slot = static_cast<std::uint32_t>(parked_.size());
+    parked_.push_back(std::move(env));
+  } else {
+    slot = parked_free_.back();
+    parked_free_.pop_back();
+    parked_[slot] = std::move(env);
   }
   const sim::SimTime backoff =
       sim::SimTime(2 * rt_.network().latency_model().failure_timeout);
-  rt_.sim().after(
-      backoff, [this, env = std::move(env), dest, is_cancel, cancel_stamp,
-                life = incarnation_]() mutable {
-        if (is_cancel) note_cancel_backoff(cancel_stamp, -1);
-        if (dead_ || life != incarnation_ || rt_.done()) return;
-        if (!rt_.network().alive(dest)) return;  // addressee died meanwhile
-        if (is_cancel) {
-          ++counters_.cancel_retries;
-        } else {
-          ++counters_.bounce_retransmits;
-        }
-        rt_.network().send(std::move(env));
-      });
+  rt_.sim().after(backoff, [this, slot, life = incarnation_] {
+    fire_retransmit(slot, life);
+  });
+}
+
+void Processor::fire_retransmit(std::uint32_t slot, std::uint64_t life) {
+  Envelope env = std::move(parked_[slot]);
+  parked_free_.push_back(slot);
+  const bool is_cancel = env.kind == MsgKind::kCancel;
+  if (is_cancel) {
+    note_cancel_backoff(std::get<net::Boxed<CancelMsg>>(env.payload)->stamp,
+                        -1);
+  }
+  if (dead_ || life != incarnation_ || rt_.done()) return;
+  if (!rt_.network().alive(env.to)) return;  // addressee died meanwhile
+  if (is_cancel) {
+    ++counters_.cancel_retries;
+  } else {
+    ++counters_.bounce_retransmits;
+  }
+  rt_.network().send(std::move(env));
 }
 
 void Processor::note_cancel_backoff(const LevelStamp& stamp, int delta) {

@@ -228,6 +228,14 @@ class Processor {
   [[nodiscard]] std::uint64_t live_task_count() const noexcept {
     return tasks_.size();
   }
+  /// Retransmits waiting out their backoff, and the slots allocated for
+  /// them so far (slots recycle, so the second is the first's peak).
+  [[nodiscard]] std::size_t parked_retransmits() const noexcept {
+    return parked_.size() - parked_free_.size();
+  }
+  [[nodiscard]] std::size_t parked_slots() const noexcept {
+    return parked_.size();
+  }
 
   void start_heartbeats();
 
@@ -251,6 +259,11 @@ class Processor {
   void on_payload(net::Envelope& env, store::StateRequestMsg&& msg);
   void on_payload(net::Envelope& env, store::StateChunkMsg&& msg);
   void on_payload(net::Envelope& env, net::EnvelopeBox&& box);
+  /// The large payloads travel boxed; each dispatches to its handler above.
+  template <typename T>
+  void on_payload(net::Envelope& env, net::Boxed<T>&& box) {
+    on_payload(env, std::move(*box));
+  }
 
   void start_next_step();
   void finish_scan(TaskUid uid, ScanOutcome& outcome);
@@ -289,6 +302,9 @@ class Processor {
   /// destination stays alive — the liveness net for lossy/gray links, for
   /// message kinds that have no payload-level reissue path of their own.
   void retransmit_after_backoff(net::Envelope env);
+  /// Fire a parked retransmit: free its slot, then send unless this
+  /// incarnation has ended or the addressee died meanwhile.
+  void fire_retransmit(std::uint32_t slot, std::uint64_t life);
   void do_heartbeat();
   void resume_after_fill(Task& task);
 
@@ -329,6 +345,14 @@ class Processor {
   /// (keyed by lineage stamp; see Runtime::cancel_backoff_pending).
   std::unordered_map<LevelStamp, std::uint32_t, LevelStamp::Hash>
       cancels_in_backoff_;
+  /// Envelopes waiting out a retransmit backoff, in recycled slots (the
+  /// in-process transport's pattern): the backoff event captures only
+  /// {this, slot, incarnation}, which fits EventFn's inline buffer. A slot
+  /// frees when its event fires, whatever incarnation is current then, so
+  /// a crash drops the parked send without leaking the slot. A deque, so
+  /// growth never moves a parked envelope.
+  std::deque<net::Envelope> parked_;
+  std::vector<std::uint32_t> parked_free_;
   /// Uid watermark of this incarnation: every task this life hosts has a
   /// uid at or above it (uids are global and monotone). An ack addressed
   /// to a parent uid *below* the watermark names a crash casualty, not a

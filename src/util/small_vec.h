@@ -8,6 +8,11 @@
 // other types (lang::Value and friends) move element-wise. Moves are
 // noexcept whenever T's are, which is what the move-only envelope and
 // event-queue machinery requires.
+//
+// Layout: the inline bytes double as the heap pointer once the contents
+// spill (capacity > N says which), and size and capacity are 16-bit, so the
+// header costs 4 bytes over the inline elements. A vector can therefore hold
+// at most kMaxSize elements; growing past that throws std::length_error.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +22,7 @@
 #include <initializer_list>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -29,21 +35,28 @@ class SmallVec {
                 "SmallVec relocation must not throw");
 
  public:
+  /// Size and capacity are 16-bit.
+  static constexpr std::size_t kMaxSize = UINT16_MAX;
+  static_assert(N < kMaxSize);
+
   using value_type = T;
   using iterator = T*;
   using const_iterator = const T*;
 
-  SmallVec() noexcept = default;
-  SmallVec(std::initializer_list<T> init) {
+  // Every constructor starts here: the pointer bytes begin defined, so no
+  // path reads indeterminate storage (and GCC's -Wmaybe-uninitialized can
+  // see it). One 8-byte store.
+  SmallVec() noexcept { set_heap(nullptr); }
+  SmallVec(std::initializer_list<T> init) : SmallVec() {
     reserve(init.size());
     for (const T& v : init) emplace_unchecked(v);
   }
   template <typename It>
-  SmallVec(It first, It last) {
+  SmallVec(It first, It last) : SmallVec() {
     for (; first != last; ++first) push_back(*first);
   }
 
-  SmallVec(const SmallVec& other) {
+  SmallVec(const SmallVec& other) : SmallVec() {
     reserve(other.size_);
     for (const T& v : other) emplace_unchecked(v);
   }
@@ -56,7 +69,7 @@ class SmallVec {
     return *this;
   }
 
-  SmallVec(SmallVec&& other) noexcept { steal(other); }
+  SmallVec(SmallVec&& other) noexcept : SmallVec() { steal(other); }
   SmallVec& operator=(SmallVec&& other) noexcept {
     if (this != &other) {
       clear();
@@ -76,10 +89,10 @@ class SmallVec {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   [[nodiscard]] T* data() noexcept {
-    return heap_ != nullptr ? heap_ : inline_data();
+    return spilled() ? heap() : inline_data();
   }
   [[nodiscard]] const T* data() const noexcept {
-    return heap_ != nullptr ? heap_ : inline_data();
+    return spilled() ? heap() : inline_data();
   }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data()[i]; }
@@ -99,7 +112,7 @@ class SmallVec {
       // `value` may alias an element of this container; detach it before
       // growth relocates the storage (same hazard std::vector guards).
       T detached(value);
-      grow(size_ + 1);
+      grow(std::size_t{size_} + 1);
       ::new (static_cast<void*>(data() + size_)) T(std::move(detached));
     } else {
       ::new (static_cast<void*>(data() + size_)) T(value);
@@ -109,7 +122,7 @@ class SmallVec {
   void push_back(T&& value) {
     if (size_ == capacity_) {
       T detached(std::move(value));
-      grow(size_ + 1);
+      grow(std::size_t{size_} + 1);
       ::new (static_cast<void*>(data() + size_)) T(std::move(detached));
     } else {
       ::new (static_cast<void*>(data() + size_)) T(std::move(value));
@@ -140,7 +153,7 @@ class SmallVec {
   void resize(std::size_t n, const T& fill = T{}) {
     if (n < size_) {
       std::destroy_n(data() + n, size_ - n);
-      size_ = static_cast<std::uint32_t>(n);
+      size_ = static_cast<std::uint16_t>(n);
       return;
     }
     reserve(n);
@@ -150,12 +163,11 @@ class SmallVec {
   /// Give back the heap cell if the contents fit inline again (mirrors the
   /// retained-packet trimming in the runtime).
   void shrink_to_fit() noexcept {
-    if (heap_ == nullptr || size_ > N) return;
-    T* heap = heap_;
-    relocate_n(heap, size_, inline_data());
-    heap_ = nullptr;
+    if (!spilled() || size_ > N) return;
+    T* cell = heap();  // read before the elements overwrite the pointer
+    relocate_n(cell, size_, inline_data());
     capacity_ = N;
-    ::operator delete(heap);
+    ::operator delete(cell);
   }
 
   [[nodiscard]] bool operator==(const SmallVec& other) const {
@@ -167,11 +179,22 @@ class SmallVec {
   }
 
  private:
+  [[nodiscard]] bool spilled() const noexcept { return capacity_ > N; }
+  // The pointer may sit at alignof(T) < alignof(T*); memcpy reads it safely.
+  [[nodiscard]] T* heap() const noexcept {
+    T* cell = nullptr;
+    std::memcpy(static_cast<void*>(&cell), storage_, sizeof cell);
+    return cell;
+  }
+  void set_heap(T* cell) noexcept {
+    std::memcpy(storage_, static_cast<const void*>(&cell), sizeof cell);
+  }
+
   [[nodiscard]] T* inline_data() noexcept {
-    return std::launder(reinterpret_cast<T*>(inline_storage_));
+    return std::launder(reinterpret_cast<T*>(storage_));
   }
   [[nodiscard]] const T* inline_data() const noexcept {
-    return std::launder(reinterpret_cast<const T*>(inline_storage_));
+    return std::launder(reinterpret_cast<const T*>(storage_));
   }
 
   void emplace_unchecked(const T& v) {
@@ -192,12 +215,12 @@ class SmallVec {
     }
   }
 
+  // Requires *this empty and inline.
   void steal(SmallVec& other) noexcept {
     size_ = other.size_;
-    if (other.heap_ != nullptr) {
-      heap_ = other.heap_;
+    if (other.spilled()) {
+      set_heap(other.heap());
       capacity_ = other.capacity_;
-      other.heap_ = nullptr;
     } else {
       relocate_n(other.inline_data(), size_, inline_data());
     }
@@ -206,28 +229,29 @@ class SmallVec {
   }
 
   void grow(std::size_t n) {
-    const std::size_t cap = std::max(n, std::size_t{capacity_} * 2);
+    if (n > kMaxSize) {
+      throw std::length_error("SmallVec: more than 65535 elements");
+    }
+    const std::size_t cap =
+        std::min(std::max(n, std::size_t{capacity_} * 2), kMaxSize);
     T* fresh = static_cast<T*>(::operator new(sizeof(T) * cap));
     relocate_n(data(), size_, fresh);
     release_heap();
-    heap_ = fresh;
-    capacity_ = static_cast<std::uint32_t>(cap);
+    set_heap(fresh);
+    capacity_ = static_cast<std::uint16_t>(cap);
   }
 
   void release_heap() noexcept {
-    if (heap_ != nullptr) {
-      ::operator delete(heap_);
-      heap_ = nullptr;
-    }
+    if (spilled()) ::operator delete(heap());
     capacity_ = N;
   }
 
-  alignas(T) std::byte inline_storage_[sizeof(T) * N];
-  T* heap_ = nullptr;
-  // 32-bit bookkeeping: these sequences are tiny by design, and the smaller
+  // Inline elements, or the heap pointer once spilled.
+  alignas(T) std::byte storage_[std::max(sizeof(T) * N, sizeof(T*))];
+  // 16-bit bookkeeping: these sequences are tiny by design, and the smaller
   // header keeps packet/envelope relocation cheap.
-  std::uint32_t size_ = 0;
-  std::uint32_t capacity_ = N;
+  std::uint16_t size_ = 0;
+  std::uint16_t capacity_ = N;
 };
 
 }  // namespace splice::util

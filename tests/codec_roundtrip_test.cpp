@@ -57,8 +57,9 @@ std::int64_t fuzz_i64(Rng& rng) {
 }
 
 LevelStamp fuzz_stamp(Rng& rng) {
-  // Bias toward depths beyond kInlineDepth(12) sometimes: the heap-spill
-  // path of the digit SmallVec must encode identically to the inline path.
+  // Sometimes draw depths 12..31, straddling kInlineDepth (15): the
+  // heap-spill path of the digit SmallVec must encode identically to the
+  // inline path.
   const std::size_t depth =
       pick(rng, 4) == 0 ? 12 + pick(rng, 20) : pick(rng, 8);
   LevelStamp::Digits digits;
@@ -272,11 +273,12 @@ TEST(CodecRoundtrip, FieldFidelitySpotChecks) {
   Rng rng(42);
   {
     Envelope env = fuzz_envelope(MsgKind::kTaskPacket, rng);
-    auto& p = std::get<runtime::TaskPacket>(env.payload);
+    auto& p = *std::get<net::Boxed<runtime::TaskPacket>>(env.payload);
     const auto bytes = net::codec::encode_envelope(env);
     const Envelope back =
         net::codec::decode_envelope(bytes.data(), bytes.size());
-    const auto& q = std::get<runtime::TaskPacket>(back.payload);
+    const auto& q =
+        *std::get<net::Boxed<runtime::TaskPacket>>(back.payload);
     EXPECT_EQ(q.stamp, p.stamp);
     EXPECT_EQ(q.fn, p.fn);
     EXPECT_EQ(q.call_site, p.call_site);
@@ -294,12 +296,13 @@ TEST(CodecRoundtrip, FieldFidelitySpotChecks) {
   }
   {
     Envelope env = fuzz_envelope(MsgKind::kForwardResult, rng);
-    auto& m = std::get<runtime::ResultMsg>(env.payload);
+    auto& m = *std::get<net::Boxed<runtime::ResultMsg>>(env.payload);
     m.value = lang::Value::list({INT64_MIN, -1, 0, 1, INT64_MAX});
     const auto bytes = net::codec::encode_envelope(env);
     const Envelope back =
         net::codec::decode_envelope(bytes.data(), bytes.size());
-    const auto& n = std::get<runtime::ResultMsg>(back.payload);
+    const auto& n =
+        *std::get<net::Boxed<runtime::ResultMsg>>(back.payload);
     EXPECT_EQ(n.value, m.value);
     EXPECT_EQ(n.target, m.target);
     EXPECT_EQ(n.relation, m.relation);
@@ -307,11 +310,12 @@ TEST(CodecRoundtrip, FieldFidelitySpotChecks) {
   }
   {
     Envelope env = fuzz_envelope(MsgKind::kCancel, rng);
-    const auto& m = std::get<runtime::CancelMsg>(env.payload);
+    const auto& m = *std::get<net::Boxed<runtime::CancelMsg>>(env.payload);
     const auto bytes = net::codec::encode_envelope(env);
     const Envelope back =
         net::codec::decode_envelope(bytes.data(), bytes.size());
-    const auto& n = std::get<runtime::CancelMsg>(back.payload);
+    const auto& n =
+        *std::get<net::Boxed<runtime::CancelMsg>>(back.payload);
     EXPECT_EQ(n.stamp, m.stamp);
     EXPECT_EQ(n.uid, m.uid);
     EXPECT_EQ(n.parent, m.parent);

@@ -2,7 +2,11 @@
 
 #include <set>
 #include <unordered_set>
+#include <variant>
+#include <vector>
 
+#include "net/codec.h"
+#include "net/message.h"
 #include "runtime/level_stamp.h"
 #include "util/rng.h"
 
@@ -134,6 +138,50 @@ TEST(LevelStampProperty, ReincarnationYieldsIdenticalStamps) {
   EXPECT_EQ(original, twin_child);
   LevelStamp::Hash hash;
   EXPECT_EQ(hash(original), hash(twin_child));
+}
+
+// §3.1's one digit per level makes stamp depth the program's call depth:
+// a 65,535-task binary tree reaches depth 15, which must stay inline (no
+// heap on any stamp copy) while the stamp stays one cache line.
+TEST(LevelStamp, ChildChainsStayInlineThroughDepthFifteen) {
+  static_assert(LevelStamp::kInlineDepth == 15);
+  static_assert(sizeof(LevelStamp) == 64);
+  LevelStamp stamp = LevelStamp::root();
+  for (StampDigit d = 1; d <= LevelStamp::kInlineDepth; ++d) {
+    stamp = stamp.child(d);
+    EXPECT_EQ(stamp.digits().capacity(), LevelStamp::kInlineDepth)
+        << "spilled at depth " << stamp.depth();
+  }
+  ASSERT_EQ(stamp.depth(), 15U);
+  const std::vector<LevelStamp> copies(2, stamp);
+  EXPECT_EQ(copies[1].digits().capacity(), LevelStamp::kInlineDepth);
+  EXPECT_EQ(copies[1], stamp);
+}
+
+TEST(LevelStamp, DeeperStampsSpillAndRoundTripThroughCodec) {
+  LevelStamp stamp = LevelStamp::root();
+  for (StampDigit d = 1; d <= 15; ++d) stamp = stamp.child(d);
+  for (StampDigit d = 16; d <= 40; ++d) {
+    stamp = stamp.child(d * 1000);
+    EXPECT_GT(stamp.digits().capacity(), LevelStamp::kInlineDepth);
+
+    net::Envelope env;
+    env.kind = net::MsgKind::kSpawnAck;
+    AckMsg ack;
+    ack.stamp = stamp;
+    env.payload = ack;
+    const std::vector<std::uint8_t> bytes = net::codec::encode_envelope(env);
+    const net::Envelope back =
+        net::codec::decode_envelope(bytes.data(), bytes.size());
+    const LevelStamp& decoded =
+        std::get<net::Boxed<AckMsg>>(back.payload)->stamp;
+    EXPECT_EQ(decoded, stamp);
+    EXPECT_EQ(LevelStamp::Hash{}(decoded), LevelStamp::Hash{}(stamp));
+  }
+  // Truncating back to depth 15 returns the digits inline.
+  const LevelStamp shallow = stamp.truncated(15);
+  EXPECT_EQ(shallow.digits().capacity(), LevelStamp::kInlineDepth);
+  EXPECT_TRUE(shallow.is_ancestor_of(stamp));
 }
 
 }  // namespace

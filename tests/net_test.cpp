@@ -246,6 +246,77 @@ TEST(Network, AliveCountTracksKills) {
 }
 
 // ---------------------------------------------------------------------------
+// Boxed payloads
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(Boxed<runtime::TaskPacket>) == sizeof(void*));
+
+TEST(Boxed, ClonedEnvelopeOwnsAnIndependentPayload) {
+  runtime::TaskPacket packet;
+  packet.stamp = runtime::LevelStamp::root().child(3).child(1);
+  packet.args = {lang::Value::integer(42)};
+  Envelope env;
+  env.kind = MsgKind::kTaskPacket;
+  env.from = 0;
+  env.to = 1;
+  env.payload = packet;
+
+  Envelope dup = Network::clone_envelope(env);
+  EXPECT_EQ(dup.kind, env.kind);
+  EXPECT_EQ(dup.to, env.to);
+  auto& original = std::get<Boxed<runtime::TaskPacket>>(env.payload);
+  auto& copy = std::get<Boxed<runtime::TaskPacket>>(dup.payload);
+  EXPECT_NE(&*original, &*copy);
+  EXPECT_EQ(copy->stamp, packet.stamp);
+
+  copy->stamp = copy->stamp.child(9);
+  copy->args.push_back(lang::Value::integer(7));
+  EXPECT_EQ(original->stamp, packet.stamp);
+  EXPECT_EQ(original->args.size(), 1U);
+
+  env = Envelope{};  // freeing the original leaves the duplicate intact
+  EXPECT_EQ(copy->stamp.depth(), 3U);
+  EXPECT_EQ(copy->args[0], lang::Value::integer(42));
+}
+
+TEST(Boxed, MovedFromBoxIsSafeToDestroyAndReassign) {
+  runtime::AckMsg ack;
+  ack.replica = 3;
+  Boxed<runtime::AckMsg> box(ack);
+  Boxed<runtime::AckMsg> taken(std::move(box));
+  // NOLINTBEGIN(bugprone-use-after-move): moved-from state is the contract
+  EXPECT_FALSE(box.has_value());
+  EXPECT_EQ(taken->replica, 3U);
+  const Boxed<runtime::AckMsg> empty_copy(box);
+  EXPECT_FALSE(empty_copy.has_value());
+
+  box = taken;  // copy-assign into a moved-from box: a fresh deep copy
+  ASSERT_TRUE(box.has_value());
+  EXPECT_NE(&*box, &*taken);
+  EXPECT_EQ(box->replica, 3U);
+
+  ack.replica = 5;
+  box = Boxed<runtime::AckMsg>(ack);  // move-assign over a live value
+  EXPECT_EQ(box->replica, 5U);
+  taken = std::move(box);
+  EXPECT_FALSE(box.has_value());
+  EXPECT_EQ(taken->replica, 5U);
+  box = std::move(taken);
+  EXPECT_EQ(box->replica, 5U);
+
+  // A moved-from envelope destroys a moved-from box.
+  Envelope env;
+  env.kind = MsgKind::kCancel;
+  env.payload = runtime::CancelMsg{};
+  Envelope moved(std::move(env));
+  EXPECT_FALSE(std::get<Boxed<runtime::CancelMsg>>(env.payload).has_value());
+  EXPECT_TRUE(std::get<Boxed<runtime::CancelMsg>>(moved.payload).has_value());
+  env.payload = runtime::ErrorMsg{1, 2};  // and reuses the slot
+  EXPECT_EQ(std::get<runtime::ErrorMsg>(env.payload).dead, 1U);
+  // NOLINTEND(bugprone-use-after-move)
+}
+
+// ---------------------------------------------------------------------------
 // FaultInjector
 // ---------------------------------------------------------------------------
 

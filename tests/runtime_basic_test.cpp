@@ -9,6 +9,10 @@
 #include "core/simulation.h"
 #include "lang/interpreter.h"
 #include "lang/programs.h"
+#include "net/network.h"
+#include "runtime/processor.h"
+#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "test_util.h"
 
 namespace splice {
@@ -222,6 +226,74 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{"fib", net::TopologyKind::kRing, SchedulerKind::kGradient, 6},
         MatrixCase{"fib", net::TopologyKind::kHypercube, SchedulerKind::kNeighbor, 16}),
     matrix_name);
+
+// A message lost to a live, reachable peer is re-sent after a backoff from
+// a recycled per-processor slot. The slot belongs to the incarnation that
+// parked it: if the sender crashes and revives before the backoff fires,
+// the revived node must not send its previous life's message, and the slot
+// must come back for reuse.
+TEST(RuntimeBasic, ParkedRetransmitDiesWithItsIncarnation) {
+  SystemConfig cfg = base_config(2);
+  cfg.heartbeat_interval = 0;
+  const lang::Program program = lang::programs::fib(3);
+  sim::Simulator simulator;
+  net::Network network(simulator, net::Topology(cfg.topology, 2),
+                       cfg.latency);
+  runtime::Runtime rt(simulator, network, cfg, program);
+  runtime::Processor& sender = rt.processor(0);
+  runtime::Processor& peer = rt.processor(1);
+  const std::int64_t timeout = cfg.latency.failure_timeout;
+  const auto control_sent = [&] {
+    return network.stats()
+        .sent[static_cast<std::size_t>(net::MsgKind::kControl)];
+  };
+
+  // Lose one kControl to a peer that is down at delivery but repaired
+  // before the bounce notice reaches the sender: a wire loss, so the
+  // sender parks the message for a retransmit.
+  const auto lose_one_message = [&](std::int64_t at) {
+    simulator.at(sim::SimTime(at), [&] {
+      network.kill(1);
+      peer.nuke();
+      net::Envelope env;
+      env.kind = net::MsgKind::kControl;
+      env.from = 0;
+      env.to = 1;
+      env.payload = runtime::ControlMsg{runtime::ControlKind::kStartRoot};
+      network.send(std::move(env));
+    });
+    simulator.at(sim::SimTime(at + 100), [&] {
+      network.revive(1);
+      peer.revive();
+    });
+  };
+
+  lose_one_message(0);
+  simulator.run_until(sim::SimTime(timeout + 200));
+  ASSERT_EQ(sender.parked_retransmits(), 1U);
+  EXPECT_EQ(sender.parked_slots(), 1U);
+
+  // Crash and revive the sender inside the backoff window.
+  network.kill(0);
+  sender.nuke();
+  simulator.run_until(sim::SimTime(timeout + 300));
+  network.revive(0);
+  sender.revive();
+  simulator.run_until(sim::SimTime(10 * timeout));
+  EXPECT_EQ(sender.parked_retransmits(), 0U);  // the event freed its slot
+  EXPECT_EQ(sender.counters().bounce_retransmits, 0U);
+  EXPECT_EQ(control_sent(), 1U);  // only the original send
+
+  // The revived incarnation's own loss reuses the slot and is re-sent.
+  lose_one_message(20 * timeout);
+  simulator.run_until(sim::SimTime(21 * timeout + 200));
+  EXPECT_EQ(sender.parked_retransmits(), 1U);
+  EXPECT_EQ(sender.parked_slots(), 1U);
+  simulator.run_until(sim::SimTime(30 * timeout));
+  EXPECT_EQ(sender.parked_retransmits(), 0U);
+  EXPECT_EQ(sender.counters().bounce_retransmits, 1U);
+  EXPECT_EQ(control_sent(), 3U);
+}
 
 }  // namespace
 }  // namespace splice

@@ -2,16 +2,159 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
+#include "util/small_vec.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace splice::util {
 namespace {
+
+// ---------------------------------------------------------------------------
+// SmallVec
+// ---------------------------------------------------------------------------
+
+/// True while the elements live inside the vector object itself.
+template <typename V>
+bool stored_inline(const V& v) {
+  const auto* self = reinterpret_cast<const std::byte*>(&v);
+  const auto* elems = reinterpret_cast<const std::byte*>(v.data());
+  return elems >= self && elems < self + sizeof(V);
+}
+
+// The heap pointer shares the inline bytes and size/capacity are 16-bit:
+// the whole header is 4 bytes over the inline elements.
+static_assert(sizeof(SmallVec<std::uint32_t, 2>) == 12);
+static_assert(sizeof(SmallVec<std::uint32_t, 8>) == 36);
+static_assert(sizeof(SmallVec<std::uint32_t, 15>) == 64);
+
+TEST(SmallVec, SpillsPastInlineCapacityAndShrinksBack) {
+  SmallVec<std::uint32_t, 4> v;
+  for (std::uint32_t i = 0; i < 4; ++i) v.push_back(i);
+  EXPECT_TRUE(stored_inline(v));
+  EXPECT_EQ(v.capacity(), 4U);
+  v.push_back(4);  // spill
+  EXPECT_FALSE(stored_inline(v));
+  EXPECT_GT(v.capacity(), 4U);
+  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(v[i], i);
+
+  v.shrink_to_fit();  // 5 > N: stays on the heap
+  EXPECT_FALSE(stored_inline(v));
+  v.pop_back();
+  v.pop_back();
+  v.shrink_to_fit();  // 3 <= N: back inline, heap cell returned
+  EXPECT_TRUE(stored_inline(v));
+  EXPECT_EQ(v.capacity(), 4U);
+  ASSERT_EQ(v.size(), 3U);
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(v[i], i);
+  v.push_back(9);  // refills inline without spilling again
+  EXPECT_TRUE(stored_inline(v));
+  EXPECT_EQ(v.back(), 9U);
+}
+
+TEST(SmallVec, NonTrivialElementsSurviveSpillAndShrink) {
+  SmallVec<std::string, 2> v;
+  for (int i = 0; i < 5; ++i) v.push_back(std::string(40, 'a' + i));
+  EXPECT_FALSE(stored_inline(v));
+  v.resize(2);
+  v.shrink_to_fit();
+  EXPECT_TRUE(stored_inline(v));
+  EXPECT_EQ(v[0], std::string(40, 'a'));
+  EXPECT_EQ(v[1], std::string(40, 'b'));
+}
+
+TEST(SmallVec, CopyIsDeepForInlineAndSpilled) {
+  for (const std::size_t n : {std::size_t{3}, std::size_t{9}}) {
+    SmallVec<std::string, 4> original;
+    for (std::size_t i = 0; i < n; ++i) {
+      original.push_back("item" + std::to_string(i));
+    }
+    SmallVec<std::string, 4> copy(original);
+    EXPECT_EQ(copy, original);
+    EXPECT_NE(copy.data(), original.data());
+    EXPECT_EQ(stored_inline(copy), n <= 4);
+    copy[0] = "changed";
+    EXPECT_EQ(original[0], "item0");
+
+    SmallVec<std::string, 4> assigned;
+    assigned.push_back("stale");
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    const SmallVec<std::string, 4>& alias = assigned;
+    assigned = alias;  // self-assignment keeps the contents
+    EXPECT_EQ(assigned, original);
+  }
+}
+
+TEST(SmallVec, MoveStealsHeapAndRelocatesInline) {
+  SmallVec<std::string, 2> spilled;
+  for (int i = 0; i < 6; ++i) spilled.push_back(std::to_string(i));
+  const std::string* cell = spilled.data();
+  SmallVec<std::string, 2> stolen(std::move(spilled));
+  EXPECT_EQ(stolen.data(), cell);  // the heap cell changed hands
+  ASSERT_EQ(stolen.size(), 6U);
+  EXPECT_EQ(stolen[5], "5");
+  // NOLINTBEGIN(bugprone-use-after-move): moved-from state is the contract
+  EXPECT_TRUE(spilled.empty());
+  EXPECT_TRUE(stored_inline(spilled));
+  EXPECT_EQ(spilled.capacity(), 2U);
+  spilled.push_back("reused");
+  EXPECT_EQ(spilled[0], "reused");
+  // NOLINTEND(bugprone-use-after-move)
+
+  SmallVec<std::string, 2> small;
+  small.push_back("x");
+  SmallVec<std::string, 2> target;
+  for (int i = 0; i < 5; ++i) target.push_back("old");  // spilled target
+  target = std::move(small);
+  EXPECT_TRUE(stored_inline(target));
+  ASSERT_EQ(target.size(), 1U);
+  EXPECT_EQ(target[0], "x");
+  target = std::move(stolen);  // inline target takes a heap cell
+  EXPECT_EQ(target.data(), cell);
+  EXPECT_EQ(target.size(), 6U);
+}
+
+TEST(SmallVec, SelfAliasingPushBackAcrossSpillBoundary) {
+  SmallVec<std::string, 2> v;
+  v.push_back(std::string(32, 'x'));
+  v.push_back(std::string(32, 'y'));
+  v.push_back(v[0]);  // full inline: the argument moves with the storage
+  ASSERT_EQ(v.size(), 3U);
+  EXPECT_EQ(v[2], std::string(32, 'x'));
+  while (v.size() < v.capacity()) v.push_back("fill");
+  v.push_back(v[1]);  // full on the heap: regrowth with an aliased argument
+  EXPECT_EQ(v.back(), std::string(32, 'y'));
+
+  SmallVec<std::uint32_t, 3> w{7, 8, 9};
+  w.push_back(w[2]);
+  EXPECT_EQ(w[3], 9U);
+}
+
+TEST(SmallVec, GrowthPastSixteenBitSizeThrows) {
+  using Bytes = SmallVec<std::uint8_t, 4>;
+  Bytes v;
+  for (std::size_t i = 0; i < Bytes::kMaxSize; ++i) {
+    v.push_back(static_cast<std::uint8_t>(i));
+  }
+  ASSERT_EQ(v.size(), 65535U);
+  EXPECT_THROW(v.push_back(1), std::length_error);
+  EXPECT_EQ(v.size(), 65535U);  // nothing wrapped or was lost
+  EXPECT_EQ(v[65534], static_cast<std::uint8_t>(65534));
+  Bytes r;
+  EXPECT_THROW(r.reserve(65536), std::length_error);
+  EXPECT_THROW(r.resize(70000), std::length_error);
+  EXPECT_TRUE(r.empty());
+}
 
 TEST(SplitMix64, DeterministicAndDistinct) {
   SplitMix64 a(42);
