@@ -384,7 +384,7 @@ void BM_GradientRelaxation(benchmark::State& state) {
   lang::Program program = lang::programs::fib(3);
   std::vector<std::uint32_t> load(n, 5);
   load[n / 2] = 0;
-  sched::GradientScheduler sched(100, 0);
+  sched::GradientScheduler sched(100);
   sched::SchedulerEnv env;
   env.topology = &topo;
   env.program = &program;

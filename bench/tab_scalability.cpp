@@ -1,6 +1,6 @@
 // E11 — scalability: processors 2..256 across topologies.
 // E16 — simulator throughput: the recorded perf trajectory.
-// E17 — duplicate reclaim: omniscient sweep-GC vs. the cancel protocol.
+// E17 — duplicate reclaim: the cancel protocol vs. no reclaim at all.
 // E19 — goodput + reclaim latency under link-level chaos (partition-and-heal
 //       and gray-failure churn) at 128/256 processors.
 // E20 — flight-recorder cost + the recovery story as a time series: E19's
@@ -315,14 +315,14 @@ int main(int argc, char** argv) {
   }
   bench::emit(churn, opt);
 
-  // ---- E17: duplicate reclaim — sweep-GC vs. cancel protocol --------------
+  // ---- E17: duplicate reclaim — cancel protocol vs. none ------------------
   // The duplicate generator: warm rejoin under recurring faults with an
   // immediately-expiring pre-link grace, so re-hosted parents respawn
   // surviving orphan subtrees as twins while the originals keep computing.
-  // Mode "sweep" reclaims with the legacy omniscient sweep (cancellation
-  // off); mode "cancel" with protocol messages only (sweeps off). Reclaim
-  // latency is mean ticks from a reclaimed duplicate's creation to its
-  // abort — the same proxy in both modes, so rows compare like for like.
+  // Mode "none" turns cancellation off, so nothing reclaims the duplicates
+  // and they compute to run end; mode "cancel" reclaims them with protocol
+  // messages. Reclaim latency is mean ticks from a reclaimed duplicate's
+  // creation to its abort.
   struct E17Row {
     std::uint32_t procs = 0;
     const char* mode = nullptr;
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
                        "reclaim latency", "cancel msgs", "total msgs",
                        "slowdown"});
   reclaim.set_title(
-      "E17 duplicate reclaim — omniscient sweep vs. cancel protocol "
+      "E17 duplicate reclaim — cancel protocol vs. none "
       "(warm rejoin churn, pre-link race)");
   const std::vector<std::uint32_t> e17_sizes =
       opt.quick ? std::vector<std::uint32_t>{64U}
@@ -362,13 +362,7 @@ int main(int argc, char** argv) {
             cfg.store.model = store::Persistency::kLocal;
             cfg.store.warm_grace = 40000;
             cfg.store.prelink_grace = 1;  // guaranteed respawn race
-            if (cancel_mode) {
-              cfg.reclaim.cancellation = true;
-              cfg.reclaim.gc_interval = 0;  // protocol only
-            } else {
-              cfg.reclaim.cancellation = false;
-              cfg.reclaim.gc_interval = 500;  // the omniscient baseline
-            }
+            cfg.reclaim.cancellation = cancel_mode;
             return cfg;
           },
           [&](const core::SystemConfig&, std::int64_t makespan,
@@ -387,14 +381,12 @@ int main(int argc, char** argv) {
       auto mean = [&](auto metric) { return bench::mean_of(reps, metric); };
       E17Row row;
       row.procs = procs;
-      row.mode = cancel_mode ? "cancel" : "sweep";
+      row.mode = cancel_mode ? "cancel" : "none";
       row.reclaimed = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.counters.tasks_cancelled +
-                                   r.result.counters.orphans_gced);
+        return static_cast<double>(r.result.counters.tasks_cancelled);
       });
       row.latency = mean([](const bench::Replicate& r) {
-        const auto n = r.result.counters.tasks_cancelled +
-                       r.result.counters.orphans_gced;
+        const auto n = r.result.counters.tasks_cancelled;
         return n == 0 ? 0.0
                       : static_cast<double>(
                             r.result.counters.reclaim_latency_ticks) /
@@ -511,12 +503,10 @@ int main(int argc, char** argv) {
                static_cast<double>(r.clean_makespan);
       });
       row.reclaimed = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.counters.tasks_cancelled +
-                                   r.result.counters.orphans_gced);
+        return static_cast<double>(r.result.counters.tasks_cancelled);
       });
       row.latency = mean([](const bench::Replicate& r) {
-        const auto n = r.result.counters.tasks_cancelled +
-                       r.result.counters.orphans_gced;
+        const auto n = r.result.counters.tasks_cancelled;
         return n == 0 ? 0.0
                       : static_cast<double>(
                             r.result.counters.reclaim_latency_ticks) /
@@ -952,14 +942,14 @@ int main(int argc, char** argv) {
       "with repair, large machines stay correct and near full strength at\n"
       "the end of the run; reissues scale with the fault rate, not the\n"
       "machine size. E17: the cancel protocol reclaims duplicates with a\n"
-      "latency bounded by message propagation (well under the sweep's\n"
-      "period-quantized latency, and never worse than 2x) at the cost of\n"
-      "explicit cancel traffic. E19: with only the wire misbehaving — a\n"
-      "partition that heals, or a gray node under lossy links — every run\n"
-      "stays correct, goodput degrades smoothly with the loss volume, and\n"
-      "cross-cut duplicates are reclaimed at protocol latency after the\n"
-      "heal. Simulator throughput (E16) should stay\n"
-      "flat-to-rising across machine sizes — per-event cost must not grow\n"
-      "with the processor count — and allocs/event should stay near zero.\n");
+      "latency bounded by message propagation, at the cost of explicit\n"
+      "cancel traffic; with it off nothing reclaims them. E19: with only\n"
+      "the wire misbehaving — a partition that heals, or a gray node\n"
+      "under lossy links — every run stays correct, goodput degrades\n"
+      "smoothly with the loss volume, and cross-cut duplicates are\n"
+      "reclaimed at protocol latency after the heal. Simulator throughput\n"
+      "(E16) should stay flat-to-rising across machine sizes — per-event\n"
+      "cost must not grow with the processor count — and allocs/event\n"
+      "should stay near zero.\n");
   return 0;
 }

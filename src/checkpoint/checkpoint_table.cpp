@@ -7,30 +7,22 @@
 namespace splice::checkpoint {
 
 CheckpointTable::CheckpointTable(net::ProcId self, net::ProcId processors)
-    : self_(self), processors_(processors) {
-  stripes_.reserve(kStripeCount);
-  for (std::uint32_t s = 0; s < kStripeCount; ++s) {
-    // Stripe s owns dests s, s + kStripeCount, ...
-    const std::uint32_t owned =
-        (processors > s) ? (processors - s - 1) / kStripeCount + 1 : 0;
-    stripes_.emplace_back(arena_);
-    stripes_.back().entries.resize(owned);
-  }
-}
+    : self_(self),
+      processors_(processors),
+      entries_(processors),
+      by_stamp_(StampIndex::allocator_type(arena_)) {}
 
 void CheckpointTable::index_add(net::ProcId dest,
                                 const runtime::LevelStamp& stamp) {
-  stripes_[stripe_of(dest)].by_stamp.emplace(
-      runtime::LevelStamp::Hash{}(stamp), dest);
+  by_stamp_.emplace(runtime::LevelStamp::Hash{}(stamp), dest);
 }
 
 void CheckpointTable::index_remove(net::ProcId dest,
                                    const runtime::LevelStamp& stamp) {
-  auto& index = stripes_[stripe_of(dest)].by_stamp;
-  auto [it, end] = index.equal_range(runtime::LevelStamp::Hash{}(stamp));
+  auto [it, end] = by_stamp_.equal_range(runtime::LevelStamp::Hash{}(stamp));
   for (; it != end; ++it) {
     if (it->second == dest) {
-      index.erase(it);
+      by_stamp_.erase(it);
       return;
     }
   }
@@ -50,7 +42,7 @@ void CheckpointTable::on_erase(const CheckpointRecord& record) noexcept {
 
 RecordOutcome CheckpointTable::record(net::ProcId dest,
                                       CheckpointRecord record) {
-  auto& entry = entry_mut(dest);
+  auto& entry = entries_.at(dest);
   // §3.2: descendant of an existing checkpoint -> nothing to store.
   for (const CheckpointRecord& existing : entry) {
     if (existing.packet.stamp.subsumes(record.packet.stamp)) {
@@ -79,7 +71,7 @@ RecordOutcome CheckpointTable::record(net::ProcId dest,
 }
 
 std::vector<CheckpointRecord> CheckpointTable::take(net::ProcId dead) {
-  auto& entry = entry_mut(dead);
+  auto& entry = entries_.at(dead);
   std::vector<CheckpointRecord> out = std::move(entry);
   entry.clear();
   for (const CheckpointRecord& record : out) {
@@ -93,7 +85,7 @@ std::vector<CheckpointRecord> CheckpointTable::take(net::ProcId dead) {
 
 bool CheckpointTable::release(net::ProcId dest,
                               const runtime::LevelStamp& stamp) {
-  auto& entry = entry_mut(dest);
+  auto& entry = entries_.at(dest);
   const auto before = entry.size();
   std::erase_if(entry, [&](const CheckpointRecord& existing) {
     if (existing.packet.stamp == stamp) {
@@ -112,32 +104,26 @@ bool CheckpointTable::release(net::ProcId dest,
 }
 
 bool CheckpointTable::release_anywhere(const runtime::LevelStamp& stamp) {
-  const std::size_t hash = runtime::LevelStamp::Hash{}(stamp);
-  for (Stripe& stripe : stripes_) {
-    // Collect candidates first: release() edits the index being ranged.
-    util::SmallVec<net::ProcId, 8> candidates;
-    auto [it, end] = stripe.by_stamp.equal_range(hash);
-    for (; it != end; ++it) candidates.push_back(it->second);
-    for (const net::ProcId dest : candidates) {
-      // Hash hit: confirm against the actual records (collisions between
-      // distinct stamps are possible, release() re-checks equality).
-      if (release(dest, stamp)) return true;
-    }
+  // Collect candidates first: release() edits the index being ranged.
+  util::SmallVec<net::ProcId, 8> candidates;
+  auto [it, end] = by_stamp_.equal_range(runtime::LevelStamp::Hash{}(stamp));
+  for (; it != end; ++it) candidates.push_back(it->second);
+  for (const net::ProcId dest : candidates) {
+    // Hash hit: confirm against the actual records (collisions between
+    // distinct stamps are possible, release() re-checks equality).
+    if (release(dest, stamp)) return true;
   }
   return false;
 }
 
 bool CheckpointTable::contains(net::ProcId dest,
                                const runtime::LevelStamp& stamp) const {
-  const Stripe& stripe = stripes_[stripe_of(dest)];
-  auto [it, end] =
-      stripe.by_stamp.equal_range(runtime::LevelStamp::Hash{}(stamp));
+  auto [it, end] = by_stamp_.equal_range(runtime::LevelStamp::Hash{}(stamp));
   for (; it != end; ++it) {
     if (it->second != dest) continue;
     // Hash hit on this destination: confirm against the actual records
     // (distinct stamps may collide).
-    for (const CheckpointRecord& record :
-         stripe.entries.at(dest / kStripeCount)) {
+    for (const CheckpointRecord& record : entries_.at(dest)) {
       if (record.packet.stamp == stamp) return true;
     }
     return false;
@@ -147,10 +133,8 @@ bool CheckpointTable::contains(net::ProcId dest,
 
 void CheckpointTable::clear() {
   cleared_ += total_records_;
-  for (Stripe& stripe : stripes_) {
-    for (auto& entry : stripe.entries) entry.clear();
-    stripe.by_stamp.clear();
-  }
+  for (auto& entry : entries_) entry.clear();
+  by_stamp_.clear();
   total_records_ = 0;
   total_units_ = 0;
 }
@@ -159,7 +143,7 @@ std::vector<std::pair<net::ProcId, CheckpointRecord*>>
 CheckpointTable::restored_children_of(const runtime::LevelStamp& parent) {
   std::vector<std::pair<net::ProcId, CheckpointRecord*>> out;
   for (net::ProcId dest = 0; dest < processors_; ++dest) {
-    for (CheckpointRecord& record : entry_mut(dest)) {
+    for (CheckpointRecord& record : entries_[dest]) {
       if (record.restored && record.packet.stamp.depth() == parent.depth() + 1 &&
           parent.is_ancestor_of(record.packet.stamp)) {
         out.emplace_back(dest, &record);

@@ -9,14 +9,13 @@
 // Invariant (property-tested): every entry is an antichain under the
 // level-stamp ancestry order — no record subsumes another.
 //
-// Layout: entries are sharded into kStripeCount stripes by destination
-// processor (dest mod kStripeCount), each stripe carrying a stamp-hash
-// index of its records. release_anywhere() — executed for every returning
-// result — consults the per-stripe indexes instead of scanning all P
-// entries, so its cost is independent of machine size; this is what lets
-// the table scale to 256+ processor machines. Record/unit totals are
-// maintained incrementally for the same reason (the peak-tracking used to
-// recount every record on every mutation).
+// Layout: one entry per destination processor plus one stamp-hash index
+// over every live record. release_anywhere() — executed for every
+// returning result — probes that index instead of scanning all P entries,
+// so its cost is independent of machine size; this is what lets the table
+// scale to 256+ processor machines. Record/unit totals are maintained
+// incrementally for the same reason (the peak-tracking used to recount
+// every record on every mutation).
 #pragma once
 
 #include <cstdint>
@@ -51,9 +50,6 @@ enum class RecordOutcome : std::uint8_t {
 
 class CheckpointTable {
  public:
-  /// Destination-processor stripes (power of two for cheap modulo).
-  static constexpr std::uint32_t kStripeCount = 8;
-
   /// Mutation observer: the durable store subscribes to mirror every table
   /// mutation into its append-only log (store/durable_store.h). Callbacks
   /// fire after the mutation applied; a null listener costs nothing.
@@ -85,12 +81,12 @@ class CheckpointTable {
   bool release(net::ProcId dest, const runtime::LevelStamp& stamp);
 
   /// Release wherever it is held (used when the destination moved due to a
-  /// prior respawn). Returns true if found. O(1) expected via the stripe
-  /// stamp indexes — never a scan over all destinations.
+  /// prior respawn). Returns true if found. O(1) expected via the stamp
+  /// index — never a scan over all destinations.
   bool release_anywhere(const runtime::LevelStamp& stamp);
 
   /// Is a checkpoint for `stamp` currently held against `dest`? O(1)
-  /// expected via the stripe stamp index. Used by the state-transfer pump
+  /// expected via the stamp index. Used by the state-transfer pump
   /// to drop packets whose record was released (result arrived, or the
   /// lineage was cancelled) after the stream snapshot was taken — a
   /// released checkpoint must never resurrect as a re-hosted task.
@@ -104,7 +100,7 @@ class CheckpointTable {
 
   [[nodiscard]] const std::vector<CheckpointRecord>& entry(
       net::ProcId dest) const {
-    return stripes_[stripe_of(dest)].entries.at(dest / kStripeCount);
+    return entries_.at(dest);
   }
 
   [[nodiscard]] net::ProcId processors() const noexcept { return processors_; }
@@ -153,26 +149,6 @@ class CheckpointTable {
       std::equal_to<std::size_t>,
       util::PoolAllocator<std::pair<const std::size_t, net::ProcId>>>;
 
-  struct Stripe {
-    explicit Stripe(util::SlabArena& arena)
-        : by_stamp(StampIndex::allocator_type(arena)) {}
-    /// entries[d] holds the checkpoints against processor
-    /// d * kStripeCount + stripe_index (the §3.2 "table of linked lists",
-    /// striped).
-    std::vector<std::vector<CheckpointRecord>> entries;
-    /// stamp-hash -> destination, one value per live record in this stripe.
-    /// A multimap because distinct stamps may collide; hits re-verify
-    /// against the actual records.
-    StampIndex by_stamp;
-  };
-
-  [[nodiscard]] static std::uint32_t stripe_of(net::ProcId dest) noexcept {
-    return dest & (kStripeCount - 1);
-  }
-  [[nodiscard]] std::vector<CheckpointRecord>& entry_mut(net::ProcId dest) {
-    return stripes_[stripe_of(dest)].entries.at(dest / kStripeCount);
-  }
-
   void index_add(net::ProcId dest, const runtime::LevelStamp& stamp);
   void index_remove(net::ProcId dest, const runtime::LevelStamp& stamp);
   void on_insert(const CheckpointRecord& record) noexcept;
@@ -181,8 +157,14 @@ class CheckpointTable {
   net::ProcId self_;
   net::ProcId processors_;
   Listener* listener_ = nullptr;
-  util::SlabArena arena_;  // must outlive stripes_ (backs their indexes)
-  std::vector<Stripe> stripes_;
+  /// entries_[d] holds the checkpoints against processor d (the §3.2
+  /// "table of linked lists").
+  std::vector<std::vector<CheckpointRecord>> entries_;
+  util::SlabArena arena_;  // must outlive by_stamp_ (backs its nodes)
+  /// stamp-hash -> destination, one value per live record. A multimap
+  /// because distinct stamps may collide; hits re-verify against the
+  /// actual records.
+  StampIndex by_stamp_;
 
   std::size_t total_records_ = 0;
   std::uint64_t total_units_ = 0;

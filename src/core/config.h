@@ -74,14 +74,9 @@ enum class RecoveryKind : std::uint8_t {
 
 struct SchedulerConfig {
   SchedulerKind kind = SchedulerKind::kRandom;
-  /// kLocalFirst: spawn locally while the local queue is below this.
-  std::uint32_t local_threshold = 2;
   /// kGradient: proximity-field refresh period (ticks); models the
   /// propagation delay of load information.
   std::int64_t gradient_refresh = 500;
-  /// kGradient: queue length at or below which a processor advertises
-  /// itself as a task sink (an "idle" node creating suction).
-  std::uint32_t gradient_idle_threshold = 0;
 };
 
 struct RecoveryConfig {
@@ -101,8 +96,6 @@ struct RecoveryConfig {
   /// cost of §2).
   std::int64_t freeze_base = 100;
   double freeze_per_unit = 0.25;
-  /// kPeriodicGlobal: delay between detection and restore completion.
-  std::int64_t restore_delay = 500;
 };
 
 /// Durable checkpoint store + warm-rejoin state transfer (store/ subsystem).
@@ -154,10 +147,8 @@ struct ReplicationConfig {
   }
 };
 
-/// Duplicate-task reclamation: the cancel protocol and its legacy
-/// sweep/oracle companion. Grouped because the three knobs describe one
-/// subsystem — how duplicate live tasks left behind by recovery get
-/// reclaimed, and how that reclamation is validated.
+/// Duplicate-task reclamation: the cancel protocol, and the cadence of the
+/// read-only gc oracle that validates it.
 struct ReclaimConfig {
   /// First-class task-cancellation protocol. Recovery can leave *duplicate*
   /// live tasks — a reissue raced the original (undetected rejoin, pre-link
@@ -170,26 +161,22 @@ struct ReclaimConfig {
   /// its retained checkpoints, and forward cancels down every outstanding
   /// call slot — the duplicate subtree converges by message propagation.
   /// Replicated depths are exempt: their copies are the redundancy.
+  /// This is the only mechanism that reclaims duplicates.
   bool cancellation = true;
 
-  /// Legacy orphan-GC sweep period (ticks); 0 disables. The sweep reads
-  /// global simulator state — the omniscient ancestor of the cancel
-  /// protocol — and reclaims every duplicate copy except the one the live
-  /// parent's acknowledged slot points at. Kept as (a) the measured
-  /// baseline for E17 and (b) the cadence of the validation oracle below.
-  std::int64_t gc_interval = 0;
-
-  /// Demote the sweep to a read-only validation oracle: at each
-  /// gc_interval tick it *identifies* the duplicates the old sweep would
-  /// have reclaimed but aborts nothing; a duplicate still present at the
-  /// next tick (cancel latency is bounded by one network traversal, far
-  /// below any sensible cadence) counts as a protocol leak in
-  /// Counters::gc_oracle_orphans. The enforced invariant is the protocol's
-  /// reach: no duplicate whose own parent *instance* is live may persist.
-  /// True orphans (the exact parent task is gone) are excluded under a
+  /// Read-only gc oracle period (ticks); 0 disables. At each tick the
+  /// oracle reads global simulator state and *identifies* duplicate copies
+  /// (every copy except the one the live parent's acknowledged slot points
+  /// at) but aborts nothing; a duplicate still present at the next tick
+  /// (cancel latency is bounded by one network traversal, far below any
+  /// sensible cadence) counts as a protocol leak in
+  /// Counters::gc_oracle_orphans, the feed of RecoveryOracle's task-leak
+  /// invariant. The enforced invariant is the protocol's reach: no
+  /// duplicate whose own parent *instance* is live may persist. True
+  /// orphans (the exact parent task is gone) are excluded under a
   /// salvaging policy — they are §4.1 salvage material, unreachable by any
   /// message until their results flow.
-  bool gc_oracle = false;
+  std::int64_t gc_interval = 0;
 };
 
 /// Which substrate moves envelopes (net/transport.h). kInProcess is the
@@ -212,10 +199,6 @@ struct ObsConfig {
   bool recorder = false;
   /// Ring capacity in events; the ring overwrites oldest and counts drops.
   std::uint32_t journal_capacity = 1u << 16;
-  /// Metrics sampling window in ticks (event-queue depth, in-flight
-  /// envelopes, checkpoint residency, per-window goodput + latency
-  /// quantiles). 0 disables the sampling tick.
-  std::int64_t sample_interval = 1000;
 };
 
 /// Parallel (PDES) simulation driver. `shards == 0` (default) keeps the
@@ -226,12 +209,19 @@ struct ObsConfig {
 /// engine machinery on one worker and is the A/B determinism oracle for
 /// `shards > 1`. Engine mode rejects features whose semantics need the
 /// global event order (kTcp/kShmRing transports, kRestart/kPeriodicGlobal
-/// recovery, triggered faults, the legacy reclaiming GC sweep).
+/// recovery, triggered faults).
 struct ParallelConfig {
   std::uint32_t shards = 0;
 
   [[nodiscard]] bool engine() const noexcept { return shards >= 1; }
 };
+
+/// Simulated ticks per abstract primitive-op unit. The processor's step
+/// cost and the simulation's auto deadline bound share it and kSpawnCost.
+inline constexpr std::int64_t kOpCost = 1;
+/// DEMAND_IT overhead per spawn: packet formation + checkpoint + queueing
+/// (§4.2).
+inline constexpr std::int64_t kSpawnCost = 5;
 
 struct SystemConfig {
   std::uint32_t processors = 8;
@@ -261,11 +251,6 @@ struct SystemConfig {
   /// Hard stop for the simulation; 0 derives a generous bound from the
   /// program's reference work.
   std::int64_t deadline_ticks = 0;
-
-  /// Cost scale: simulated ticks per abstract primitive-op unit.
-  std::int64_t op_cost = 1;
-  /// DEMAND_IT overhead: packet formation + checkpoint + queueing (§4.2).
-  std::int64_t spawn_cost = 5;
 
   /// Record a human-readable event trace (fig-walkthrough benches).
   bool collect_trace = false;

@@ -82,9 +82,9 @@ RunResult Simulation::run() {
     // Generous auto-bound: sequential work, fully serialised on one node,
     // times a recovery headroom factor.
     const std::int64_t serial =
-        static_cast<std::int64_t>(ref_stats.total_work) * config_.op_cost +
+        static_cast<std::int64_t>(ref_stats.total_work) * kOpCost +
         static_cast<std::int64_t>(ref_stats.calls) *
-            (config_.spawn_cost + 4 * config_.latency.base + 40);
+            (kSpawnCost + 4 * config_.latency.base + 40);
     deadline = 1000000 + serial * 50;
   }
 

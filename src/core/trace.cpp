@@ -1,6 +1,7 @@
 #include "core/trace.h"
 
 #include <sstream>
+#include <utility>
 
 namespace splice::core {
 

@@ -5,11 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "net/topology.h"
@@ -33,19 +29,6 @@ class Trace {
 
   void add(sim::SimTime t, net::ProcId proc, std::string kind,
            std::string detail);
-
-  /// Lazy overload for hot paths: the detail string (typically several
-  /// concatenations plus a stamp render) is only built when the trace is
-  /// actually recording. Benches run with tracing off; they must not pay
-  /// for prose they discard.
-  template <typename DetailFn>
-    requires std::is_invocable_r_v<std::string, DetailFn>
-  void add(sim::SimTime t, net::ProcId proc, std::string_view kind,
-           DetailFn&& detail_fn) {
-    if (!enabled_) return;
-    events_.push_back(TraceEvent{t.ticks(), proc, std::string(kind),
-                                 std::forward<DetailFn>(detail_fn)()});
-  }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;

@@ -4,7 +4,7 @@
 // keeps a log-bucket latency histogram (HDR-style: octave + 4 sub-bucket
 // bits, ≈ ±3% relative error, fixed 512-slot footprint) plus a per-window
 // time series of goodput and gauge samples — event-queue depth, in-flight
-// envelopes, checkpoint residency — closed every `sample_interval` ticks by
+// envelopes, checkpoint residency — closed every kSampleInterval ticks by
 // the runtime's sampling tick. This is HEAL's framing (ROADMAP): measure
 // goodput *during* recovery, not a recovery-latency scalar.
 //
@@ -68,6 +68,10 @@ struct TimePoint {
 
 class Metrics {
  public:
+  /// Sampling window in ticks: the runtime's sampling tick closes one
+  /// window per interval while the recorder is on.
+  static constexpr std::int64_t kSampleInterval = 1000;
+
   /// Event-driven feeds (called from Recorder::record on the matching
   /// kinds, so hook sites stay single calls).
   void on_task_spawn() noexcept { ++window_spawned_; }

@@ -58,7 +58,7 @@ void PeriodicGlobalPolicy::begin_snapshot() {
 
 void PeriodicGlobalPolicy::on_global_failure(runtime::Runtime& rt,
                                              net::ProcId /*dead*/) {
-  rt.sim().after(sim::SimTime(cfg_.restore_delay), [this] { restore(); });
+  rt.sim().after(sim::SimTime(kRestoreDelay), [this] { restore(); });
 }
 
 void PeriodicGlobalPolicy::restore() {

@@ -26,6 +26,9 @@ namespace splice::recovery {
 
 class PeriodicGlobalPolicy final : public RecoveryPolicy {
  public:
+  /// Delay between detection and restore completion (ticks).
+  static constexpr std::int64_t kRestoreDelay = 500;
+
   explicit PeriodicGlobalPolicy(const core::RecoveryConfig& config)
       : cfg_(config) {}
 

@@ -13,8 +13,8 @@
 //   determinacy    the surviving answer equals the reference interpreter's
 //                  (§2.1: an applicative program has one value);
 //   task-leak      no duplicate lineage outlived the cancel protocol
-//                  (Counters::gc_oracle_orphans, fed by the read-only
-//                  validation sweep when ReclaimConfig::gc_oracle is on);
+//                  (Counters::gc_oracle_orphans, fed by the read-only gc
+//                  oracle whenever ReclaimConfig::gc_interval > 0);
 //   task-conservation
 //                  every accepted task is accounted for:
 //                    created == completed + aborted + lost_to_crash

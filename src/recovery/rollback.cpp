@@ -62,27 +62,40 @@ std::pair<Task*, CallSlot*> resolve_record_owner(
   return {owner, slot};
 }
 
-void RollbackPolicy::on_error_detected(Processor& proc, net::ProcId dead) {
-  if (proc.runtime().defer_reissue(proc, dead)) return;
-  reissue_against(proc, dead);
-}
+namespace {
 
-void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
-  // Under the cancellation protocol a doomed lineage's descendants on
-  // *other* processors are reclaimed too: the abort forwards kCancel down
-  // every outstanding slot instead of letting the subtree compute to run
-  // end for a result nobody can consume.
-  const bool cascade = proc.runtime().config().reclaim.cancellation;
-  // (a) Abort direct orphans: their results could only flow to the dead
-  //     parent ("the result of the task cannot be forwarded").
+/// (a) Reclaim the direct orphans of `dead`: their results could only flow
+/// to the dead parent ("the result of the task cannot be forwarded"). Under
+/// the cancellation protocol their descendants on *other* processors are
+/// reclaimed too: the cancel forwards kCancel down every outstanding slot
+/// instead of letting the subtree compute to run end for a result nobody
+/// can consume.
+void reclaim_orphans(Processor& proc, net::ProcId dead) {
   const auto orphaned = [&](Task& task) {
     return task.packet().parent().proc == dead;
   };
-  if (cascade) {
+  if (proc.runtime().config().reclaim.cancellation) {
     proc.cancel_tasks_if(orphaned, "orphan: parent processor failed");
   } else {
     proc.abort_tasks_if(orphaned, "orphan: parent processor failed");
   }
+}
+
+}  // namespace
+
+void RollbackPolicy::on_error_detected(Processor& proc, net::ProcId dead) {
+  if (!proc.runtime().defer_reissue(proc, dead)) {
+    reissue_against(proc, dead);
+    return;
+  }
+  // Warm rejoin defers only the reissue. Rollback never pre-links, so a
+  // parent the rejoin re-hosts respawns its children, and an orphan left
+  // computing until the grace expires could only duplicate them.
+  reclaim_orphans(proc, dead);
+}
+
+void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
+  reclaim_orphans(proc, dead);
 
   // (b) Reissue the topmost checkpoints held against the dead processor.
   auto records = proc.table().take(dead);
@@ -106,6 +119,7 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
   //     ancestor is being regrown elsewhere, so "new arguments of the task
   //     cannot be obtained". (Reissued slots in (b) already point at live
   //     destinations and are skipped.)
+  const bool cascade = proc.runtime().config().reclaim.cancellation;
   const auto doomed = [&](Task& task) {
     for (const auto& slot : task.slots()) {
       if (slot.outstanding() && all_destinations_dead(proc, slot) &&

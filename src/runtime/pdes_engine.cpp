@@ -25,10 +25,6 @@ void validate(const core::SystemConfig& config) {
     reject("kRestart/kPeriodicGlobal recovery needs the classic global "
            "event order");
   }
-  if (config.reclaim.gc_interval > 0 && !config.reclaim.gc_oracle) {
-    reject("the legacy reclaiming gc sweep mutates remote shards; use "
-           "reclaim.gc_oracle or the cancel protocol");
-  }
   const net::LatencyModel& lat = config.latency;
   if (lat.base < 1) reject("latency.base must be >= 1 (it is the lookahead)");
   if (lat.per_hop < 0 || lat.per_unit < 0 || lat.local < 0) {

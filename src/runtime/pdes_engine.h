@@ -38,8 +38,7 @@
 //
 // Feature gating: engine mode rejects (std::invalid_argument) configurations
 // whose semantics depend on the classic global event order — the wire
-// transports, kRestart / kPeriodicGlobal recovery, and the legacy
-// reclaiming GC sweep (the read-only oracle is fine). Triggered faults are
+// transports and kRestart / kPeriodicGlobal recovery. Triggered faults are
 // rejected by the Simulation facade, which owns the fault plan.
 #pragma once
 

@@ -270,10 +270,9 @@ void Processor::start_next_step() {
     // its effects (sends, completion) apply when the step finishes.
     ScanOutcome outcome = task->scan(rt_.program());
     ++counters_.scans;
-    const auto& cfg = rt_.config();
     const std::int64_t cost =
-        1 + static_cast<std::int64_t>(outcome.cost) * cfg.op_cost +
-        static_cast<std::int64_t>(outcome.spawns.size()) * cfg.spawn_cost;
+        1 + static_cast<std::int64_t>(outcome.cost) * core::kOpCost +
+        static_cast<std::int64_t>(outcome.spawns.size()) * core::kSpawnCost;
     counters_.busy_ticks += cost;
     executing_ = true;
     // One step runs at a time, so the outcome parks in the processor and the

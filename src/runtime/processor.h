@@ -121,12 +121,10 @@ class Processor {
   /// a splice step-parent (enables orphan-result inheritance).
   void respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
                     std::string_view reason);
-  void abort_task(TaskUid uid, std::string_view reason);
   /// Cancel a local task: abort it, release the checkpoint-table entries it
   /// retained for its own children, and forward kCancel messages down every
   /// outstanding call slot so the whole duplicate subtree converges by
-  /// message propagation (the protocol replacement for the old global
-  /// orphan-GC sweep).
+  /// message propagation.
   void cancel_task(TaskUid uid, std::string_view reason);
   /// Deliver a direct-child result into a live local task (shared by the
   /// network path and policy relays).
@@ -240,6 +238,10 @@ class Processor {
   void start_heartbeats();
 
  private:
+  /// Abort one local task. Every abort is a local recovery decision
+  /// (abort_tasks_if) or the receiving end of a cancel (cancel_task).
+  void abort_task(TaskUid uid, std::string_view reason);
+
   // ---- message dispatch ---------------------------------------------------
   // handle() std::visits the closed payload variant over this overload set.
   // There is deliberately no catch-all template: adding a variant

@@ -170,8 +170,8 @@ core::Trace& Runtime::trace() {
 }
 
 void Runtime::schedule_obs_sample() {
-  if (!recorder_.enabled() || config_.obs.sample_interval <= 0) return;
-  sim_.after(sim::SimTime(config_.obs.sample_interval), [this] {
+  if (!recorder_.enabled()) return;
+  sim_.after(sim::SimTime(obs::Metrics::kSampleInterval), [this] {
     if (engine_ != nullptr) {
       // The engine's shard rings are merged (and the metrics rebuilt) after
       // the run; live samples are stored with the engine and interleaved at
@@ -460,14 +460,28 @@ void Runtime::schedule_scheduler_tick() {
   });
 }
 
+struct Runtime::GcVictim {
+  net::ProcId proc = net::kNoProc;
+  TaskUid uid = kNoTask;
+  /// The victim's own parent ref (ancestors[0] of its packet).
+  TaskRef parent;
+  /// The duplicated stamp — lets the oracle match pending cancel
+  /// retransmissions (which address lineages by stamp) to sightings.
+  LevelStamp stamp;
+
+  [[nodiscard]] auto key() const noexcept {
+    return std::pair<net::ProcId, TaskUid>{proc, uid};
+  }
+};
+
 void Runtime::schedule_gc_tick() {
   if (config_.reclaim.gc_interval <= 0) return;
-  // The sweep reads global simulator state; a multi-process group has no
+  // The oracle reads global simulator state; a multi-process group has no
   // omniscient observer (that is rather the point).
   if (network_.distributed()) return;
   sim_.after(sim::SimTime(config_.reclaim.gc_interval), [this] {
     if (done_) return;
-    gc_sweep();
+    gc_oracle_check(collect_gc_victims());
     schedule_gc_tick();
   });
 }
@@ -478,8 +492,8 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
   // replica) keys across lanes even though every lane is wanted. The
   // (stamp, replica) grouping below cannot tell such by-design lanes from
   // protocol leaks, and replica lanes are reclaimed by the quorum/cancel
-  // machinery anyway — so the sweep (and the oracle built on it) stands
-  // down entirely when replication is on.
+  // machinery anyway — so the oracle stands down entirely when replication
+  // is on.
   if (config_.replication.enabled()) return {};
   // Recovery can race the machine into hosting the same (stamp, replica)
   // twice: a reissue fired while the original survived (undetected rejoin,
@@ -498,12 +512,11 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
   // subtree by subtree.
   //
   // This pass reads global state directly — the simulator's omniscient
-  // view. In legacy mode it feeds the reclaim sweep; with the cancellation
-  // protocol it is demoted to the read-only validation oracle. Parent
-  // resolution goes through `tasks_by_stamp`, built in the same single
-  // iteration over live tasks, so the whole pass is O(live tasks) — the
-  // old per-duplicate scan over all processors made the retained oracle
-  // O(P · duplicates) at 256 processors.
+  // view, which only the oracle may use: reclaiming is the cancel
+  // protocol's job. Parent resolution goes through `tasks_by_stamp`, built
+  // in the same single iteration over live tasks, so the whole pass is
+  // O(live tasks) — a per-duplicate scan over all processors would make
+  // the oracle O(P · duplicates) at 256 processors.
   struct Copy {
     net::ProcId proc;
     TaskUid uid;
@@ -546,8 +559,8 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
     const LevelStamp parent_stamp = stamp.parent();
     const auto parent_hosts = tasks_by_stamp.find(parent_stamp);
     // A duplicated *parent* means two live lineages whose child pointers
-    // disagree; reclaiming a child now could sever the lineage that wins.
-    // Dedup strictly top-down: this level waits until the parent level is
+    // disagree, so which child copy is the duplicate is not decided yet.
+    // Select strictly top-down: this level waits until the parent level is
     // unique (a later pass — selection converges level by level).
     if (parent_hosts != tasks_by_stamp.end() &&
         parent_hosts->second.size() > 1) {
@@ -589,7 +602,7 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
     }
     if (keeper_proc == net::kNoProc) continue;  // no acked pointer: keep all
     // The pointed-at copy must be among the live hosted ones — if the ack
-    // is stale (pointee crashed away), reclaim nothing this round.
+    // is stale (pointee crashed away), sight nothing this round.
     const Copy* keep = nullptr;
     for (const Copy& copy : copies) {
       if (copy.proc == keeper_proc && copy.uid == keeper_uid) {
@@ -611,23 +624,6 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
   return victims;
 }
 
-void Runtime::gc_sweep() {
-  std::vector<GcVictim> victims = collect_gc_victims();
-  if (config_.reclaim.gc_oracle) {
-    gc_oracle_check(victims);
-    return;
-  }
-  for (const GcVictim& victim : victims) {
-    Processor& host = *procs_[victim.proc];
-    Task* task = host.find_task(victim.uid);
-    if (task == nullptr) continue;
-    ++host.counters().orphans_gced;
-    host.counters().reclaim_latency_ticks +=
-        (sim_.now() - task->created_at()).ticks();
-    host.abort_task(victim.uid, "orphan-gc: duplicate of the linked copy");
-  }
-}
-
 void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
   // Read-only validation: the cancel protocol's propagation latency is
   // bounded by one network traversal per tree level, far below any
@@ -638,8 +634,8 @@ void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
   // True orphans — the exact parent task is gone — are excluded under a
   // salvaging policy: they are §4.1 salvage material ("returns from orphan
   // tasks are theoretically harmless"), reachable by no message until
-  // their results flow, and the old sweep's abort of them is exactly the
-  // omniscient shortcut this oracle exists to retire.
+  // their results flow, and aborting them from here would be exactly the
+  // omniscient shortcut the cancel protocol replaced.
   std::vector<std::pair<net::ProcId, TaskUid>> sightings;
   const bool salvaging = policy_->salvages_orphans();
   for (const GcVictim& victim : victims) {

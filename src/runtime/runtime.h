@@ -263,21 +263,6 @@ class Runtime {
     return first_detection_ticks_;
   }
 
-  /// One identified duplicate copy (sweep victim / oracle sighting).
-  struct GcVictim {
-    net::ProcId proc = net::kNoProc;
-    TaskUid uid = kNoTask;
-    /// The victim's own parent ref (ancestors[0] of its packet).
-    TaskRef parent;
-    /// The duplicated stamp — lets the oracle match pending cancel
-    /// retransmissions (which address lineages by stamp) to sightings.
-    LevelStamp stamp;
-
-    [[nodiscard]] auto key() const noexcept {
-      return std::pair<net::ProcId, TaskUid>{proc, uid};
-    }
-  };
-
  private:
   sim::Simulator& sim_;
   net::Network& network_;
@@ -313,24 +298,24 @@ class Runtime {
   /// Build the scheduler environment (classic or engine flavour) and attach.
   void attach_scheduler();
   void schedule_scheduler_tick();
-  /// Flight-recorder metrics sampling (config.obs.sample_interval): close
+  /// Flight-recorder metrics sampling (obs::Metrics::kSampleInterval): close
   /// one goodput/gauge window per interval. Read-only — it perturbs no
   /// protocol state, so seeded runs journal identically with it on or off.
   void schedule_obs_sample();
   /// Live checkpoint entries across all healthy processors (gauge feed).
   [[nodiscard]] std::uint64_t checkpoint_resident_now() const;
-  /// Orphan GC (config.reclaim.gc_interval): periodically reclaim — or, in oracle
-  /// mode, merely identify — duplicate live tasks left behind by racing
-  /// recovery actions. See gc_sweep().
+  /// Read-only gc oracle (config.reclaim.gc_interval): each tick identifies
+  /// the duplicate live tasks left behind by racing recovery actions and
+  /// counts those that outlived the cancel protocol. It aborts nothing.
   void schedule_gc_tick();
-  void gc_sweep();
-  /// The sweep's victim-selection pass, shared by the legacy reclaim mode
-  /// and the read-only validation oracle. Single pass over all live tasks;
+  /// One duplicate copy the oracle sighted (defined in runtime.cpp).
+  struct GcVictim;
+  /// The oracle's victim-selection pass. Single pass over all live tasks;
   /// parent resolution goes through a stamp-hash map built alongside, so
   /// the cost is O(live tasks), independent of machine size.
   [[nodiscard]] std::vector<GcVictim> collect_gc_victims();
-  /// Oracle tick: a victim sighted in two consecutive sweeps outlived the
-  /// cancel protocol's bounded propagation — count it as a leak.
+  /// A victim sighted at two consecutive ticks outlived the cancel
+  /// protocol's bounded propagation — count it as a leak.
   void gc_oracle_check(const std::vector<GcVictim>& victims);
   [[nodiscard]] net::ProcId spawn_root_packet(TaskPacket packet);
   /// Oracle memory: victims sighted at the previous tick.

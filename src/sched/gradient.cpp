@@ -21,7 +21,7 @@ void GradientScheduler::refresh_now() {
   proximity_.assign(n, kFarAway);
   // Sinks: alive processors at or below the idle threshold.
   for (net::ProcId p = 0; p < n; ++p) {
-    if (alive(p) && load_of(p) <= idle_threshold_) proximity_[p] = 0;
+    if (alive(p) && load_of(p) <= kIdleThreshold) proximity_[p] = 0;
   }
   // Bellman-Ford style relaxation over the neighbour graph. The diameter
   // bounds the iteration count.
@@ -71,7 +71,7 @@ net::ProcId GradientScheduler::choose(net::ProcId origin,
 
   if (ok(origin, origin, packet)) {
     // A lightly loaded node keeps its own spawn: no suction beats local.
-    if (load_of(origin) <= idle_threshold_) return origin;
+    if (load_of(origin) <= kIdleThreshold) return origin;
     // Push one hop down the gradient. Ties break uniformly at random so
     // parallel branches spread.
     net::ProcId best = origin;

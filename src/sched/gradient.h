@@ -26,8 +26,12 @@ namespace splice::sched {
 
 class GradientScheduler final : public Scheduler {
  public:
-  GradientScheduler(std::int64_t refresh_ticks, std::uint32_t idle_threshold)
-      : refresh_ticks_(refresh_ticks), idle_threshold_(idle_threshold) {}
+  /// Queue length at or below which a processor advertises itself as a
+  /// task sink (an "idle" node creating suction).
+  static constexpr std::uint32_t kIdleThreshold = 0;
+
+  explicit GradientScheduler(std::int64_t refresh_ticks)
+      : refresh_ticks_(refresh_ticks) {}
 
   void attach(const SchedulerEnv& env) override;
   [[nodiscard]] net::ProcId choose(net::ProcId origin,
@@ -45,7 +49,6 @@ class GradientScheduler final : public Scheduler {
 
  private:
   std::int64_t refresh_ticks_;
-  std::uint32_t idle_threshold_;
   std::vector<std::uint32_t> proximity_;
   sim::SimTime last_refresh_ = sim::SimTime(-1);
   util::Xoshiro256 rng_{1};

@@ -93,7 +93,7 @@ void LocalFirstScheduler::attach(const SchedulerEnv& env) {
 net::ProcId LocalFirstScheduler::choose(net::ProcId origin,
                                         const runtime::TaskPacket& packet) {
   util::Xoshiro256& rng = stream(origin_rng_, rng_, origin);
-  if (ok(origin, origin, packet) && load_of(origin) < threshold_) {
+  if (ok(origin, origin, packet) && load_of(origin) < kThreshold) {
     return origin;
   }
   // Push to the least-loaded eligible neighbour.
@@ -110,7 +110,7 @@ net::ProcId LocalFirstScheduler::choose(net::ProcId origin,
     }
   }
   if (best != net::kNoProc &&
-      (best_load < threshold_ || !ok(origin, origin, packet))) {
+      (best_load < kThreshold || !ok(origin, origin, packet))) {
     return best;
   }
   if (ok(origin, origin, packet)) return origin;
@@ -193,12 +193,11 @@ std::unique_ptr<Scheduler> make_scheduler(const core::SchedulerConfig& config) {
     case core::SchedulerKind::kRoundRobin:
       return std::make_unique<RoundRobinScheduler>();
     case core::SchedulerKind::kLocalFirst:
-      return std::make_unique<LocalFirstScheduler>(config.local_threshold);
+      return std::make_unique<LocalFirstScheduler>();
     case core::SchedulerKind::kPinned:
       return std::make_unique<PinnedScheduler>();
     case core::SchedulerKind::kGradient:
-      return std::make_unique<GradientScheduler>(config.gradient_refresh,
-                                                 config.gradient_idle_threshold);
+      return std::make_unique<GradientScheduler>(config.gradient_refresh);
     case core::SchedulerKind::kNeighbor:
       return std::make_unique<NeighborScheduler>();
   }

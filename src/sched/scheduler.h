@@ -163,8 +163,9 @@ class RoundRobinScheduler final : public Scheduler {
 /// least-loaded alive neighbour (random fallback).
 class LocalFirstScheduler final : public Scheduler {
  public:
-  explicit LocalFirstScheduler(std::uint32_t threshold)
-      : threshold_(threshold) {}
+  /// Spawn locally while the local queue is below this.
+  static constexpr std::uint32_t kThreshold = 2;
+
   void attach(const SchedulerEnv& env) override;
   [[nodiscard]] net::ProcId choose(net::ProcId origin,
                                    const runtime::TaskPacket& packet) override;
@@ -173,7 +174,6 @@ class LocalFirstScheduler final : public Scheduler {
   }
 
  private:
-  std::uint32_t threshold_;
   util::Xoshiro256 rng_{1};
   std::vector<util::Xoshiro256> origin_rng_;  // sharded mode only
 };

@@ -2,20 +2,23 @@
 //
 // The paper's recovery scheme never assumes global knowledge: every
 // corrective action travels as a message. These suites lock in the discard
-// case — duplicate-lineage reclaim by cancel propagation — with the old
-// omniscient sweep demoted to a read-only validation oracle:
+// case — duplicate-lineage reclaim by cancel propagation, the only
+// mechanism that reclaims duplicates — validated by the read-only gc
+// oracle:
 //
 //   * a 90-run chaos matrix (three duplicate-generating scenario families
-//     x victims x seeds) with sweeps disabled and the oracle armed: every
-//     run must complete correctly with zero oracle leaks, and the matrix
-//     as a whole must actually exercise the protocol (cancels sent,
-//     duplicates reclaimed);
+//     x victims x seeds) with the oracle armed: every run must complete
+//     correctly with zero oracle leaks, and the matrix as a whole must
+//     actually exercise the protocol (cancels sent, duplicates reclaimed);
+//   * rollback under warm rejoin: orphans of the dead parent are reclaimed
+//     at detection, not left to race the re-hosted parent's respawns;
+//   * the oracle itself is read-only: arming it changes no simulated count;
 //   * a property suite for cancels racing kStateChunk state transfer: a
 //     released checkpoint must never resurrect as a re-hosted task, and
 //     re-crashes mid-transfer must neither strand nor duplicate work;
 //   * determinism A/B (replay identity of the full cancel traffic);
 //   * regression guards for the cancel/ack races: stale-lineage acks and
-//     double releases of the striped checkpoint entry.
+//     double releases of a checkpoint entry.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,6 +27,7 @@
 #include "checkpoint/checkpoint_table.h"
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "recovery/recovery_oracle.h"
 #include "store/persistency.h"
 
 namespace splice {
@@ -32,9 +36,8 @@ namespace {
 using core::RunResult;
 using core::SystemConfig;
 
-/// Cancellation on, sweeps off, oracle armed: the configuration of the
-/// acceptance criterion ("with gc_interval sweeps disabled and cancellation
-/// enabled, the chaos matrix reclaims every duplicate").
+/// Cancellation on, oracle armed: the chaos matrix must reclaim every
+/// duplicate by message.
 SystemConfig cancel_config(std::uint64_t seed) {
   SystemConfig cfg;
   cfg.processors = 8;
@@ -43,16 +46,14 @@ SystemConfig cancel_config(std::uint64_t seed) {
   cfg.recovery.kind = core::RecoveryKind::kSplice;
   cfg.heartbeat_interval = 500;
   cfg.reclaim.cancellation = true;
-  cfg.reclaim.gc_interval = 400;  // oracle cadence, not a sweep
-  cfg.reclaim.gc_oracle = true;
+  cfg.reclaim.gc_interval = 400;  // oracle cadence
   cfg.seed = seed;
   return cfg;
 }
 
-/// The duplicate generator inherited from the old orphan-GC suite: warm
-/// rejoin with an immediately-expiring pre-link grace, so re-hosted parents
-/// respawn surviving orphan subtrees as twins while the originals keep
-/// computing on their peers.
+/// The duplicate generator: warm rejoin with an immediately-expiring
+/// pre-link grace, so re-hosted parents respawn surviving orphan subtrees
+/// as twins while the originals keep computing on their peers.
 SystemConfig prelink_race_config(std::uint64_t seed) {
   SystemConfig cfg = cancel_config(seed);
   cfg.store.model = store::Persistency::kLocal;
@@ -83,7 +84,7 @@ void run_chaos(const SystemConfig& cfg, const lang::Program& program,
 }
 
 // 90 runs: 15 seeds x 6 fault injections across 3 scenario families,
-// oracle-on, sweeps disabled.
+// oracle on.
 TEST(CancelProtocol, ChaosMatrixReclaimsEveryDuplicate) {
   const auto program = lang::programs::tree_sum(6, 2, 400, 30);
   ChaosTotals totals;
@@ -148,9 +149,9 @@ TEST(CancelProtocol, ChaosMatrixReclaimsEveryDuplicate) {
   EXPECT_GT(totals.tasks_cancelled, 0U) << "no duplicate was reclaimed";
 }
 
-TEST(CancelProtocol, ReclaimsPrelinkRaceDuplicatesWithoutSweeps) {
-  // The flagship duplicate generator, protocol-only: with the sweep
-  // demoted to an oracle, reclaim must come from cancels.
+TEST(CancelProtocol, ReclaimsPrelinkRaceDuplicates) {
+  // The flagship duplicate generator: the oracle only watches, so every
+  // reclaim must come from cancels.
   const auto program = lang::programs::tree_sum(6, 2, 400, 30);
   std::uint64_t reclaimed = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -161,12 +162,89 @@ TEST(CancelProtocol, ReclaimsPrelinkRaceDuplicatesWithoutSweeps) {
     plan.with_rejoin(sim::SimTime(makespan / 10), net::RejoinMode::kWarm);
     const RunResult r = core::run_once(cfg, program, plan);
     EXPECT_TRUE(r.completed && r.answer_correct) << "seed " << seed;
-    EXPECT_EQ(r.counters.orphans_gced, 0U) << "oracle mode must not abort";
+    EXPECT_EQ(r.counters.orphans_gced, 0U) << "the gc tick must not abort";
     EXPECT_EQ(r.counters.gc_oracle_orphans, 0U) << "seed " << seed;
     reclaimed += r.counters.tasks_cancelled;
   }
   EXPECT_GT(reclaimed, 0U)
       << "no seed produced a duplicate for the protocol to reclaim";
+}
+
+TEST(CancelProtocol, RollbackWarmRejoinReclaimsOrphansAtDetection) {
+  // Rollback never pre-links: a parent re-hosted by a warm rejoin respawns
+  // its children, so the orphans the dead parent left on survivors can
+  // only be duplicates. Warm rejoin defers the reissue until the grace
+  // expires; the orphans must still go at detection, or they compute
+  // alongside the respawned children and the oracle flags a task leak.
+  // 36 runs: seeds x victims x (default graces | instant pre-link grace).
+  const auto program = lang::programs::tree_sum(6, 2, 400, 30);
+  std::uint64_t cancelled = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool instant_prelink : {false, true}) {
+      SystemConfig cfg = cancel_config(seed);
+      cfg.recovery.kind = core::RecoveryKind::kRollback;
+      cfg.store.model = store::Persistency::kLocal;
+      if (instant_prelink) cfg.store.prelink_grace = 1;
+      const std::int64_t makespan =
+          core::Simulation::fault_free_makespan(cfg, program);
+      for (const net::ProcId victim : {1U, 3U, 5U}) {
+        net::FaultPlan plan =
+            net::FaultPlan::single(victim, sim::SimTime(makespan / 2));
+        plan.with_rejoin(sim::SimTime(makespan / 10), net::RejoinMode::kWarm);
+        const RunResult r = core::run_once(cfg, program, plan);
+        const auto report = recovery::RecoveryOracle::check(r);
+        EXPECT_TRUE(report.ok())
+            << "seed=" << seed << " victim=" << victim
+            << " instant_prelink=" << instant_prelink << ": "
+            << report.to_string();
+        cancelled += r.counters.tasks_cancelled;
+      }
+    }
+  }
+  EXPECT_GT(cancelled, 0U) << "no run left an orphan to reclaim";
+}
+
+TEST(CancelProtocol, GcOracleIsReadOnly) {
+  // Arming the oracle must not move a single simulated count: it reads
+  // global state at its ticks and aborts nothing. Only sim_events may
+  // differ, by the oracle's own tick events.
+  const auto program = lang::programs::tree_sum(6, 2, 400, 30);
+  int pairs = 0;
+  for (const auto policy :
+       {core::RecoveryKind::kSplice, core::RecoveryKind::kRollback}) {
+    for (const bool cancellation : {true, false}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SystemConfig armed = prelink_race_config(seed);
+        armed.recovery.kind = policy;
+        armed.reclaim.cancellation = cancellation;
+        armed.reclaim.gc_interval = 400;
+        SystemConfig quiet = armed;
+        quiet.reclaim.gc_interval = 0;
+        const std::int64_t makespan =
+            core::Simulation::fault_free_makespan(quiet, program);
+        net::FaultPlan plan =
+            net::FaultPlan::single(3, sim::SimTime(makespan / 2));
+        plan.with_rejoin(sim::SimTime(makespan / 10), net::RejoinMode::kWarm);
+        const RunResult a = core::run_once(armed, program, plan);
+        const RunResult b = core::run_once(quiet, program, plan);
+        const std::string label =
+            std::string(core::to_string(policy)) +
+            " cancellation=" + std::to_string(cancellation) +
+            " seed=" + std::to_string(seed);
+        EXPECT_EQ(a.makespan_ticks, b.makespan_ticks) << label;
+        EXPECT_EQ(a.counters.scans, b.counters.scans) << label;
+        EXPECT_EQ(a.counters.busy_ticks, b.counters.busy_ticks) << label;
+        EXPECT_EQ(a.counters.tasks_created, b.counters.tasks_created) << label;
+        EXPECT_EQ(a.counters.tasks_aborted, b.counters.tasks_aborted) << label;
+        EXPECT_EQ(a.counters.tasks_cancelled, b.counters.tasks_cancelled)
+            << label;
+        EXPECT_EQ(a.counters.cancels_sent, b.counters.cancels_sent) << label;
+        EXPECT_EQ(a.net.total_sent(), b.net.total_sent()) << label;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 24);
 }
 
 TEST(CancelProtocol, DeterministicReplay) {
@@ -189,9 +267,8 @@ TEST(CancelProtocol, DeterministicReplay) {
 }
 
 TEST(CancelProtocol, ProtocolReclaimDoesNotIncreaseTotalWork) {
-  // The analog of the old sweep's waste test: reclaiming duplicates by
-  // message must not cost more scans than letting them run (and should
-  // usually cost fewer).
+  // Reclaiming duplicates by message must not cost more scans than letting
+  // them run (and should usually cost fewer).
   const auto program = lang::programs::tree_sum(6, 2, 400, 30);
   std::uint64_t scans_with = 0;
   std::uint64_t scans_without = 0;
@@ -201,7 +278,6 @@ TEST(CancelProtocol, ProtocolReclaimDoesNotIncreaseTotalWork) {
     SystemConfig cfg_off = prelink_race_config(seed);
     cfg_off.reclaim.cancellation = false;
     cfg_off.reclaim.gc_interval = 0;  // nothing reclaims
-    cfg_off.reclaim.gc_oracle = false;
     const std::int64_t makespan =
         core::Simulation::fault_free_makespan(cfg_off, program);
     net::FaultPlan plan = net::FaultPlan::single(3, sim::SimTime(makespan / 2));
@@ -259,13 +335,13 @@ TEST(CancelProtocol, CancelsRacingStateTransferNeverStrandOrDuplicate) {
 }
 
 // ---------------------------------------------------------------------------
-// Cancel/ack race guards (regression, satellite: striped-entry releases)
+// Cancel/ack race guards (regression: double checkpoint releases)
 // ---------------------------------------------------------------------------
 
 TEST(CancelProtocol, ReleaseAnywhereIsIdempotent) {
   // A cancel arriving between a child's result send and the parent's ack
-  // must not double-release the striped entry: the second release of the
-  // same stamp finds nothing, counts nothing, and the totals stay sane.
+  // must not double-release the checkpoint entry: the second release of
+  // the same stamp finds nothing, counts nothing, and the totals stay sane.
   checkpoint::CheckpointTable table(/*self=*/0, /*processors=*/16);
   checkpoint::CheckpointRecord record;
   record.owner = 42;

@@ -174,7 +174,6 @@ SystemConfig chaos_config(std::uint64_t seed) {
   SystemConfig cfg = testing::base_config(8, seed);
   cfg.reclaim.cancellation = true;
   cfg.reclaim.gc_interval = 400;
-  cfg.reclaim.gc_oracle = true;
   return cfg;
 }
 

@@ -277,13 +277,6 @@ TEST(PdesShard, EngineRejectsUnsupportedConfigs) {
   {
     core::SystemConfig cfg = testing::base_config(8, 1);
     cfg.parallel.shards = 2;
-    cfg.reclaim.gc_interval = 5000;  // legacy reclaiming sweep
-    cfg.reclaim.gc_oracle = false;
-    EXPECT_THROW(core::Simulation(cfg, program).run(), std::invalid_argument);
-  }
-  {
-    core::SystemConfig cfg = testing::base_config(8, 1);
-    cfg.parallel.shards = 2;
     core::Simulation sim(cfg, program);
     sim.set_fault_plan(core::parse_fault_plan("trigger:3@residue"));
     EXPECT_THROW(sim.run(), std::invalid_argument);
@@ -293,7 +286,6 @@ TEST(PdesShard, EngineRejectsUnsupportedConfigs) {
     core::SystemConfig cfg = testing::base_config(8, 1);
     cfg.parallel.shards = 2;
     cfg.reclaim.gc_interval = 5000;
-    cfg.reclaim.gc_oracle = true;
     core::Simulation sim(cfg, program);
     const core::RunResult result = sim.run();
     EXPECT_TRUE(result.completed);

@@ -43,8 +43,7 @@ SystemConfig matrix_config(std::uint64_t seed, Policy policy) {
   SystemConfig cfg = testing::base_config(16, seed);
   cfg.heartbeat_interval = 800;
   cfg.reclaim.cancellation = true;
-  cfg.reclaim.gc_interval = 400;
-  cfg.reclaim.gc_oracle = true;  // feed the task-leak invariant
+  cfg.reclaim.gc_interval = 400;  // feed the task-leak invariant
   switch (policy) {
     case Policy::kSplice:
       cfg.recovery.kind = RecoveryKind::kSplice;
@@ -165,7 +164,6 @@ TEST(RecoveryOracleNegative, DeliberateDuplicateLeakIsFlagged) {
     cfg.recovery.kind = RecoveryKind::kRollback;
     cfg.reclaim.cancellation = false;  // nothing reclaims the duplicates
     cfg.reclaim.gc_interval = 400;
-    cfg.reclaim.gc_oracle = true;
     const net::FaultPlan plan =
         net::FaultPlan::partition(net::RegionSpec::grid_rect(2, 0, 2, 4),
                                   sim::SimTime(2000), sim::SimTime(5000))

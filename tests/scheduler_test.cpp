@@ -87,7 +87,7 @@ TEST(RoundRobinScheduler, CyclesThroughAlive) {
 
 TEST(LocalFirstScheduler, KeepsLocalUntilThreshold) {
   FakeSystem sys(4);
-  LocalFirstScheduler sched(/*threshold=*/2);
+  LocalFirstScheduler sched;  // local while the queue is below 2
   sched.attach(sys.env());
   auto packet = packet_for(sys.program, "A1");
   sys.load[1] = 0;
@@ -101,7 +101,7 @@ TEST(LocalFirstScheduler, KeepsLocalUntilThreshold) {
 TEST(LocalFirstScheduler, DeadOriginStillFindsHost) {
   FakeSystem sys(4);
   sys.alive[1] = false;
-  LocalFirstScheduler sched(2);
+  LocalFirstScheduler sched;
   sched.attach(sys.env());
   auto packet = packet_for(sys.program, "A1");
   const net::ProcId p = sched.choose(1, packet);
@@ -154,7 +154,7 @@ TEST(ChooseReplicas, FewerAliveThanReplicasDuplicates) {
 
 TEST(GradientScheduler, ProximityZeroAtIdleNodes) {
   FakeSystem sys(8, net::TopologyKind::kRing);
-  GradientScheduler sched(/*refresh=*/100, /*idle_threshold=*/0);
+  GradientScheduler sched(/*refresh=*/100);
   sched.attach(sys.env());
   sys.load = {5, 5, 5, 0, 5, 5, 5, 5};  // node 3 is the only sink
   sched.refresh_now();
@@ -168,7 +168,7 @@ TEST(GradientScheduler, ProximityZeroAtIdleNodes) {
 
 TEST(GradientScheduler, TasksFlowDownTheGradient) {
   FakeSystem sys(8, net::TopologyKind::kRing);
-  GradientScheduler sched(100, 0);
+  GradientScheduler sched(100);
   sched.attach(sys.env());
   sys.load = {5, 5, 5, 0, 5, 5, 5, 5};
   sched.refresh_now();
@@ -181,7 +181,7 @@ TEST(GradientScheduler, TasksFlowDownTheGradient) {
 
 TEST(GradientScheduler, IdleOriginKeepsTask) {
   FakeSystem sys(8, net::TopologyKind::kRing);
-  GradientScheduler sched(100, 0);
+  GradientScheduler sched(100);
   sched.attach(sys.env());
   sys.load.assign(8, 0);
   sched.refresh_now();
@@ -191,7 +191,7 @@ TEST(GradientScheduler, IdleOriginKeepsTask) {
 
 TEST(GradientScheduler, IgnoresDeadRegions) {
   FakeSystem sys(8, net::TopologyKind::kRing);
-  GradientScheduler sched(100, 0);
+  GradientScheduler sched(100);
   sched.attach(sys.env());
   sys.load = {5, 5, 5, 0, 5, 5, 5, 5};
   sys.alive[3] = false;  // the sink dies
@@ -205,7 +205,7 @@ TEST(GradientScheduler, IgnoresDeadRegions) {
 
 TEST(GradientScheduler, OnTickReportsTrafficOncePerPeriod) {
   FakeSystem sys(4, net::TopologyKind::kRing);
-  GradientScheduler sched(/*refresh=*/100, 0);
+  GradientScheduler sched(/*refresh=*/100);
   sched.attach(sys.env());
   EXPECT_GT(sched.on_tick(sim::SimTime(0)), 0U);     // first refresh
   EXPECT_EQ(sched.on_tick(sim::SimTime(50)), 0U);    // too soon
