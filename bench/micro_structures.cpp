@@ -113,37 +113,6 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyState)->Arg(256)->Arg(4096);
 
-// Cancel/reschedule storm: heartbeat-style timers armed and torn down in
-// bulk. Exercises slot recycling and the tombstone compactor; callback
-// memory must stay bounded by *live* events.
-void BM_EventQueueCancelReschedule(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(6);
-  std::int64_t sink = 0;
-  for (auto _ : state) {
-    sim::EventQueue q;
-    std::vector<sim::EventId> ids(n);
-    std::int64_t now = 0;
-    for (std::size_t round = 0; round < 4; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        ids[i] = q.schedule(
-            sim::SimTime(now + 1 +
-                         static_cast<std::int64_t>(rng.next_below(2000))),
-            [&sink] { ++sink; });
-      }
-      // Cancel most, fire the rest — the detector-timer lifecycle.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i % 8 != 0) q.cancel(ids[i]);
-      }
-      while (!q.empty()) now = q.run_next().ticks();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(4 * n));
-  benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventQueueCancelReschedule)->Arg(1024)->Arg(8192);
-
 // Variant-payload envelope round trip: build, move through a pool slot, and
 // dispatch — a task-packet send, whose one allocation is the payload's box.
 // items/sec ~ envelopes/sec.

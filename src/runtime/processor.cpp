@@ -225,13 +225,7 @@ TaskUid Processor::accept_packet(TaskPacket packet) {
   if (parent.proc == net::kNoProc) {
     rt_.super_root_ack(ack, id_);
   } else {
-    Envelope env;
-    env.kind = MsgKind::kSpawnAck;
-    env.from = id_;
-    env.to = parent.proc;
-    env.size_units = 1;
-    env.payload = ack;
-    rt_.network().send(std::move(env));
+    send(MsgKind::kSpawnAck, parent.proc, 1, ack);
   }
   enqueue_scan(uid);
   return uid;
@@ -385,13 +379,8 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
     TaskPacket copy = packet;
     copy.replica = r;
     if (zoned) copy.zone = static_cast<std::int32_t>(r);
-    Envelope env;
-    env.kind = MsgKind::kTaskPacket;
-    env.from = id_;
-    env.to = dests[r];
-    env.size_units = copy.size_units();
-    env.payload = std::move(copy);
-    rt_.network().send(std::move(env));
+    const std::uint32_t size_units = copy.size_units();
+    send(MsgKind::kTaskPacket, dests[r], size_units, std::move(copy));
   }
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kSpawn,
@@ -488,12 +477,18 @@ void Processor::complete_task(TaskUid uid, const lang::Value& value) {
 }
 
 void Processor::send_result_msg(ResultMsg msg, net::ProcId to) {
+  const std::uint32_t size_units = msg.size_units();
+  send(MsgKind::kForwardResult, to, size_units, std::move(msg));
+}
+
+void Processor::send(MsgKind kind, net::ProcId to, std::uint32_t size_units,
+                     net::Payload payload) {
   Envelope env;
-  env.kind = MsgKind::kForwardResult;
+  env.kind = kind;
   env.from = id_;
   env.to = to;
-  env.size_units = msg.size_units();
-  env.payload = std::move(msg);
+  env.size_units = size_units;
+  env.payload = std::move(payload);
   rt_.network().send(std::move(env));
 }
 
@@ -864,13 +859,7 @@ void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
     ++counters_.error_broadcasts;
     for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
       if (p == id_ || p == dead || !rt_.network().alive(p)) continue;
-      Envelope env;
-      env.kind = MsgKind::kErrorDetection;
-      env.from = id_;
-      env.to = p;
-      env.size_units = 1;
-      env.payload = ErrorMsg{dead, id_};
-      rt_.network().send(std::move(env));
+      send(MsgKind::kErrorDetection, p, 1, ErrorMsg{dead, id_});
     }
   }
   rt_.policy().on_error_detected(*this, dead);
@@ -934,13 +923,7 @@ void Processor::send_cancel(const LevelStamp& stamp, std::uint32_t replica,
   msg.uid = uid;
   msg.parent = parent;
   msg.issued_at = rt_.sim().now();
-  Envelope env;
-  env.kind = MsgKind::kCancel;
-  env.from = id_;
-  env.to = to;
-  env.size_units = msg.size_units();
-  env.payload = msg;
-  rt_.network().send(std::move(env));
+  send(MsgKind::kCancel, to, msg.size_units(), msg);
 }
 
 void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot) {
@@ -1114,13 +1097,7 @@ void Processor::respawn_from_record(checkpoint::CheckpointRecord record,
                                  " from restored record (" +
                                  std::string(reason) + ")";
                         });
-  Envelope env;
-  env.kind = MsgKind::kTaskPacket;
-  env.from = id_;
-  env.to = dest;
-  env.size_units = packet.size_units();
-  env.payload = packet;
-  rt_.network().send(std::move(env));
+  send(MsgKind::kTaskPacket, dest, packet.size_units(), packet);
   if (rt_.policy().functional_checkpointing()) {
     table_.record(dest, std::move(record));
   }
@@ -1186,13 +1163,7 @@ void Processor::revive() {
   // (dead peers either stay silent forever or rejoin themselves).
   for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
     if (p == id_ || !rt_.network().alive(p)) continue;
-    Envelope env;
-    env.kind = MsgKind::kRejoinNotice;
-    env.from = id_;
-    env.to = p;
-    env.size_units = 1;
-    env.payload = RejoinMsg{id_};
-    rt_.network().send(std::move(env));
+    send(MsgKind::kRejoinNotice, p, 1, RejoinMsg{id_});
   }
   if (warm) {
     // Survivor-assisted catch-up: ask every live peer for the checkpoints
@@ -1202,13 +1173,8 @@ void Processor::revive() {
     for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
       if (p == id_ || !rt_.network().alive(p)) continue;
       awaiting_transfer_.insert(p);
-      Envelope env;
-      env.kind = MsgKind::kStateRequest;
-      env.from = id_;
-      env.to = p;
-      env.size_units = 1;
-      env.payload = store::StateRequestMsg{id_, incarnation_};
-      rt_.network().send(std::move(env));
+      send(MsgKind::kStateRequest, p, 1,
+           store::StateRequestMsg{id_, incarnation_});
     }
     // Nobody left to stream from: catch-up is trivially complete (the
     // pre-link sweep and result flushing must still be armed).
@@ -1361,13 +1327,8 @@ void Processor::learn_alive(net::ProcId back) {
   // repaired peer streams whatever its own store preserved — possibly just
   // an empty final chunk — so the catch-up bookkeeping always completes.
   if (awaiting_transfer_.contains(back)) {
-    Envelope env;
-    env.kind = MsgKind::kStateRequest;
-    env.from = id_;
-    env.to = back;
-    env.size_units = 1;
-    env.payload = store::StateRequestMsg{id_, incarnation_};
-    rt_.network().send(std::move(env));
+    send(MsgKind::kStateRequest, back, 1,
+         store::StateRequestMsg{id_, incarnation_});
   }
   // Incremental concatenation in the thunks dodges a gcc 12 -Wrestrict
   // false positive (same workaround as learn_dead).
@@ -1467,13 +1428,7 @@ void Processor::do_heartbeat() {
   ++heartbeat_seq_;
   for (net::ProcId q : rt_.network().topology().neighbors(id_)) {
     if (knows_dead(q)) continue;
-    Envelope env;
-    env.kind = MsgKind::kHeartbeat;
-    env.from = id_;
-    env.to = q;
-    env.size_units = 1;
-    env.payload = HeartbeatMsg{heartbeat_seq_};
-    rt_.network().send(std::move(env));
+    send(MsgKind::kHeartbeat, q, 1, HeartbeatMsg{heartbeat_seq_});
   }
   rt_.sim().after(sim::SimTime(rt_.config().heartbeat_interval),
                   [this, life = incarnation_] {

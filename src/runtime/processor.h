@@ -241,6 +241,9 @@ class Processor {
   /// Abort one local task. Every abort is a local recovery decision
   /// (abort_tasks_if) or the receiving end of a cancel (cancel_task).
   void abort_task(TaskUid uid, std::string_view reason);
+  /// Hand the network one envelope from this processor.
+  void send(net::MsgKind kind, net::ProcId to, std::uint32_t size_units,
+            net::Payload payload);
 
   // ---- message dispatch ---------------------------------------------------
   // handle() std::visits the closed payload variant over this overload set.

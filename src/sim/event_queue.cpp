@@ -16,28 +16,15 @@ struct OverflowLater {
 };
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Slot table
-// ---------------------------------------------------------------------------
-
-std::uint32_t EventQueue::acquire_slot(std::int64_t when, EventFn fn) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t idx = free_slots_.back();
-    free_slots_.pop_back();
-    Slot& slot = slots_[idx];
-    slot.fn = std::move(fn);
-    slot.when = when;
-    return idx;
+std::uint32_t EventQueue::acquire_slot(EventFn fn) {
+  if (free_slots_.empty()) {
+    slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
   }
-  slots_.push_back(Slot{std::move(fn), when, 1});
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void EventQueue::free_slot(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  s.fn = nullptr;  // destroy the callable (and its captures) immediately
-  ++s.gen;         // every queued entry and handed-out id becomes stale
-  free_slots_.push_back(slot);
+  const std::uint32_t idx = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[idx] = std::move(fn);
+  return idx;
 }
 
 // ---------------------------------------------------------------------------
@@ -63,6 +50,10 @@ std::int64_t EventQueue::next_occupied_offset(
   // Scan in *time* order: offsets map to bucket indices modulo kWindowSize,
   // so the walk is cyclic over the bitmap but monotone in time. Word steps
   // never straddle the array edge because kWindowSize is a multiple of 64.
+  // When base_ is not a multiple of 64, the last word read also holds the
+  // buckets at the start of the window, which the scan has already passed;
+  // callers keep those empty (restore_head starts at scan_offset_, and
+  // demote_window clears every bucket it passes).
   std::int64_t off = from_offset;
   while (off < kWindowSize) {
     const std::size_t j =
@@ -70,6 +61,7 @@ std::int64_t EventQueue::next_occupied_offset(
     const std::uint64_t bits = occupied_[j >> 6] >> (j & 63);
     if (bits != 0) {
       const std::int64_t hit = off + std::countr_zero(bits);
+      // Invariant: no occupied bucket below scan_offset_, so no wrap hit.
       assert(hit < kWindowSize);
       return hit;
     }
@@ -79,7 +71,7 @@ std::int64_t EventQueue::next_occupied_offset(
 }
 
 // ---------------------------------------------------------------------------
-// Overflow tier
+// Window maintenance
 // ---------------------------------------------------------------------------
 
 void EventQueue::overflow_push(OverflowEntry entry) {
@@ -87,70 +79,29 @@ void EventQueue::overflow_push(OverflowEntry entry) {
   std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
 }
 
-void EventQueue::overflow_pop_top() noexcept {
-  std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-  overflow_.pop_back();
-}
-
-void EventQueue::overflow_drop_dead_tops() noexcept {
-  while (!overflow_.empty() &&
-         !entry_live(overflow_[0].slot, overflow_[0].gen)) {
-    overflow_pop_top();
-    --overflow_dead_;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Window maintenance
-// ---------------------------------------------------------------------------
-
 void EventQueue::restore_head() {
-  std::int64_t off = scan_offset_;
-  while ((off = next_occupied_offset(off)) < kWindowSize) {
-    Bucket& b = bucket_of(base_ + off);
-    while (b.head < b.items.size()) {
-      const Entry& e = b.items[b.head];
-      if (entry_live(e.slot, e.gen)) {
-        scan_offset_ = off;
-        head_when_ = base_ + off;
-        head_in_window_ = true;
-        return;
-      }
-      ++b.head;  // discard tombstone
-      --window_dead_;
-    }
-    b.items.clear();
-    b.head = 0;
-    clear_occupied(base_ + off);
-    ++off;
+  const std::int64_t off = next_occupied_offset(scan_offset_);
+  if (off < kWindowSize) {
+    scan_offset_ = off;
+    head_when_ = base_ + off;
+    head_in_window_ = true;
+    return;
   }
-  // Window fully drained (and every bucket cleared).
-  assert(window_live_ == 0 && window_dead_ == 0);
+  // Window drained: every pending event waits in the overflow tier.
+  assert(live_ == overflow_.size());
   scan_offset_ = 0;
   span_max_ = base_;
-  overflow_drop_dead_tops();
-  if (!overflow_.empty()) {
-    head_when_ = overflow_[0].when;
-    head_in_window_ = false;
-  }
-  // else: live_ must be 0 and the head is simply invalid until re-anchoring.
+  head_when_ = overflow_[0].when;
+  head_in_window_ = false;
 }
 
 void EventQueue::migrate_overflow() {
-  while (!overflow_.empty()) {
+  while (!overflow_.empty() && overflow_[0].when - base_ < kWindowSize) {
     const OverflowEntry top = overflow_[0];
-    if (!entry_live(top.slot, top.gen)) {
-      overflow_pop_top();
-      --overflow_dead_;
-      continue;
-    }
-    if (top.when - base_ >= kWindowSize) break;
-    overflow_pop_top();
-    --overflow_live_;
-    Bucket& b = bucket_of(top.when);
-    b.items.push_back(Entry{top.seq, top.slot, top.gen});
+    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+    overflow_.pop_back();
+    bucket_of(top.when).items.push_back(Entry{top.seq, top.slot});
     set_occupied(top.when);
-    ++window_live_;
     span_max_ = std::max(span_max_, top.when);
   }
 }
@@ -159,12 +110,12 @@ void EventQueue::rotate_window() {
   // Only called from run_next when the head sits in the overflow tier: the
   // window is empty, and head_when_ is about to become "now", so no future
   // schedule can legally land below the new base.
-  assert(window_live_ == 0 && window_dead_ == 0);
+  assert(live_ == overflow_.size());
   base_ = head_when_;
   span_max_ = base_;
   scan_offset_ = 0;
   migrate_overflow();  // overflow pops arrive (when, seq)-sorted: FIFO holds
-  assert(window_live_ > 0);
+  assert(live_ > overflow_.size());
   head_in_window_ = true;
 }
 
@@ -174,13 +125,7 @@ void EventQueue::demote_window() {
     Bucket& b = bucket_of(base_ + off);
     for (std::size_t i = b.head; i < b.items.size(); ++i) {
       const Entry& e = b.items[i];
-      if (!entry_live(e.slot, e.gen)) {
-        --window_dead_;
-        continue;
-      }
-      overflow_push(OverflowEntry{base_ + off, e.seq, e.slot, e.gen});
-      --window_live_;
-      ++overflow_live_;
+      overflow_push(OverflowEntry{base_ + off, e.seq, e.slot});
     }
     b.items.clear();
     b.head = 0;
@@ -190,55 +135,13 @@ void EventQueue::demote_window() {
   scan_offset_ = 0;
 }
 
-void EventQueue::purge_all_dead() noexcept {
-  std::int64_t off = 0;
-  while ((off = next_occupied_offset(off)) < kWindowSize) {
-    Bucket& b = bucket_of(base_ + off);
-    b.items.clear();
-    b.head = 0;
-    clear_occupied(base_ + off);
-    ++off;
-  }
-  overflow_.clear();
-  window_dead_ = 0;
-  overflow_dead_ = 0;
-}
-
-void EventQueue::maybe_compact() {
-  if (overflow_dead_ > 64 && overflow_dead_ > overflow_live_) {
-    std::erase_if(overflow_, [&](const OverflowEntry& e) {
-      return !entry_live(e.slot, e.gen);
-    });
-    std::make_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    overflow_dead_ = 0;
-    ++compactions_;
-  }
-  if (window_dead_ > 64 && window_dead_ > window_live_) {
-    std::int64_t off = scan_offset_;
-    while ((off = next_occupied_offset(off)) < kWindowSize) {
-      Bucket& b = bucket_of(base_ + off);
-      b.items.erase(b.items.begin(),
-                    b.items.begin() + static_cast<std::ptrdiff_t>(b.head));
-      b.head = 0;
-      std::erase_if(b.items, [&](const Entry& e) {
-        return !entry_live(e.slot, e.gen);
-      });
-      if (b.items.empty()) clear_occupied(base_ + off);
-      ++off;
-    }
-    window_dead_ = 0;
-    ++compactions_;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
 
-EventId EventQueue::schedule(SimTime when_t, EventFn fn) {
-  std::int64_t when = when_t.ticks();
+void EventQueue::schedule(SimTime when_t, EventFn fn) {
+  const std::int64_t when = when_t.ticks();
   if (live_ == 0) {
-    if (window_dead_ != 0 || overflow_dead_ != 0) purge_all_dead();
     base_ = when;
     scan_offset_ = 0;
     span_max_ = when;
@@ -256,18 +159,14 @@ EventId EventQueue::schedule(SimTime when_t, EventFn fn) {
       base_ = when;
       span_max_ = when;
       migrate_overflow();
-      head_in_window_ = head_when_ - base_ < kWindowSize;
     }
   }
 
   const std::uint64_t seq = ++seq_counter_;
-  const std::uint32_t slot = acquire_slot(when, std::move(fn));
-  const std::uint32_t gen = slots_[slot].gen;
+  const std::uint32_t slot = acquire_slot(std::move(fn));
   if (when - base_ < kWindowSize) {
-    Bucket& b = bucket_of(when);
-    b.items.push_back(Entry{seq, slot, gen});
+    bucket_of(when).items.push_back(Entry{seq, slot});
     set_occupied(when);
-    ++window_live_;
     span_max_ = std::max(span_max_, when);
     if (live_ == 0 || when < head_when_) {
       head_when_ = when;
@@ -275,41 +174,13 @@ EventId EventQueue::schedule(SimTime when_t, EventFn fn) {
       scan_offset_ = when - base_;
     }
   } else {
-    overflow_push(OverflowEntry{when, seq, slot, gen});
-    ++overflow_live_;
-    if (live_ == 0 || when < head_when_) {
+    overflow_push(OverflowEntry{when, seq, slot});
+    if (when < head_when_) {  // live_ > 0: an empty queue anchored at `when`
       head_when_ = when;
       head_in_window_ = false;
     }
   }
   ++live_;
-  return (static_cast<EventId>(gen) << 32) |
-         static_cast<EventId>(slot + 1);
-}
-
-bool EventQueue::cancel(EventId id) {
-  const std::uint64_t low = id & 0xffffffffULL;
-  if (low == 0) return false;
-  const auto slot = static_cast<std::uint32_t>(low - 1);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.fn || s.gen != static_cast<std::uint32_t>(id >> 32)) return false;
-  const std::int64_t when = s.when;
-  free_slot(slot);
-  --live_;
-  assert(when >= base_);
-  if (when - base_ < kWindowSize) {
-    ++window_dead_;
-    --window_live_;
-  } else {
-    ++overflow_dead_;
-    --overflow_live_;
-  }
-  if (live_ > 0 && when == head_when_) {
-    restore_head();  // the head bucket may still hold later-seq live events
-  }
-  maybe_compact();
-  return true;
 }
 
 SimTime EventQueue::next_time() const {
@@ -322,12 +193,10 @@ SimTime EventQueue::run_next(SimTime* clock) {
   if (!head_in_window_) rotate_window();
   Bucket& b = bucket_of(head_when_);
   assert(b.head < b.items.size());
-  const Entry e = b.items[b.head++];
-  assert(entry_live(e.slot, e.gen) && "head invariant violated");
-  EventFn fn = std::move(slots_[e.slot].fn);
-  free_slot(e.slot);
+  const std::uint32_t slot = b.items[b.head++].slot;
+  EventFn fn = std::move(slots_[slot]);  // leaves the slot empty
+  free_slots_.push_back(slot);
   --live_;
-  --window_live_;
   const SimTime when{head_when_};
   if (b.head == b.items.size()) {
     b.items.clear();

@@ -4,7 +4,12 @@
 // breaks ties), which is what makes whole-system replay deterministic. The
 // pop order is exactly lexicographic (time, sequence) — identical to the
 // binary-heap implementation this replaced; tests/event_queue_ladder_test.cpp
-// drives both against each other on randomized schedules to prove it.
+// drives both against each other on randomized schedule/pop workloads to
+// prove it.
+//
+// Every scheduled event fires: there is no cancellation. A component that
+// may no longer want its timer checks a flag or an incarnation number when
+// the timer fires, the same way the protocol never retracts a message.
 //
 // Structure:
 //  * a near-future window of kWindowSize one-tick buckets covering
@@ -17,11 +22,8 @@
 //    fits — overflow pops arrive sorted, so bucket order stays FIFO.
 //
 // Callbacks live in a slot table recycled through a free list: a slot is
-// reclaimed the moment its event fires or is cancelled, so callback memory
-// is bounded by *live* events, not by the total ever scheduled (the old
-// side table grew monotonically). A generation counter per slot makes stale
-// EventIds harmless and lets cancelled queue entries be skipped lazily;
-// when more than half the queued entries are dead they are compacted away.
+// freed the moment its event fires, so callback memory is bounded by
+// *pending* events, not by the total ever scheduled.
 #pragma once
 
 #include <cstdint>
@@ -32,30 +34,17 @@
 
 namespace splice::sim {
 
-/// Handle for cancelling a scheduled event. Encodes (slot, generation); a
-/// handle outlives its event harmlessly — cancel on a fired/cancelled id is
-/// a no-op because the slot's generation has moved on.
-using EventId = std::uint64_t;
-inline constexpr EventId kInvalidEvent = 0;
-
 class EventQueue {
  public:
   /// Width of the near-future window in ticks (one bucket per tick).
   static constexpr std::int64_t kWindowSize = 4096;
 
-  /// Schedule fn at absolute time `when`. Returns a cancellable id.
-  EventId schedule(SimTime when, EventFn fn);
-
-  /// Cancel a pending event; cancelling an already-fired or invalid id is a
-  /// harmless no-op. Returns true if the event was still pending. The
-  /// callback (and its captures) are destroyed immediately and the slot is
-  /// recycled; only a 16/24-byte tombstone entry stays queued, and even
-  /// those are compacted once they outnumber live entries.
-  bool cancel(EventId id);
+  /// Schedule fn at absolute time `when`; it will fire.
+  void schedule(SimTime when, EventFn fn);
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t pending() const noexcept { return live_; }
-  /// Earliest *live* event time. Requires !empty().
+  /// Earliest pending event time. Requires !empty().
   [[nodiscard]] SimTime next_time() const;
 
   /// Pop and run the earliest event. Requires !empty().
@@ -68,62 +57,37 @@ class EventQueue {
     return seq_counter_;
   }
 
-  // ---- introspection for benches/tests -------------------------------------
-  /// Callback slots currently allocated (bounded by peak live events).
+  /// Callback slots currently allocated (bounded by peak pending events).
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
     return slots_.size();
-  }
-  /// Cancelled entries still queued as tombstones.
-  [[nodiscard]] std::size_t dead_entries() const noexcept {
-    return window_dead_ + overflow_dead_;
-  }
-  /// Times the tombstone compactor ran.
-  [[nodiscard]] std::uint64_t compactions() const noexcept {
-    return compactions_;
   }
 
  private:
   struct Entry {          // window tier: `when` is implied by the bucket
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   struct OverflowEntry {  // overflow tier: explicit time
     std::int64_t when;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   struct Bucket {
     std::vector<Entry> items;
-    std::size_t head = 0;  // consumed prefix (popped or discarded tombstones)
-  };
-  struct Slot {
-    EventFn fn;
-    std::int64_t when = 0;
-    std::uint32_t gen = 1;
+    std::size_t head = 0;  // popped prefix
   };
 
-  [[nodiscard]] bool entry_live(std::uint32_t slot,
-                                std::uint32_t gen) const noexcept {
-    return slots_[slot].gen == gen;
-  }
   [[nodiscard]] Bucket& bucket_of(std::int64_t when) noexcept {
     return buckets_[static_cast<std::size_t>(when) & (kWindowSize - 1)];
   }
 
-  std::uint32_t acquire_slot(std::int64_t when, EventFn fn);
-  void free_slot(std::uint32_t slot) noexcept;
-
+  std::uint32_t acquire_slot(EventFn fn);
   void overflow_push(OverflowEntry entry);
-  void overflow_pop_top() noexcept;
-  void overflow_drop_dead_tops() noexcept;
 
-  /// Re-establish the head invariant after a pop or a head cancellation:
-  /// discard tombstones at bucket fronts, clear drained buckets, fall back
-  /// to the overflow top. Never moves the window base.
+  /// Re-establish the head after a pop: the first occupied bucket at or
+  /// after scan_offset_, else the overflow top. Never moves the window base.
   void restore_head();
-  /// Pop every live overflow entry that fits the current window into its
+  /// Pop every overflow entry that fits the current window into its
   /// bucket; pops arrive (when, seq)-sorted so FIFO order is preserved.
   void migrate_overflow();
   /// Re-anchor the window at the overflow head and migrate everything that
@@ -133,9 +97,6 @@ class EventQueue {
   /// Move every queued window entry to the overflow tier (rare: schedule
   /// below the window base while the window spans too much to just slide).
   void demote_window();
-  /// live_ == 0: drop any remaining tombstones so the window can re-anchor.
-  void purge_all_dead() noexcept;
-  void maybe_compact();
 
   void set_occupied(std::int64_t when) noexcept;
   void clear_occupied(std::int64_t when) noexcept;
@@ -149,22 +110,17 @@ class EventQueue {
       std::vector<std::uint64_t>(static_cast<std::size_t>(kWindowSize / 64), 0);
   std::vector<OverflowEntry> overflow_;  // binary min-heap over (when, seq)
 
-  std::vector<Slot> slots_;
+  std::vector<EventFn> slots_;
   std::vector<std::uint32_t> free_slots_;
 
   std::int64_t base_ = 0;          // window covers [base_, base_ + kWindowSize)
-  std::int64_t scan_offset_ = 0;   // buckets below this offset are drained
+  std::int64_t scan_offset_ = 0;   // no occupied bucket below this offset
   std::int64_t span_max_ = 0;      // max `when` currently in the window
-  std::int64_t head_when_ = 0;     // earliest live event (valid iff live_ > 0)
+  std::int64_t head_when_ = 0;     // earliest event (valid iff live_ > 0)
   bool head_in_window_ = false;
 
-  std::size_t live_ = 0;
-  std::size_t window_live_ = 0;
-  std::size_t overflow_live_ = 0;
-  std::size_t window_dead_ = 0;
-  std::size_t overflow_dead_ = 0;
+  std::size_t live_ = 0;  // pending events; overflow_.size() of them overflow
   std::uint64_t seq_counter_ = 0;
-  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace splice::sim

@@ -4,23 +4,20 @@
 
 namespace splice::sim {
 
-EventId Simulator::at(SimTime when, EventFn fn) {
+void Simulator::at(SimTime when, EventFn fn) {
   assert(when >= now_ && "cannot schedule into the past");
-  return queue_.schedule(when, std::move(fn));
+  queue_.schedule(when, std::move(fn));
 }
 
-EventId Simulator::after(SimTime delay, EventFn fn) {
+void Simulator::after(SimTime delay, EventFn fn) {
   assert(delay.ticks() >= 0);
-  return queue_.schedule(now_ + delay, std::move(fn));
+  queue_.schedule(now_ + delay, std::move(fn));
 }
 
 bool Simulator::run_until(SimTime deadline) {
-  stop_requested_ = false;
   while (!queue_.empty()) {
     if (queue_.next_time() > deadline) return false;
-    queue_.run_next(&now_);
-    ++events_executed_;
-    if (stop_requested_) return false;
+    run_one();
   }
   return true;
 }
@@ -28,16 +25,6 @@ bool Simulator::run_until(SimTime deadline) {
 void Simulator::advance_to(SimTime t) noexcept {
   if (!queue_.empty() && queue_.next_time() < t) t = queue_.next_time();
   if (t > now_) now_ = t;
-}
-
-std::uint64_t Simulator::run_steps(std::uint64_t max_events) {
-  std::uint64_t ran = 0;
-  while (ran < max_events && !queue_.empty()) {
-    queue_.run_next(&now_);
-    ++events_executed_;
-    ++ran;
-  }
-  return ran;
 }
 
 }  // namespace splice::sim

@@ -20,20 +20,16 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule at an absolute time (must be >= now()).
-  EventId at(SimTime when, EventFn fn);
+  /// Schedule at an absolute time (must be >= now()). Every scheduled
+  /// event fires; there is no cancellation.
+  void at(SimTime when, EventFn fn);
 
   /// Schedule `delay` ticks from now.
-  EventId after(SimTime delay, EventFn fn);
-
-  bool cancel(EventId id) { return queue_.cancel(id); }
+  void after(SimTime delay, EventFn fn);
 
   /// Run until the queue drains or the clock passes `deadline`.
   /// Returns true if the queue drained (normal completion).
   bool run_until(SimTime deadline = SimTime::max());
-
-  /// Run at most `max_events` events; returns events actually run.
-  std::uint64_t run_steps(std::uint64_t max_events);
 
   /// Advance the clock to `t` without running anything, clamped so it never
   /// jumps past the next pending event. Used by real-time drivers (TCP
@@ -61,20 +57,16 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
-  /// Live (uncancelled, unfired) events — the queue-depth gauge the
-  /// flight recorder's metrics sampler reads.
+  /// Scheduled events not yet fired — the queue-depth gauge the flight
+  /// recorder's metrics sampler reads.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.pending();
   }
-
-  /// Hard stop: request run_until to return after the current event.
-  void request_stop() noexcept { stop_requested_ = true; }
 
  private:
   EventQueue queue_;
   SimTime now_;
   std::uint64_t events_executed_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace splice::sim

@@ -5,12 +5,14 @@
 // order is exactly lexicographic (time, schedule-sequence). These tests
 // drive the ladder against an embedded reference implementation — the old
 // heap, reproduced verbatim modulo the callback table — on randomized
-// schedule/cancel workloads, and assert replay-identical traces. A
-// property-test storm then hammers cancel/reschedule patterns (the
-// heartbeat/detector lifecycle) and checks the liveness counters, slot
-// recycling, and tombstone compaction.
+// schedule/pop workloads, and assert replay-identical traces. A
+// property-test storm then schedules and pops against the same model from
+// window bases that are not a multiple of 64, so the occupancy-bitmap scan
+// crosses word and array edges; it checks the announced head time and the
+// pending count after every step, and slot recycling at the end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -24,52 +26,38 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Reference queue: the pre-ladder implementation (std::priority_queue over
-// (when, id) + lazily-cancelled callback side table), kept as the golden
-// model for the determinism A/B.
+// (when, id) + callback side table), kept as the golden model for the
+// determinism A/B.
 // ---------------------------------------------------------------------------
 class ReferenceQueue {
  public:
-  using Id = std::uint64_t;
-
-  Id schedule(SimTime when, std::function<void()> fn) {
-    const Id id = next_id_++;
+  void schedule(SimTime when, std::function<void()> fn) {
+    const std::uint64_t id = next_id_++;
     if (callbacks_.size() <= id) callbacks_.resize(id + 1);
     callbacks_[id] = std::move(fn);
     heap_.push(Entry{when, id});
-    ++live_;
-    return id;
   }
 
-  bool cancel(Id id) {
-    if (id == 0 || id >= callbacks_.size() || !callbacks_[id]) return false;
-    callbacks_[id] = nullptr;
-    --live_;
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   SimTime run_next() {
-    while (!heap_.empty()) {
-      const Entry top = heap_.top();
-      heap_.pop();
-      auto& slot = callbacks_[top.id];
-      if (!slot) continue;
-      auto fn = std::move(slot);
-      slot = nullptr;
-      --live_;
-      fn();
-      return top.when;
+    if (heap_.empty()) {
+      ADD_FAILURE() << "reference run_next on empty queue";
+      return SimTime::zero();
     }
-    ADD_FAILURE() << "reference run_next on empty queue";
-    return SimTime::zero();
+    const Entry top = heap_.top();
+    heap_.pop();
+    auto fn = std::move(callbacks_[top.id]);
+    callbacks_[top.id] = nullptr;
+    fn();
+    return top.when;
   }
 
  private:
   struct Entry {
     SimTime when;
-    Id id = 0;
+    std::uint64_t id = 0;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -80,7 +68,6 @@ class ReferenceQueue {
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::vector<std::function<void()>> callbacks_;
   std::uint64_t next_id_ = 1;
-  std::size_t live_ = 0;
 };
 
 // One trace event: which tagged callback fired, at what time.
@@ -95,19 +82,18 @@ struct Fired {
 // queues must produce identical fire traces.
 // ---------------------------------------------------------------------------
 
-void drive_ab(std::uint64_t seed, bool with_cancels, bool far_future) {
+void drive_ab(std::uint64_t seed, bool far_future) {
   util::Xoshiro256 rng_a(seed);
   util::Xoshiro256 rng_b(seed);
 
   std::vector<Fired> trace_a;
   std::vector<Fired> trace_b;
 
-  // The workload interleaves schedules, cancels, and pops; callbacks
-  // schedule follow-ups, which is where tie-breaking subtleties live.
+  // The workload interleaves schedules and pops; callbacks schedule
+  // follow-ups, which is where tie-breaking subtleties live.
   auto drive = [&](auto& queue, auto& rng, std::vector<Fired>& trace) {
     std::int64_t now = 0;
     std::uint32_t tag = 0;
-    std::vector<std::uint64_t> ids;
     std::function<void(std::uint32_t, std::int64_t)> fire =
         [&](std::uint32_t t, std::int64_t when) {
           trace.push_back(Fired{when, t});
@@ -132,10 +118,7 @@ void drive_ab(std::uint64_t seed, bool with_cancels, bool far_future) {
         const std::int64_t when =
             now + static_cast<std::int64_t>(
                       rng.next_below(static_cast<std::uint64_t>(horizon)));
-        ids.push_back(
-            queue.schedule(SimTime(when), [&, t, when] { fire(t, when); }));
-      } else if (dice < 7 && with_cancels && !ids.empty()) {
-        queue.cancel(ids[rng.next_below(ids.size())]);
+        queue.schedule(SimTime(when), [&, t, when] { fire(t, when); });
       } else if (!queue.empty()) {
         now = queue.run_next().ticks();
       }
@@ -145,17 +128,7 @@ void drive_ab(std::uint64_t seed, bool with_cancels, bool far_future) {
 
   EventQueue ladder;
   ReferenceQueue reference;
-  struct LadderShim {  // run_next() without the clock out-param
-    EventQueue& q;
-    std::uint64_t schedule(SimTime when, EventFn fn) {
-      return q.schedule(when, std::move(fn));
-    }
-    bool cancel(std::uint64_t id) { return q.cancel(id); }
-    [[nodiscard]] bool empty() const { return q.empty(); }
-    SimTime run_next() { return q.run_next(); }
-  } shim{ladder};
-
-  drive(shim, rng_a, trace_a);
+  drive(ladder, rng_a, trace_a);
   drive(reference, rng_b, trace_b);
 
   ASSERT_EQ(trace_a.size(), trace_b.size());
@@ -165,21 +138,17 @@ void drive_ab(std::uint64_t seed, bool with_cancels, bool far_future) {
 }
 
 TEST(LadderDeterminismAB, NearFutureWindowOnly) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    drive_ab(seed, /*with_cancels=*/false, /*far_future=*/false);
-  }
-}
-
-TEST(LadderDeterminismAB, WithCancels) {
-  for (std::uint64_t seed = 11; seed <= 18; ++seed) {
-    drive_ab(seed, /*with_cancels=*/true, /*far_future=*/false);
+  constexpr std::uint64_t kSeeds[] = {1,  2,  3,  4,  5,  6,  7,  8,
+                                      11, 12, 13, 14, 15, 16, 17, 18};
+  for (const std::uint64_t seed : kSeeds) {
+    drive_ab(seed, /*far_future=*/false);
   }
 }
 
 TEST(LadderDeterminismAB, OverflowTierAndRotation) {
   // Horizons far beyond kWindowSize force overflow migration + rotation.
   for (std::uint64_t seed = 21; seed <= 28; ++seed) {
-    drive_ab(seed, /*with_cancels=*/true, /*far_future=*/true);
+    drive_ab(seed, /*far_future=*/true);
   }
 }
 
@@ -233,22 +202,6 @@ TEST(LadderQueue, WideSpanBelowWindowDemotesAndStaysOrdered) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(LadderQueue, CancelFreesSlotImmediately) {
-  EventQueue q;
-  const std::size_t before = q.slot_capacity();
-  std::vector<EventId> ids;
-  for (int i = 0; i < 100; ++i) {
-    ids.push_back(q.schedule(SimTime(1000 + i), [] {}));
-  }
-  for (EventId id : ids) EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  // Slots were recycled; scheduling again must not grow the table.
-  const std::size_t grown = q.slot_capacity();
-  for (int i = 0; i < 100; ++i) q.schedule(SimTime(2000 + i), [] {});
-  EXPECT_EQ(q.slot_capacity(), grown);
-  EXPECT_GE(grown, before);
-}
-
 TEST(LadderQueue, SlotTableBoundedByLiveEventsNotTotalScheduled) {
   EventQueue q;
   // Sequentially schedule + run 10k events while never holding more than
@@ -263,104 +216,59 @@ TEST(LadderQueue, SlotTableBoundedByLiveEventsNotTotalScheduled) {
   EXPECT_LE(q.slot_capacity(), 4U);
 }
 
-TEST(LadderQueue, TombstoneCompactionTriggers) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  // A big batch of cancels with a few survivors: > half the queued entries
-  // become tombstones and the compactor must fire.
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(q.schedule(SimTime(10 + i % 50), [] {}));
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i % 10 != 0) q.cancel(ids[i]);
-  }
-  EXPECT_GT(q.compactions(), 0U);
-  EXPECT_EQ(q.pending(), 100U);
-  std::size_t fired = 0;
-  while (!q.empty()) {
-    q.run_next();
-    ++fired;
-  }
-  EXPECT_EQ(fired, 100U);
-  // Tombstones past the last live event purge lazily: the next schedule
-  // after a full drain sweeps them.
-  q.schedule(SimTime(1), [] {});
-  EXPECT_EQ(q.dead_entries(), 0U);
-  q.run_next();
-}
-
 // ---------------------------------------------------------------------------
-// Property storm: randomized cancel/reschedule against a model
+// Property storm: randomized schedule/pop against the model
 // ---------------------------------------------------------------------------
 
-TEST(LadderPropertyStorm, CancelRescheduleAgainstModel) {
+TEST(LadderPropertyStorm, SchedulePopAgainstModel) {
   for (std::uint64_t seed = 101; seed <= 112; ++seed) {
     util::Xoshiro256 rng(seed);
     EventQueue q;
-    // Model: the multiset of live (when, seq) pairs, via the reference.
     ReferenceQueue model;
-    std::vector<std::pair<EventId, ReferenceQueue::Id>> live;
     std::vector<Fired> fired_q;
     std::vector<Fired> fired_m;
-    std::int64_t now = 0;
     std::uint32_t tag = 0;
+    auto schedule = [&](std::int64_t when) {
+      const std::uint32_t t = tag++;
+      q.schedule(SimTime(when), [&fired_q, t, when] {
+        fired_q.push_back(Fired{when, t});
+      });
+      model.schedule(SimTime(when), [&fired_m, t, when] {
+        fired_m.push_back(Fired{when, t});
+      });
+    };
+    auto pop = [&] {
+      const std::int64_t announced = q.next_time().ticks();
+      EXPECT_EQ(announced, q.run_next().ticks());
+      return model.run_next().ticks();
+    };
+    // The first event anchors the window at a base that is not a multiple
+    // of 64, so the bitmap scan's last word wraps onto the window's start.
+    std::int64_t now =
+        64 * static_cast<std::int64_t>(rng.next_below(1000)) + 1 +
+        static_cast<std::int64_t>(rng.next_below(63));
+    schedule(now);
+    std::size_t peak_pending = q.pending();
     for (int round = 0; round < 3000; ++round) {
-      const auto dice = rng.next_below(100);
-      if (dice < 45) {
-        const std::int64_t when =
-            now + static_cast<std::int64_t>(rng.next_below(20000));
-        const std::uint32_t t = tag++;
-        const EventId a =
-            q.schedule(SimTime(when), [&fired_q, t, when] {
-              fired_q.push_back(Fired{when, t});
-            });
-        const auto b = model.schedule(SimTime(when), [&fired_m, t, when] {
-          fired_m.push_back(Fired{when, t});
-        });
-        live.emplace_back(a, b);
-      } else if (dice < 75 && !live.empty()) {
-        const std::size_t pick = rng.next_below(live.size());
-        const auto [a, b] = live[pick];
-        EXPECT_EQ(q.cancel(a), model.cancel(b));
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (rng.next_below(100) < 50) {
+        schedule(now + static_cast<std::int64_t>(rng.next_below(20000)));
       } else if (!q.empty()) {
         ASSERT_FALSE(model.empty());
-        const std::int64_t announced = q.next_time().ticks();
-        EXPECT_EQ(announced, q.run_next().ticks());
-        now = model.run_next().ticks();
+        now = pop();
       }
       ASSERT_EQ(q.pending(), model.pending());
+      peak_pending = std::max(peak_pending, q.pending());
     }
-    while (!q.empty()) {
-      q.run_next();
-      model.run_next();
-    }
+    while (!q.empty()) pop();
     EXPECT_TRUE(model.empty());
+    // A slot is allocated only when every existing one holds a pending
+    // event, so the table never outgrows the peak pending count.
+    EXPECT_EQ(q.slot_capacity(), peak_pending);
     ASSERT_EQ(fired_q.size(), fired_m.size());
     for (std::size_t i = 0; i < fired_q.size(); ++i) {
       ASSERT_EQ(fired_q[i], fired_m[i]) << "storm diverges at " << i;
     }
-    // Double-cancel of long-dead ids stays a no-op.
-    for (const auto& [a, b] : live) {
-      q.cancel(a);
-      model.cancel(b);
-    }
   }
-}
-
-// Cancelled ids whose slot was recycled by a *new* event must not cancel
-// the new tenant (generation guard).
-TEST(LadderPropertyStorm, StaleIdCannotCancelRecycledSlot) {
-  EventQueue q;
-  const EventId old_id = q.schedule(SimTime(5), [] {});
-  EXPECT_TRUE(q.cancel(old_id));
-  bool fired = false;
-  const EventId new_id = q.schedule(SimTime(6), [&] { fired = true; });
-  EXPECT_FALSE(q.cancel(old_id));  // stale handle, recycled slot
-  EXPECT_EQ(q.pending(), 1U);
-  q.run_next();
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(q.cancel(new_id));  // already fired
 }
 
 }  // namespace
