@@ -10,7 +10,9 @@ Schema checks (stdlib only, no perfetto dependency):
   * flow events pair up: every flow id opened by "s" is closed by exactly
     one "f" (and vice versa), binding_point "e" on the finish side;
   * timestamps are non-negative and every referenced tid has a thread_name
-    metadata record.
+    metadata record;
+  * causal edges do not dangle: every slice's args.cause names the args.id
+    of a slice in the same file.
 
 Exit 0 and print a one-line summary on success; exit 1 with the first
 violations otherwise.
@@ -46,6 +48,8 @@ def check(path: str) -> int:
     flow_close: dict[object, int] = {}
     named_tids: set[object] = set()
     used_tids: set[object] = set()
+    slice_ids: set[object] = set()
+    causes: list[tuple[str, object]] = []
 
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
@@ -69,6 +73,12 @@ def check(path: str) -> int:
                 if key not in ev:
                     err(f"{where}: slice missing {key!r}")
             used_tids.add(ev.get("tid"))
+            args = ev.get("args")
+            if isinstance(args, dict):
+                if "id" in args:
+                    slice_ids.add(args["id"])
+                if "cause" in args:
+                    causes.append((where, args["cause"]))
         elif ph == "M":
             if ev.get("name") == "thread_name":
                 named_tids.add(ev.get("tid"))
@@ -100,6 +110,9 @@ def check(path: str) -> int:
     for tid in used_tids:
         if tid not in named_tids:
             err(f"tid={tid}: slices present but no thread_name metadata")
+    for where, cause in causes:
+        if cause not in slice_ids:
+            err(f"{where}: cause={cause} names no slice id in this file")
 
     if counts["X"] == 0:
         err("no slice ('X') events at all — empty trace?")
@@ -110,8 +123,8 @@ def check(path: str) -> int:
             print(f"  {msg}")
         return 1
     print(f"{path}: ok — {counts['X']} slices, {counts['s']} flows, "
-          f"{counts['C']} counter samples, {counts['M']} metadata records "
-          f"across {len(named_tids)} tracks")
+          f"{len(causes)} causes, {counts['C']} counter samples, "
+          f"{counts['M']} metadata records across {len(named_tids)} tracks")
     return 0
 
 

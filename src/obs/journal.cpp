@@ -1,8 +1,8 @@
 #include "obs/journal.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "net/codec.h"
 
@@ -60,10 +60,6 @@ EventId lookup(const Map& map, const Key& key) {
   return it == map.end() ? kNoEvent : it->second;
 }
 
-std::uint64_t stamp_key(const runtime::LevelStamp& stamp) {
-  return runtime::LevelStamp::Hash{}(stamp);
-}
-
 }  // namespace
 
 std::string_view to_string(EventKind kind) noexcept {
@@ -90,25 +86,11 @@ void Recorder::configure(bool enabled, std::uint32_t capacity,
   if (enabled_) {
     slots_.reserve(capacity_);
     if (keep_details_) details_.reserve(capacity_);
-    // Pre-size the stamp-keyed linker maps: rehashing them mid-run would
-    // recompute every stamp hash.
-    reissue_of_.reserve(1024);
-    place_of_.reserve(4096);
   }
   head_ = 0;
   next_id_ = 1;
   dropped_ = 0;
   metrics_.clear();
-  fault_of_.clear();
-  detect_of_.clear();
-  detect_by_.clear();
-  rejoin_of_.clear();
-  place_of_.clear();
-  reissue_of_.clear();
-  cancel_of_.clear();
-  relay_of_.clear();
-  last_fault_ = kNoEvent;
-  last_partition_ = kNoEvent;
 }
 
 EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
@@ -135,8 +117,6 @@ EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
   event.proc = fields.proc;
   event.peer = fields.peer;
   event.uid = fields.uid;
-  event.cause =
-      fields.cause != kNoEvent ? fields.cause : infer_cause(kind, fields);
   if (fields.stamp != nullptr) {
     event.stamp = *fields.stamp;
   } else {
@@ -151,8 +131,6 @@ EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
     }
   }
 
-  note_links(event);
-
   // Metrics feed: spawn/complete drive the goodput window, completion
   // carries spawn→complete latency in arg.
   if (kind == EventKind::kPlace) {
@@ -163,84 +141,96 @@ EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
   return event.id;
 }
 
-EventId Recorder::placed_at(std::uint64_t uid) const {
-  return uid < place_of_.size() ? place_of_[uid] : kNoEvent;
-}
+namespace {
 
-EventId Recorder::infer_cause(EventKind kind, const Fields& f) const {
-  switch (kind) {
+// The causal linker. It reads a journal forward in id order: cause_of()
+// names the retained event that made this one happen, then learn() files
+// the event under the keys later events look it up by. It sees only what
+// the ring retained, so an event never links to an overwritten id.
+class Linker {
+ public:
+  [[nodiscard]] EventId cause_of(const Event& e) const;
+  void learn(const Event& e);
+
+ private:
+  using StampMap = std::unordered_map<runtime::LevelStamp, EventId,
+                                      runtime::LevelStamp::Hash>;
+  /// Stamp-keyed link; an event with an empty stamp is not stamp-addressed.
+  [[nodiscard]] static EventId by_stamp(const StampMap& map, const Event& e) {
+    return e.stamp.is_root() ? kNoEvent : lookup(map, e.stamp);
+  }
+
+  std::unordered_map<net::ProcId, EventId> fault_of_;   // crash per proc
+  std::unordered_map<net::ProcId, EventId> detect_by_;  // last detect BY p
+  std::unordered_map<net::ProcId, EventId> rejoin_of_;  // rejoin per proc
+  // Place event per uid, erased once the task completes or aborts.
+  std::unordered_map<std::uint64_t, EventId> place_of_;
+  StampMap reissue_of_;  // last reissue/twin/spawn per stamp
+  StampMap cancel_of_;   // last cancel per stamp
+  StampMap relay_of_;    // last relay per stamp
+  EventId last_fault_ = kNoEvent;      // most recent crash/partition/gray
+  EventId last_partition_ = kNoEvent;  // most recent partition (heal cause)
+};
+
+EventId Linker::cause_of(const Event& e) const {
+  switch (e.kind) {
     case EventKind::kPlace:
       // The packet that placed this task came from a spawn, reissue or
       // twin addressed at the same stamp.
-      return f.stamp ? lookup(reissue_of_, stamp_key(*f.stamp)) : kNoEvent;
+      return by_stamp(reissue_of_, e);
     case EventKind::kSpawn:
     case EventKind::kCheckpoint:
     case EventKind::kComplete:
     case EventKind::kOracleLeak:
-      return placed_at(f.uid);
-    case EventKind::kAbort: {
-      if (f.stamp) {
-        if (EventId c = lookup(cancel_of_, stamp_key(*f.stamp)); c != kNoEvent) return c;
-      }
-      return placed_at(f.uid);
-    }
+      return lookup(place_of_, e.uid);
+    case EventKind::kAbort:
+      if (EventId c = by_stamp(cancel_of_, e); c != kNoEvent) return c;
+      return lookup(place_of_, e.uid);
     case EventKind::kCrash:
     case EventKind::kPartition:
     case EventKind::kGray:
       return kNoEvent;  // root causes
     case EventKind::kHeal:
       return last_partition_;
-    case EventKind::kDetect: {
-      if (EventId c = lookup(fault_of_, f.peer); c != kNoEvent) return c;
+    case EventKind::kDetect:
+      if (EventId c = lookup(fault_of_, e.peer); c != kNoEvent) return c;
       return last_fault_;
-    }
     case EventKind::kTwin:
     case EventKind::kReissue:
-    case EventKind::kRelay: {
-      if (EventId c = lookup(detect_by_, f.proc); c != kNoEvent) return c;
+    case EventKind::kRelay:
+      if (EventId c = lookup(detect_by_, e.proc); c != kNoEvent) return c;
       return last_fault_;
-    }
-    case EventKind::kCancel: {
-      if (f.stamp) {
-        if (EventId c = lookup(reissue_of_, stamp_key(*f.stamp)); c != kNoEvent) return c;
-      }
-      return lookup(detect_by_, f.proc);
-    }
+    case EventKind::kCancel:
+      if (EventId c = by_stamp(reissue_of_, e); c != kNoEvent) return c;
+      return lookup(detect_by_, e.proc);
     case EventKind::kSalvage:
-    case EventKind::kStranded: {
-      if (f.stamp) {
-        if (EventId c = lookup(relay_of_, stamp_key(*f.stamp)); c != kNoEvent) return c;
-      }
+    case EventKind::kStranded:
+      if (EventId c = by_stamp(relay_of_, e); c != kNoEvent) return c;
       return last_fault_;
-    }
-    case EventKind::kAckOfCorpse: {
-      if (EventId c = placed_at(f.uid); c != kNoEvent) return c;
+    case EventKind::kAckOfCorpse:
+      if (EventId c = lookup(place_of_, e.uid); c != kNoEvent) return c;
       return last_fault_;
-    }
     case EventKind::kDefer:
     case EventKind::kGraceExpired:
-    case EventKind::kParkExpired: {
-      if (EventId c = lookup(fault_of_, f.peer); c != kNoEvent) return c;
+    case EventKind::kParkExpired:
+      if (EventId c = lookup(fault_of_, e.peer); c != kNoEvent) return c;
       return last_fault_;
-    }
     case EventKind::kRevive:
-      return lookup(fault_of_, f.proc);
-    case EventKind::kRejoin: {
+      return lookup(fault_of_, e.proc);
+    case EventKind::kRejoin:
       // Chains revive → rejoin when the injector journaled the repair.
-      if (EventId c = lookup(rejoin_of_, f.proc); c != kNoEvent) return c;
-      return lookup(fault_of_, f.proc);
-    }
+      if (EventId c = lookup(rejoin_of_, e.proc); c != kNoEvent) return c;
+      return lookup(fault_of_, e.proc);
     case EventKind::kStateChunk:
     case EventKind::kPeerRejoin:
-      return lookup(rejoin_of_, f.peer);
+      return lookup(rejoin_of_, e.peer);
     case EventKind::kTransferIn:
     case EventKind::kPreLink:
     case EventKind::kCatchUp:
-      return lookup(rejoin_of_, f.proc);
-    case EventKind::kUnpark: {
-      if (EventId c = lookup(rejoin_of_, f.peer); c != kNoEvent) return c;
-      return lookup(rejoin_of_, f.proc);
-    }
+      return lookup(rejoin_of_, e.proc);
+    case EventKind::kUnpark:
+      if (EventId c = lookup(rejoin_of_, e.peer); c != kNoEvent) return c;
+      return lookup(rejoin_of_, e.proc);
     case EventKind::kRestore:
       return last_fault_;
     // Run milestones are causal roots: nothing upstream explains them.
@@ -256,57 +246,49 @@ EventId Recorder::infer_cause(EventKind kind, const Fields& f) const {
   return kNoEvent;
 }
 
-void Recorder::note_links(const Event& event) {
-  switch (event.kind) {
+void Linker::learn(const Event& e) {
+  switch (e.kind) {
     case EventKind::kCrash:
-      fault_of_[event.proc] = event.id;
-      last_fault_ = event.id;
+      fault_of_[e.proc] = e.id;
+      last_fault_ = e.id;
       break;
     case EventKind::kPartition:
-      last_fault_ = event.id;
-      last_partition_ = event.id;
+      last_fault_ = e.id;
+      last_partition_ = e.id;
       break;
     case EventKind::kGray:
-      last_fault_ = event.id;
+      last_fault_ = e.id;
       break;
     case EventKind::kDetect:
-      detect_of_[event.peer] = event.id;
-      detect_by_[event.proc] = event.id;
+      detect_by_[e.proc] = e.id;
       break;
     case EventKind::kSpawn:
     case EventKind::kTwin:
     case EventKind::kReissue:
-      reissue_of_[stamp_key(event.stamp)] = event.id;
+      reissue_of_[e.stamp] = e.id;
       break;
     case EventKind::kPlace:
-      if (event.uid != 0) {
-        if (event.uid >= place_of_.size()) {
-          place_of_.resize(
-              std::max<std::size_t>(event.uid + 1, place_of_.size() * 2),
-              kNoEvent);
-        }
-        place_of_[event.uid] = event.id;
-      }
+      if (e.uid != 0) place_of_[e.uid] = e.id;
       break;
     case EventKind::kComplete:
     case EventKind::kAbort:
-      // Uids are never reused, so clear the entry: a stale placement can
+      // Uids are never reused, so forget the placement: a stale one can
       // never be relinked.
-      if (event.uid < place_of_.size()) place_of_[event.uid] = kNoEvent;
+      place_of_.erase(e.uid);
       break;
     case EventKind::kCancel:
-      cancel_of_[stamp_key(event.stamp)] = event.id;
+      cancel_of_[e.stamp] = e.id;
       break;
     case EventKind::kRelay:
-      relay_of_[stamp_key(event.stamp)] = event.id;
+      relay_of_[e.stamp] = e.id;
       break;
     case EventKind::kRevive:
     case EventKind::kRejoin:
-      rejoin_of_[event.proc] = event.id;
+      rejoin_of_[e.proc] = e.id;
       break;
     // Kinds that feed no linker map. Exhaustive by SPL003 and
     // -Wswitch-enum: a new EventKind must state here that nothing links
-    // *through* it (it can still be linked *from*, via infer_cause).
+    // *through* it (it can still be linked *from*, via cause_of).
     case EventKind::kCheckpoint:
     case EventKind::kPeerRejoin:
     case EventKind::kSalvage:
@@ -332,6 +314,8 @@ void Recorder::note_links(const Event& event) {
   }
 }
 
+}  // namespace
+
 Journal Recorder::snapshot() const {
   Journal journal;
   journal.header.rank = header_rank_;
@@ -339,8 +323,11 @@ Journal Recorder::snapshot() const {
   journal.header.total_recorded = total_recorded();
   journal.header.dropped = dropped_;
   journal.events.reserve(slots_.size());
+  Linker linker;
   for_each([&](const Event& event, const std::string&) {
-    journal.events.push_back(event);
+    Event& linked = journal.events.emplace_back(event);
+    linked.cause = linker.cause_of(linked);
+    linker.learn(linked);
   });
   return journal;
 }

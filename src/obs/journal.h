@@ -15,23 +15,25 @@
 //  * recorder off (the default, and every throughput bench): record() is a
 //    single predictable branch, detail thunks are never evaluated, no
 //    allocation, no stamp copy;
-//  * recorder on: one ring-slot write per event (the ring overwrites the
-//    oldest entry once full and counts the drop), detail strings are built
-//    only when trace rendering is additionally enabled (collect_trace).
+//  * recorder on: a record is one ring-slot write plus the metrics feed
+//    (the ring overwrites the oldest entry once full and counts the drop);
+//    detail strings are built only when trace rendering is additionally
+//    enabled (collect_trace). Cause edges cost nothing here: snapshot()
+//    infers them when the journal is read.
 //
 // Determinism: the journal is a pure function of (config, program, fault
 // plan, seed) — the same run journals byte-identical event streams on the
 // in-process and shm-ring transports (tests/obs_test.cpp A/Bs the
 // serialized bytes, the same discipline transport_test.cpp applies to
-// counters). Causal linking uses only keyed lookups, never container
-// iteration order.
+// counters). Causal linking is one forward pass over the retained events
+// in id order with keyed lookups only, never container iteration order;
+// in a wrapped ring an event links only to retained events.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,7 +111,7 @@ struct Event {
   net::ProcId proc = net::kNoProc;  // the acting processor
   net::ProcId peer = net::kNoProc;  // the other party (dest, dead node, ...)
   std::uint64_t uid = 0;            // task uid when the event names one
-  EventId cause = kNoEvent;         // causal parent event
+  EventId cause = kNoEvent;         // causal parent; only snapshot() fills it
   runtime::LevelStamp stamp;        // lineage identity (§3.1)
   std::uint64_t arg = 0;            // kind-specific scalar (latency, count)
 };
@@ -148,7 +150,6 @@ class Recorder {
     net::ProcId peer = net::kNoProc;
     std::uint64_t uid = 0;
     const runtime::LevelStamp* stamp = nullptr;
-    EventId cause = kNoEvent;  // explicit cause; 0 = infer from the linker
     std::uint64_t arg = 0;
   };
 
@@ -191,7 +192,8 @@ class Recorder {
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
   /// Visit retained events oldest-first. Fn: void(const Event&, const
-  /// std::string& detail) — detail is empty unless keeps_details().
+  /// std::string& detail) — detail is empty unless keeps_details(), and
+  /// every cause is kNoEvent: only snapshot() fills causes.
   template <typename Fn>
   void for_each(Fn fn) const {
     static const std::string kNoDetail;
@@ -202,7 +204,8 @@ class Recorder {
     }
   }
 
-  /// Copy the retained window out as a Journal (id order).
+  /// Copy the retained window out as a Journal (id order) and infer each
+  /// event's cause from the retained events before it.
   [[nodiscard]] Journal snapshot() const;
 
   /// The time-series metrics registry riding along with the journal.
@@ -212,12 +215,6 @@ class Recorder {
  private:
   EventId record_slow(sim::SimTime t, EventKind kind, const Fields& fields,
                       std::string* detail);
-  /// Deterministic causal inference: keyed lookups against the maps below,
-  /// maintained as events stream in. Returns kNoEvent when nothing links.
-  [[nodiscard]] EventId infer_cause(EventKind kind, const Fields& fields) const;
-  void note_links(const Event& event);
-  /// place event of a live uid (kNoEvent once completed/aborted).
-  [[nodiscard]] EventId placed_at(std::uint64_t uid) const;
 
   bool enabled_ = false;
   bool keep_details_ = false;
@@ -233,30 +230,6 @@ class Recorder {
   EventId next_id_ = 1;
   std::uint64_t dropped_ = 0;
   Metrics metrics_;
-
-  // Causal-linker memory (lookup only; iteration order never observed).
-  std::unordered_map<net::ProcId, EventId> fault_of_;     // crash per proc
-  std::unordered_map<net::ProcId, EventId> detect_of_;    // last detect OF p
-  std::unordered_map<net::ProcId, EventId> detect_by_;    // last detect BY p
-  std::unordered_map<net::ProcId, EventId> rejoin_of_;    // rejoin per proc
-  // Uids are allocated from one global counter (Runtime::next_uid), so the
-  // live-uid -> place link is a dense array, not a hash map — placement and
-  // completion are the two hottest record kinds.
-  std::vector<EventId> place_of_;
-  // Stamp-addressed links, keyed by the stamp's FNV fingerprint rather than
-  // a full stamp copy: one spawn insert per task makes this the recorder's
-  // hottest map, and the fingerprint (deterministic, process-independent)
-  // spares the 48-byte key copy and digit-wise compares. A fingerprint
-  // collision could mislink one cause edge — linker metadata, never
-  // protocol state — at ~2^-64 odds per pair.
-  std::unordered_map<std::uint64_t, EventId>
-      reissue_of_;  // last reissue/twin/spawn per stamp
-  std::unordered_map<std::uint64_t, EventId>
-      cancel_of_;   // last cancel per stamp
-  std::unordered_map<std::uint64_t, EventId>
-      relay_of_;    // last relay per stamp
-  EventId last_fault_ = kNoEvent;      // most recent crash/partition/gray
-  EventId last_partition_ = kNoEvent;  // most recent partition (heal cause)
 };
 
 }  // namespace splice::obs

@@ -383,9 +383,10 @@ void PdesEngine::merge_journals() {
            std::tuple(b.event.ticks, b.rank, b.event.proc, b.ring, b.index);
   });
   // Rebuild the canonical recorder from the merged stream. configure()
-  // resets the ring, the causal-linker maps and the metrics registry, so
-  // cause edges and the metrics series re-derive from the global order;
-  // stored gauge samples slot in ahead of the first strictly-later event.
+  // resets the ring and the metrics registry, so the metrics series
+  // re-derives from the global order (as do cause edges, which snapshot()
+  // infers); stored gauge samples slot in ahead of the first strictly-later
+  // event.
   const std::uint32_t capacity = rt_.config().obs.journal_capacity;
   const bool keep_details = base.keeps_details();
   base.configure(true, capacity, keep_details);
@@ -408,7 +409,6 @@ void PdesEngine::merge_journals() {
     fields.peer = ev.peer;
     fields.uid = ev.uid;
     fields.stamp = ev.stamp.is_root() ? nullptr : &ev.stamp;
-    fields.cause = obs::kNoEvent;  // re-infer against the merged order
     fields.arg = ev.arg;
     if (keep_details) {
       base.record(sim::SimTime(ev.ticks), ev.kind, fields,

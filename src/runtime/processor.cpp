@@ -782,12 +782,6 @@ void Processor::handle_delivery_failure(Envelope original) {
 }
 
 void Processor::retransmit_after_backoff(Envelope env) {
-  // Register waiting cancels with the runtime so the gc oracle knows the
-  // lineage's reclaim is delayed in this pipeline, not leaked.
-  if (env.kind == MsgKind::kCancel) {
-    note_cancel_backoff(std::get<net::Boxed<CancelMsg>>(env.payload)->stamp,
-                        +1);
-  }
   std::uint32_t slot = 0;
   if (parked_free_.empty()) {
     slot = static_cast<std::uint32_t>(parked_.size());
@@ -808,10 +802,6 @@ void Processor::fire_retransmit(std::uint32_t slot, std::uint64_t life) {
   Envelope env = std::move(parked_[slot]);
   parked_free_.push_back(slot);
   const bool is_cancel = env.kind == MsgKind::kCancel;
-  if (is_cancel) {
-    note_cancel_backoff(std::get<net::Boxed<CancelMsg>>(env.payload)->stamp,
-                        -1);
-  }
   if (dead_ || life != incarnation_ || rt_.done()) return;
   if (!rt_.network().alive(env.to)) return;  // addressee died meanwhile
   if (is_cancel) {
@@ -822,19 +812,16 @@ void Processor::fire_retransmit(std::uint32_t slot, std::uint64_t life) {
   rt_.network().send(std::move(env));
 }
 
-void Processor::note_cancel_backoff(const LevelStamp& stamp, int delta) {
-  if (delta > 0) {
-    cancels_in_backoff_[stamp] += static_cast<std::uint32_t>(delta);
-    return;
+bool Processor::cancel_backoff_pending(const LevelStamp& stamp) const {
+  // A fired slot keeps its moved-from, empty box, so only cancels still
+  // waiting out their backoff match.
+  for (const Envelope& env : parked_) {
+    const auto* cancel = std::get_if<net::Boxed<CancelMsg>>(&env.payload);
+    if (cancel != nullptr && cancel->has_value() && (*cancel)->stamp == stamp) {
+      return true;
+    }
   }
-  const auto it = cancels_in_backoff_.find(stamp);
-  if (it == cancels_in_backoff_.end()) return;
-  const auto dec = static_cast<std::uint32_t>(-delta);
-  if (it->second <= dec) {
-    cancels_in_backoff_.erase(it);
-  } else {
-    it->second -= dec;
-  }
+  return false;
 }
 
 void Processor::learn_dead(net::ProcId dead, bool direct_detection) {

@@ -201,13 +201,9 @@ class Processor {
   /// stake neither schedule grace timers nor count deferrals.
   [[nodiscard]] bool has_stake_in(net::ProcId dead) const;
 
-  /// This node's share of the cancel-retransmission backoff books (see
-  /// Runtime::cancel_backoff_pending for the aggregate view and why the
-  /// storage is per-processor).
-  void note_cancel_backoff(const LevelStamp& stamp, int delta);
-  [[nodiscard]] bool cancel_backoff_pending(const LevelStamp& stamp) const {
-    return cancels_in_backoff_.contains(stamp);
-  }
+  /// Is a kCancel for `stamp` from this node parked, waiting out its
+  /// retransmission backoff? (See Runtime::cancel_backoff_pending.)
+  [[nodiscard]] bool cancel_backoff_pending(const LevelStamp& stamp) const;
 
   // ---- periodic-global baseline support ------------------------------------
   void freeze();
@@ -346,10 +342,6 @@ class Processor {
   /// incarnation abandon themselves instead of beating alongside the chain
   /// the revived node starts.
   std::uint64_t incarnation_ = 0;
-  /// Cancels from this node waiting out a lossy-link retransmission backoff
-  /// (keyed by lineage stamp; see Runtime::cancel_backoff_pending).
-  std::unordered_map<LevelStamp, std::uint32_t, LevelStamp::Hash>
-      cancels_in_backoff_;
   /// Envelopes waiting out a retransmit backoff, in recycled slots (the
   /// in-process transport's pattern): the backoff event captures only
   /// {this, slot, incarnation}, which fits EventFn's inline buffer. A slot

@@ -213,7 +213,6 @@ net::ProcId Runtime::spawn_root_packet(TaskPacket packet) {
   const net::ProcId dest =
       network_.distributed() ? 0 : scheduler_->choose(0, packet);
   if (dest == net::kNoProc) return net::kNoProc;
-  ++host_messages_;
   recorder_.record(sim_.now(), obs::EventKind::kInjectRoot,
                    {.peer = dest, .arg = packet.replica}, [&] {
                      return "replica " + std::to_string(packet.replica) +
@@ -260,7 +259,6 @@ void Runtime::deliver_to_super_root(ResultMsg msg, net::ProcId acting) {
                        });
     return;
   }
-  ++host_messages_;
   sim_.after(sim::SimTime(config_.latency.base),
              [this, msg = std::move(msg)]() mutable {
                const bool was_done = super_root_->done();
@@ -282,7 +280,6 @@ void Runtime::super_root_ack(AckMsg msg, net::ProcId acting) {
     });
     return;
   }
-  ++host_messages_;
   sim_.after(sim::SimTime(config_.latency.base),
              [this, msg] { super_root_->on_ack(msg); });
 }
@@ -290,7 +287,6 @@ void Runtime::super_root_ack(AckMsg msg, net::ProcId acting) {
 void Runtime::host_send_result(ResultMsg msg) {
   assert(!in_shard_context() &&
          "host_send_result is a coordinator-context channel");
-  ++host_messages_;
   sim_.after(sim::SimTime(config_.latency.base),
              [this, msg = std::move(msg)]() mutable {
                const net::ProcId dest = msg.target.proc;
@@ -677,10 +673,7 @@ void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
 }
 
 bool Runtime::cancel_backoff_pending(const LevelStamp& stamp) const {
-  // A backoff's +1 and its matching -1 always come from the same sender, so
-  // the books are per-processor (shard-local on the engine path). The OR
-  // over processors reproduces the retired global map exactly. Read at
-  // coordinator barriers only (gc oracle), where workers are parked.
+  // Read at coordinator barriers only (gc oracle), where workers are parked.
   for (const auto& proc : procs_) {
     if (proc->cancel_backoff_pending(stamp)) return true;
   }

@@ -84,9 +84,6 @@ class Runtime {
   [[nodiscard]] const lang::Value& answer() const {
     return super_root_->answer();
   }
-  [[nodiscard]] sim::SimTime completion_time() const noexcept {
-    return completion_time_;
-  }
 
   // ---- services for processors & policies ---------------------------------
   /// The calling thread's simulator: the shard simulator inside an engine
@@ -211,14 +208,11 @@ class Runtime {
   /// processor whose timeout fired.
   void note_detection(net::ProcId dead, net::ProcId detector);
 
-  /// A kCancel for `stamp` bounced off a lossy link and is waiting out its
-  /// retransmission backoff (+1), or the backoff fired (-1). While any
-  /// cancel for a stamp is in this pipeline, the gc oracle must not call
-  /// its victim a protocol leak — the reclaim is delayed, not lost.
-  /// Storage is per-processor (the +1 and its matching -1 always come from
-  /// the same sender), so the engine path needs no coordination; the
-  /// pending check ORs across processors, which is exactly the old global
-  /// map's semantics.
+  /// Is a kCancel for `stamp` that bounced off a lossy link waiting out its
+  /// retransmission backoff on any processor? While one is, the gc oracle
+  /// must not call its victim a protocol leak — the reclaim is delayed, not
+  /// lost. Each sender's parked envelopes answer for its own cancels, so
+  /// the engine path needs no coordination.
   [[nodiscard]] bool cancel_backoff_pending(const LevelStamp& stamp) const;
 
   /// FaultInjector callback: destroy the node's volatile state.
@@ -259,10 +253,6 @@ class Runtime {
   [[nodiscard]] core::RunResult collect(sim::SimTime end_time,
                                         std::uint64_t faults_injected) const;
 
-  [[nodiscard]] std::int64_t first_detection_ticks() const noexcept {
-    return first_detection_ticks_;
-  }
-
  private:
   sim::Simulator& sim_;
   net::Network& network_;
@@ -291,7 +281,6 @@ class Runtime {
   std::int64_t first_detection_ticks_ = -1;
   std::vector<bool> detection_noted_;
   std::uint64_t scheduler_messages_ = 0;
-  std::uint64_t host_messages_ = 0;
   std::uint64_t stranded_from_host_ = 0;
   std::function<void(const std::string&)> trigger_sink_;
 

@@ -59,10 +59,6 @@ void StateStreamer::pump(net::ProcId rejoiner, std::uint64_t epoch) {
                            static_cast<std::ptrdiff_t>(take));
   chunk.last = stream.pending.empty();
   const bool done = chunk.last;
-
-  ++chunks_sent_;
-  packets_sent_ += take;
-  units_sent_ += chunk.size_units();
   env_.send(rejoiner, std::move(chunk));
 
   if (done) {

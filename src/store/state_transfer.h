@@ -99,16 +99,6 @@ class StateStreamer {
   /// Abandon every active stream (the owner itself crashed).
   void cancel_all();
 
-  [[nodiscard]] std::uint64_t chunks_sent() const noexcept {
-    return chunks_sent_;
-  }
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
-    return packets_sent_;
-  }
-  [[nodiscard]] std::uint64_t units_sent() const noexcept {
-    return units_sent_;
-  }
-
  private:
   struct Stream {
     std::uint64_t incarnation = 0;
@@ -124,9 +114,6 @@ class StateStreamer {
   /// Highest incarnation ever requested per rejoiner (outlives the stream).
   std::unordered_map<net::ProcId, std::uint64_t> last_incarnation_;
   std::uint64_t epoch_counter_ = 0;
-  std::uint64_t chunks_sent_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t units_sent_ = 0;
 };
 
 }  // namespace splice::store

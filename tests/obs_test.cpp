@@ -141,6 +141,40 @@ TEST(Recorder, InfersTheCrashDetectTwinChain) {
   EXPECT_EQ(obs::first_reissued(journal), twin);
 }
 
+TEST(Recorder, WrappedRingLinksOnlyRetainedEvents) {
+  obs::Recorder rec;
+  rec.configure(true, /*capacity=*/4, false);
+  rec.record(sim::SimTime(10), obs::EventKind::kCrash, {.proc = 3});
+  rec.record(sim::SimTime(20), obs::EventKind::kDetect, {.proc = 1, .peer = 3});
+  const auto stamp = make_stamp({4, 2});
+  const auto twin = rec.record(sim::SimTime(30), obs::EventKind::kTwin,
+                               {.proc = 1, .stamp = &stamp});
+  const auto place = rec.record(
+      sim::SimTime(40), obs::EventKind::kPlace,
+      {.proc = 2, .uid = 77, .stamp = &stamp});
+  const auto cancel = rec.record(sim::SimTime(50), obs::EventKind::kCancel,
+                                 {.proc = 1, .stamp = &stamp});
+  const auto abort_id = rec.record(
+      sim::SimTime(60), obs::EventKind::kAbort,
+      {.proc = 2, .uid = 77, .stamp = &stamp});
+
+  // The ring overwrote the crash and the detect; no retained event may
+  // name either of them.
+  const obs::Journal journal = rec.snapshot();
+  ASSERT_EQ(journal.events.size(), 4u);
+  for (const obs::Event& e : journal.events) {
+    EXPECT_TRUE(e.cause == obs::kNoEvent || journal.find(e.cause) != nullptr)
+        << "event " << e.id << " links to dropped event " << e.cause;
+  }
+  EXPECT_EQ(journal.find(twin)->cause, obs::kNoEvent);
+  EXPECT_EQ(journal.find(place)->cause, twin);
+  EXPECT_EQ(journal.find(cancel)->cause, twin);
+  EXPECT_EQ(journal.find(abort_id)->cause, cancel);
+
+  const std::vector<obs::EventId> expected = {twin, cancel, abort_id};
+  EXPECT_EQ(obs::chain_of(journal, abort_id), expected);
+}
+
 TEST(Journal, SerializeRoundtripPreservesEveryField) {
   obs::Recorder rec;
   rec.configure(true, 64, false);

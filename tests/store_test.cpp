@@ -193,7 +193,6 @@ TEST(StateStreamer, ChunksAreBoundedAndLivenessRidesFirstChunk) {
   EXPECT_FALSE(fx.sent[0].last);
   EXPECT_TRUE(fx.sent[2].last);
   for (const auto& chunk : fx.sent) EXPECT_EQ(chunk.incarnation, 1U);
-  EXPECT_EQ(streamer.packets_sent(), 5U);
 }
 
 TEST(StateStreamer, EmptyEntryStillSendsOneFinalChunk) {
