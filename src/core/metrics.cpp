@@ -23,6 +23,7 @@ void Counters::merge(const Counters& other) noexcept {
   cancels_ignored += other.cancels_ignored;
   cancel_retries += other.cancel_retries;
   bounce_retransmits += other.bounce_retransmits;
+  held_released += other.held_released;
   wire_dups_discarded += other.wire_dups_discarded;
   gc_oracle_orphans += other.gc_oracle_orphans;
   reclaim_latency_ticks += other.reclaim_latency_ticks;

@@ -39,6 +39,9 @@ struct Counters {
   std::uint64_t cancels_ignored = 0;       // no live addressee (already done)
   std::uint64_t cancel_retries = 0;        // kCancel re-sent after a bounce
   std::uint64_t bounce_retransmits = 0;    // other protocol kinds re-sent
+  /// Of the two re-send counts above: messages that bounced off an active
+  /// cut, were held by their sender, and went out once at the heal.
+  std::uint64_t held_released = 0;
   std::uint64_t wire_dups_discarded = 0;   // duplicate task packets deduped
   std::uint64_t gc_oracle_orphans = 0;     // duplicates the oracle saw leak
   /// Sum over reclaimed duplicates of (reclaim time - task creation time);

@@ -292,6 +292,7 @@ void Processor::finish_scan(TaskUid uid, ScanOutcome& outcome) {
     complete_task(uid, *outcome.result);
     return;
   }
+  task->slots_mut().reserve(task->slots().size() + outcome.spawns.size());
   for (SpawnRequest& request : outcome.spawns) {
     spawn_child(*task, std::move(request));
     if (dead_) return;  // a spawn trigger killed this node mid-loop
@@ -720,6 +721,18 @@ void Processor::handle_delivery_failure(Envelope original) {
   const bool wire_loss = !rt_.network().distributed() &&
                          rt_.network().alive(dead) &&
                          rt_.network().reachable(id_, dead);
+  // The kinds re-sent below while their destination stays alive split on
+  // why the message was lost. A wire loss is polled: each retry after the
+  // backoff is another independent draw. A cut is not: every re-send into
+  // it bounces again until the heal, so the message is held here and sent
+  // once when the cut heals (Runtime::on_partition_heal -> release_held).
+  const auto resend = [&] {
+    if (rt_.network().reachable(id_, dead)) {
+      retransmit_after_backoff(std::move(original));
+    } else {
+      hold_until_heal(std::move(original));
+    }
+  };
   switch (original.kind) {
     case MsgKind::kTaskPacket:
       if (wire_loss) {
@@ -740,8 +753,8 @@ void Processor::handle_delivery_failure(Envelope original) {
       break;
     case MsgKind::kStateRequest:
       if (!rt_.network().distributed() && rt_.network().alive(dead)) {
-        // Lost on a lossy/gray link, not to a crash: ask again.
-        retransmit_after_backoff(std::move(original));
+        // Lost on a lossy/gray link or to a cut, not to a crash: ask again.
+        resend();
       } else {
         // The peer died before it could stream anything; stop waiting.
         note_transfer_peer_done(dead);
@@ -758,16 +771,17 @@ void Processor::handle_delivery_failure(Envelope original) {
     case MsgKind::kControl:
       // Protocol messages with no payload-level reissue path: nobody
       // regenerates a lost ack, error broadcast, data reply, state chunk,
-      // or cancel, so a loss on a lossy/gray link would quietly break
-      // liveness (a waiting parent, an unhonoured reissue obligation, a
-      // duplicate computing to run end). Retry after a backoff while the
-      // destination stays alive — each retry is another independent draw,
-      // so delivery is eventually certain; receivers are idempotent (stale
-      // broadcasts, chunks, and cancels are guarded at the handler).
+      // or cancel, so a loss on a lossy/gray link or at a partition would
+      // quietly break liveness (a waiting parent, an unhonoured reissue
+      // obligation, a duplicate computing to run end). Send it again while
+      // the destination stays alive: after a backoff on a wire loss — each
+      // retry is another independent draw, so delivery is eventually
+      // certain — and at the heal on a cut. Receivers are idempotent
+      // (stale broadcasts, chunks, and cancels are guarded at the handler).
       // In-process backends only: across OS processes the bounce means the
       // peer really went down, and a retry would just bounce again.
       if (!rt_.network().distributed() && rt_.network().alive(dead)) {
-        retransmit_after_backoff(std::move(original));
+        resend();
       }
       break;
     case MsgKind::kHeartbeat:
@@ -812,16 +826,49 @@ void Processor::fire_retransmit(std::uint32_t slot, std::uint64_t life) {
   rt_.network().send(std::move(env));
 }
 
+void Processor::hold_until_heal(Envelope env) {
+  // learn_dead may have fired a trigger that killed this node; what it held
+  // died with that incarnation.
+  if (dead_) return;
+  held_.push_back(std::move(env));
+}
+
+void Processor::release_held() {
+  if (dead_) return;  // a kill ordered after the heal's post landed first
+  std::vector<Envelope> held = std::move(held_);
+  held_.clear();
+  for (Envelope& env : held) {
+    if (!rt_.network().alive(env.to)) continue;  // addressee died meanwhile
+    if (!rt_.network().reachable(id_, env.to)) {
+      held_.push_back(std::move(env));  // another cut still stands
+      continue;
+    }
+    // An accusation this node has since withdrawn (the heal reconciled the
+    // cut's mutual suspicion): the receiver would ignore it anyway.
+    if (const auto* error = std::get_if<ErrorMsg>(&env.payload);
+        error != nullptr && !knows_dead(error->dead)) {
+      continue;
+    }
+    if (env.kind == MsgKind::kCancel) {
+      ++counters_.cancel_retries;
+    } else {
+      ++counters_.bounce_retransmits;
+    }
+    ++counters_.held_released;
+    rt_.network().send(std::move(env));
+  }
+}
+
 bool Processor::cancel_backoff_pending(const LevelStamp& stamp) const {
   // A fired slot keeps its moved-from, empty box, so only cancels still
   // waiting out their backoff match.
-  for (const Envelope& env : parked_) {
+  const auto names_stamp = [&stamp](const Envelope& env) {
     const auto* cancel = std::get_if<net::Boxed<CancelMsg>>(&env.payload);
-    if (cancel != nullptr && cancel->has_value() && (*cancel)->stamp == stamp) {
-      return true;
-    }
-  }
-  return false;
+    return cancel != nullptr && cancel->has_value() &&
+           (*cancel)->stamp == stamp;
+  };
+  return std::any_of(parked_.begin(), parked_.end(), names_stamp) ||
+         std::any_of(held_.begin(), held_.end(), names_stamp);
 }
 
 void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
@@ -1103,6 +1150,7 @@ void Processor::nuke() {
   counters_.tasks_lost_to_crash += tasks_.size();
   tasks_.clear();
   step_queue_.clear();
+  held_.clear();  // unlike parked_, no event comes back to free these
   executing_ = false;
   warm_rejoined_ = false;
   awaiting_transfer_.clear();

@@ -202,8 +202,15 @@ class Processor {
   [[nodiscard]] bool has_stake_in(net::ProcId dead) const;
 
   /// Is a kCancel for `stamp` from this node parked, waiting out its
-  /// retransmission backoff? (See Runtime::cancel_backoff_pending.)
+  /// retransmission backoff, or held at a cut until the heal? (See
+  /// Runtime::cancel_backoff_pending.)
   [[nodiscard]] bool cancel_backoff_pending(const LevelStamp& stamp) const;
+
+  /// A partition healed: send each message held at a cut once. A message
+  /// stays held while another cut still separates it from its destination,
+  /// and is dropped when the destination died or — for an error-detection
+  /// notice — when this node no longer believes the accused dead.
+  void release_held();
 
   // ---- periodic-global baseline support ------------------------------------
   void freeze();
@@ -229,6 +236,10 @@ class Processor {
   }
   [[nodiscard]] std::size_t parked_slots() const noexcept {
     return parked_.size();
+  }
+  /// Messages bounced off an active cut, waiting for its heal.
+  [[nodiscard]] std::size_t held_messages() const noexcept {
+    return held_.size();
   }
 
   void start_heartbeats();
@@ -303,6 +314,9 @@ class Processor {
   /// destination stays alive — the liveness net for lossy/gray links, for
   /// message kinds that have no payload-level reissue path of their own.
   void retransmit_after_backoff(net::Envelope env);
+  /// Keep a message that bounced off an active cut until release_held():
+  /// re-sending it into the cut would only bounce again.
+  void hold_until_heal(net::Envelope env);
   /// Fire a parked retransmit: free its slot, then send unless this
   /// incarnation has ended or the addressee died meanwhile.
   void fire_retransmit(std::uint32_t slot, std::uint64_t life);
@@ -350,6 +364,10 @@ class Processor {
   /// growth never moves a parked envelope.
   std::deque<net::Envelope> parked_;
   std::vector<std::uint32_t> parked_free_;
+  /// Envelopes that bounced off an active cut, in bounce order. No timer
+  /// polls them; the heal releases them (release_held) and a crash drops
+  /// them with the rest of this incarnation's state.
+  std::vector<net::Envelope> held_;
   /// Uid watermark of this incarnation: every task this life hosts has a
   /// uid at or above it (uids are global and monotone). An ack addressed
   /// to a parent uid *below* the watermark names a crash casualty, not a

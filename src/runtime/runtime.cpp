@@ -400,6 +400,17 @@ void Runtime::on_partition_heal(const std::vector<net::ProcId>& side) {
       detection_noted_[q] = false;
     }
   }
+  // With suspicion reconciled, send what bounced off the cut and was held
+  // for this moment. On the engine each release is a shard op posted after
+  // that processor's learn_alive ops, so it sees the reconciled view too.
+  for (net::ProcId p = 0; p < procs_.size(); ++p) {
+    if (procs_[p]->crashed() || procs_[p]->held_messages() == 0) continue;
+    if (engine_ != nullptr) {
+      engine_->post_shard(p, [this, p] { procs_[p]->release_held(); });
+    } else {
+      procs_[p]->release_held();
+    }
+  }
 }
 
 bool Runtime::defer_reissue(Processor& proc, net::ProcId dead) {
@@ -644,8 +655,9 @@ void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
       continue;
     }
     // A lossy link can drop the cancel itself; the sender retries after a
-    // backoff of two failure timeouts — several oracle cadences. While a
-    // cancel for this lineage waits out that backoff, the reclaim is
+    // backoff of two failure timeouts — several oracle cadences. A cut can
+    // bounce it too; the sender holds it until the heal. While a cancel for
+    // this lineage waits out that backoff or that heal, the reclaim is
     // delayed in the protocol's own pipeline, not leaked.
     if (cancel_backoff_pending(victim.stamp)) continue;
     if (salvaging) {

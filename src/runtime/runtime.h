@@ -208,11 +208,12 @@ class Runtime {
   /// processor whose timeout fired.
   void note_detection(net::ProcId dead, net::ProcId detector);
 
-  /// Is a kCancel for `stamp` that bounced off a lossy link waiting out its
-  /// retransmission backoff on any processor? While one is, the gc oracle
-  /// must not call its victim a protocol leak — the reclaim is delayed, not
-  /// lost. Each sender's parked envelopes answer for its own cancels, so
-  /// the engine path needs no coordination.
+  /// Is a kCancel for `stamp` that bounced waiting on any processor — out
+  /// its retransmission backoff after a lossy link, or held at a cut until
+  /// the heal? While one is, the gc oracle must not call its victim a
+  /// protocol leak — the reclaim is delayed, not lost. Each sender's parked
+  /// and held envelopes answer for its own cancels, so the engine path
+  /// needs no coordination.
   [[nodiscard]] bool cancel_backoff_pending(const LevelStamp& stamp) const;
 
   /// FaultInjector callback: destroy the node's volatile state.
@@ -229,7 +230,8 @@ class Runtime {
   /// rejoin notice will ever clear, because the "dead" nodes never died.
   /// Reconcile the mutual suspicion: every survivor that believes a live
   /// node across the healed cut is dead relearns it alive, exactly as a
-  /// rejoin notice would have taught it.
+  /// rejoin notice would have taught it. Then every live processor
+  /// releases the messages it held at the cut (Processor::release_held).
   void on_partition_heal(const std::vector<net::ProcId>& side);
 
   // ---- fault triggers ------------------------------------------------------

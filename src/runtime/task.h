@@ -157,8 +157,11 @@ class Task {
   [[nodiscard]] const CallSlot* find_slot(lang::ExprId site) const;
   CallSlot& slot(lang::ExprId site);
   /// Slots in creation (body scan) order; each carries its own `site`.
-  /// Inline storage: a task with <= 2 call sites costs no slot-map nodes.
-  using Slots = util::SmallVec<CallSlot, 2>;
+  /// Out of line: a CallSlot is 416 bytes, and leaves and tasks not yet
+  /// scanned have none, so inline slots would more than triple every live
+  /// task. The processor reserves for a scan's spawns before creating
+  /// their slots, so a binary body allocates once.
+  using Slots = std::vector<CallSlot>;
   [[nodiscard]] const Slots& slots() const noexcept { return slots_; }
   [[nodiscard]] Slots& slots_mut() noexcept { return slots_; }
 
@@ -190,5 +193,9 @@ class Task {
   std::uint64_t scans_ = 0;
   bool dirty_ = false;
 };
+
+// Tens of thousands of tasks are live at once in a large run; the call slots
+// stay out of line (see Task::Slots).
+static_assert(sizeof(Task) <= 384);
 
 }  // namespace splice::runtime

@@ -81,6 +81,7 @@ void expect_identical(const EngineRun& a, const EngineRun& b) {
   EXPECT_EQ(a.result.counters.checkpoint_records,
             b.result.counters.checkpoint_records);
   EXPECT_EQ(a.result.counters.busy_ticks, b.result.counters.busy_ticks);
+  EXPECT_EQ(a.result.counters.held_released, b.result.counters.held_released);
 
   for (std::size_t k = 0; k < net::kMsgKindCount; ++k) {
     EXPECT_EQ(a.result.net.sent[k], b.result.net.sent[k]) << "sent kind " << k;
@@ -104,17 +105,20 @@ void expect_identical(const EngineRun& a, const EngineRun& b) {
   EXPECT_EQ(a.journal, b.journal);
 }
 
-void expect_shard_invariant(const lang::Program& program, std::uint64_t seed,
-                            const net::FaultPlan& plan,
-                            core::SchedulerKind scheduler =
-                                core::SchedulerKind::kRandom) {
-  const EngineRun oracle = run_sharded(1, program, seed, plan, scheduler);
+/// Returns the one-shard oracle run, for tests that also check what the
+/// run exercised.
+EngineRun expect_shard_invariant(const lang::Program& program,
+                                 std::uint64_t seed, const net::FaultPlan& plan,
+                                 core::SchedulerKind scheduler =
+                                     core::SchedulerKind::kRandom) {
+  EngineRun oracle = run_sharded(1, program, seed, plan, scheduler);
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards) +
                  " seed=" + std::to_string(seed));
     const EngineRun run = run_sharded(shards, program, seed, plan, scheduler);
     expect_identical(oracle, run);
   }
+  return oracle;
 }
 
 TEST(PdesShard, FaultFreeBitIdentical) {
@@ -154,11 +158,16 @@ TEST(PdesShard, CascadeWithRejoinBitIdentical) {
 TEST(PdesShard, PartitionWithHealBitIdentical) {
   // Chaos matrix, partition leg: a cut isolates a mesh corner, both halves
   // declare each other dead, then the heal reconciles the mutual suspicion
-  // through coordinator-posted learn_alive ops.
+  // through coordinator-posted learn_alive ops and releases what bounced
+  // off the cut through release ops posted after them. Both the cut and
+  // the heal land mid-run (these runs finish near t = 4000).
   net::FaultPlan plan =
-      core::parse_fault_plan("partition:rect(0,0,1x2)@2500,heal=4000");
+      core::parse_fault_plan("partition:rect(0,0,1x2)@1000,heal=2000");
   for (const std::uint64_t seed : {1u, 9u}) {
-    expect_shard_invariant(lang::programs::nqueens(5), seed, plan);
+    const EngineRun oracle =
+        expect_shard_invariant(lang::programs::nqueens(5), seed, plan);
+    EXPECT_GT(oracle.result.net.partition_cut, 0U) << "seed " << seed;
+    EXPECT_GT(oracle.result.counters.held_released, 0U) << "seed " << seed;
   }
 }
 

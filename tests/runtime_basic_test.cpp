@@ -3,12 +3,15 @@
 // determinacy property (§2.1) the whole paper builds on.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/simulation.h"
 #include "lang/interpreter.h"
 #include "lang/programs.h"
+#include "net/link_faults.h"
 #include "net/network.h"
 #include "runtime/processor.h"
 #include "runtime/runtime.h"
@@ -293,6 +296,157 @@ TEST(RuntimeBasic, ParkedRetransmitDiesWithItsIncarnation) {
   EXPECT_EQ(sender.parked_retransmits(), 0U);
   EXPECT_EQ(sender.counters().bounce_retransmits, 1U);
   EXPECT_EQ(control_sent(), 3U);
+}
+
+// A machine whose `side` is cut off from the other processors from t = 0
+// until kHeal, when the runtime reconciles the cut as the fault injector
+// would. Protocol messages are sent by hand, so every bounce is one the
+// test put there.
+struct CutMachine {
+  static constexpr std::int64_t kHeal = 20000;
+
+  CutMachine(std::uint32_t procs, std::vector<net::ProcId> cut_side)
+      : cfg(base_config(procs)),
+        network(simulator, net::Topology(cfg.topology, procs), cfg.latency),
+        rt(simulator, network, cfg, program),
+        side(std::move(cut_side)) {
+    auto faults = std::make_unique<net::LinkFaultModel>(cfg.seed, procs);
+    faults->add_partition(side, sim::SimTime(0), sim::SimTime(kHeal));
+    network.set_link_faults(std::move(faults));
+    simulator.at(sim::SimTime(kHeal), [this] { rt.on_partition_heal(side); });
+  }
+
+  void send(net::MsgKind kind, net::ProcId from, net::ProcId to,
+            net::Payload payload) {
+    net::Envelope env;
+    env.kind = kind;
+    env.from = from;
+    env.to = to;
+    env.payload = std::move(payload);
+    network.send(std::move(env));
+  }
+  void kill(net::ProcId p) {
+    network.kill(p);
+    rt.on_kill(p);
+  }
+  [[nodiscard]] std::uint64_t sent(net::MsgKind kind) const {
+    return network.stats().sent[static_cast<std::size_t>(kind)];
+  }
+  [[nodiscard]] std::uint64_t delivered(net::MsgKind kind) const {
+    return network.stats().delivered[static_cast<std::size_t>(kind)];
+  }
+
+  SystemConfig cfg;
+  lang::Program program = lang::programs::fib(3);
+  sim::Simulator simulator;
+  net::Network network;
+  runtime::Runtime rt;
+  std::vector<net::ProcId> side;
+};
+
+// §1: an unreachable node is considered faulty, and re-sending into the cut
+// would only bounce again. A bounced cancel or control message stays with
+// its sender while the cut stands and goes out exactly once at the heal.
+TEST(RuntimeBasic, MessageBouncedByACutIsHeldUntilTheHeal) {
+  CutMachine m(2, {1});
+  runtime::Processor& sender = m.rt.processor(0);
+  runtime::CancelMsg cancel;
+  cancel.stamp = runtime::LevelStamp::root().child(1);
+  const runtime::LevelStamp stamp = cancel.stamp;
+  m.send(net::MsgKind::kCancel, 0, 1, std::move(cancel));
+  m.send(net::MsgKind::kControl, 0, 1,
+         runtime::ControlMsg{runtime::ControlKind::kStartRoot});
+
+  m.simulator.run_until(sim::SimTime(CutMachine::kHeal - 1));
+  EXPECT_TRUE(sender.knows_dead(1));  // the cut was detected as a fault
+  EXPECT_EQ(sender.held_messages(), 2U);
+  EXPECT_EQ(sender.counters().cancel_retries, 0U);
+  EXPECT_EQ(sender.counters().bounce_retransmits, 0U);
+  EXPECT_EQ(m.network.stats().partition_cut, 2U);  // only the originals
+  // The gc oracle excuses a duplicate whose cancel waits at the cut.
+  EXPECT_TRUE(sender.cancel_backoff_pending(stamp));
+  EXPECT_TRUE(m.rt.cancel_backoff_pending(stamp));
+
+  m.simulator.run_until(sim::SimTime(2 * CutMachine::kHeal));
+  EXPECT_FALSE(sender.knows_dead(1));  // the heal reconciled the verdict
+  EXPECT_EQ(sender.held_messages(), 0U);
+  EXPECT_FALSE(m.rt.cancel_backoff_pending(stamp));
+  EXPECT_EQ(sender.counters().cancel_retries, 1U);
+  EXPECT_EQ(sender.counters().bounce_retransmits, 1U);
+  EXPECT_EQ(sender.counters().held_released, 2U);
+  EXPECT_EQ(m.sent(net::MsgKind::kCancel), 2U);
+  EXPECT_EQ(m.sent(net::MsgKind::kControl), 2U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kCancel), 1U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kControl), 1U);
+  EXPECT_EQ(m.network.stats().partition_cut, 2U);
+}
+
+TEST(RuntimeBasic, HeldMessageToAPeerThatCrashedIsDropped) {
+  CutMachine m(2, {1});
+  runtime::Processor& sender = m.rt.processor(0);
+  m.send(net::MsgKind::kControl, 0, 1,
+         runtime::ControlMsg{runtime::ControlKind::kStartRoot});
+  m.simulator.run_until(sim::SimTime(CutMachine::kHeal / 2));
+  ASSERT_EQ(sender.held_messages(), 1U);
+
+  m.kill(1);
+  m.simulator.run_until(sim::SimTime(2 * CutMachine::kHeal));
+  EXPECT_EQ(sender.held_messages(), 0U);
+  EXPECT_EQ(sender.counters().held_released, 0U);
+  EXPECT_EQ(sender.counters().bounce_retransmits, 0U);
+  EXPECT_EQ(m.sent(net::MsgKind::kControl), 1U);
+}
+
+// What a node held belongs to its incarnation: a sender that crashes and is
+// repaired before the heal must not send its previous life's messages.
+TEST(RuntimeBasic, HeldMessagesDieWithTheSender) {
+  CutMachine m(2, {1});
+  runtime::Processor& sender = m.rt.processor(0);
+  m.send(net::MsgKind::kControl, 0, 1,
+         runtime::ControlMsg{runtime::ControlKind::kStartRoot});
+  m.simulator.run_until(sim::SimTime(CutMachine::kHeal / 2));
+  ASSERT_EQ(sender.held_messages(), 1U);
+
+  m.kill(0);
+  EXPECT_EQ(sender.held_messages(), 0U);
+  m.network.revive(0);
+  sender.revive();
+  m.simulator.run_until(sim::SimTime(2 * CutMachine::kHeal));
+  EXPECT_EQ(m.sent(net::MsgKind::kControl), 1U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kControl), 0U);
+  // The revived node's own rejoin notice bounced off the cut too; it is
+  // this life's message, held and sent at the heal.
+  EXPECT_EQ(m.delivered(net::MsgKind::kRejoinNotice), 1U);
+}
+
+// P1 crashes; P0 detects it and broadcasts the death to P2 and P3 across a
+// cut. Those notices bounce, so P0 accuses P2 and P3 as well, and those
+// accusations bounce in turn. At the heal P0 relearns P2 and P3 alive:
+// its accusations of them are dropped, while the news of P1's real death
+// still reaches both.
+TEST(RuntimeBasic, HeldAccusationWithdrawnAtTheHealIsDropped) {
+  CutMachine m(4, {2, 3});
+  runtime::Processor& detector = m.rt.processor(0);
+  m.kill(1);
+  m.send(net::MsgKind::kControl, 0, 1,
+         runtime::ControlMsg{runtime::ControlKind::kStartRoot});
+  m.simulator.run_until(sim::SimTime(CutMachine::kHeal - 1));
+  EXPECT_TRUE(detector.knows_dead(1));
+  EXPECT_TRUE(detector.knows_dead(2));
+  EXPECT_TRUE(detector.knows_dead(3));
+  ASSERT_EQ(detector.held_messages(), 4U);
+  EXPECT_EQ(m.sent(net::MsgKind::kErrorDetection), 4U);
+
+  m.simulator.run_until(sim::SimTime(2 * CutMachine::kHeal));
+  EXPECT_EQ(detector.held_messages(), 0U);
+  EXPECT_EQ(detector.counters().held_released, 2U);
+  EXPECT_EQ(m.sent(net::MsgKind::kErrorDetection), 6U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kErrorDetection), 2U);
+  for (const net::ProcId p : {2U, 3U}) {
+    EXPECT_FALSE(detector.knows_dead(p));
+    EXPECT_TRUE(m.rt.processor(p).knows_dead(1));
+    EXPECT_FALSE(m.rt.processor(p).knows_dead(5 - p));
+  }
 }
 
 }  // namespace
