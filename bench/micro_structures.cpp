@@ -46,29 +46,56 @@ void BM_LevelStampAncestry(benchmark::State& state) {
 }
 BENCHMARK(BM_LevelStampAncestry)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_CheckpointTableRecord(benchmark::State& state) {
+/// One spawn per record: the packet its owner slot retains, filed against
+/// one of 8 destinations.
+struct Spawn {
+  checkpoint::CheckpointRecord record;
+  runtime::TaskPacket packet;
+  net::ProcId dest = 0;
+};
+
+std::vector<Spawn> random_spawns(std::size_t n) {
   util::Xoshiro256 rng(3);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<checkpoint::CheckpointRecord> records;
-  records.reserve(n);
+  std::vector<Spawn> spawns(n);
   for (std::size_t i = 0; i < n; ++i) {
-    checkpoint::CheckpointRecord r;
-    r.owner = i;
-    r.site = 1;
-    r.packet.stamp = random_stamp(rng, 1 + rng.next_below(6));
-    records.push_back(std::move(r));
+    spawns[i].record.owner = i;
+    spawns[i].record.site = 1;
+    spawns[i].packet.stamp = random_stamp(rng, 1 + rng.next_below(6));
+    spawns[i].dest = static_cast<net::ProcId>(i % 8);
   }
+  return spawns;
+}
+
+void BM_CheckpointTableRecord(benchmark::State& state) {
+  const std::vector<Spawn> spawns =
+      random_spawns(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     checkpoint::CheckpointTable table(0, 8);
-    for (const auto& r : records) {
-      benchmark::DoNotOptimize(
-          table.record(static_cast<net::ProcId>(r.owner % 8), r));
+    for (const Spawn& s : spawns) {
+      benchmark::DoNotOptimize(table.record(s.dest, s.record, s.packet));
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+                          static_cast<std::int64_t>(spawns.size()));
 }
 BENCHMARK(BM_CheckpointTableRecord)->Arg(64)->Arg(512)->Arg(4096);
+
+// The result path: every record filed, then released at the destination
+// its slot names, as each child's result returns.
+void BM_CheckpointTableRelease(benchmark::State& state) {
+  const std::vector<Spawn> spawns =
+      random_spawns(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    checkpoint::CheckpointTable table(0, 8);
+    for (const Spawn& s : spawns) table.record(s.dest, s.record, s.packet);
+    for (const Spawn& s : spawns) {
+      benchmark::DoNotOptimize(table.release(s.dest, s.packet.stamp));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(spawns.size()));
+}
+BENCHMARK(BM_CheckpointTableRelease)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

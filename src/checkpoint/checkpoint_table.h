@@ -9,17 +9,16 @@
 // Invariant (property-tested): every entry is an antichain under the
 // level-stamp ancestry order — no record subsumes another.
 //
-// Layout: one entry per destination processor plus one stamp-hash index
-// over every live record. release_anywhere() — executed for every
-// returning result — probes that index instead of scanning all P entries,
-// so its cost is independent of machine size; this is what lets the table
-// scale to 256+ processor machines. Record/unit totals are maintained
-// incrementally for the same reason (the peak-tracking used to recount
-// every record on every mutation).
+// Layout: one entry per destination processor, and each record is an index
+// entry for the call slot that retains the packet — §2.1's "this retained
+// copy is all that the parent needs to regenerate the child task", kept
+// once. Every release names the destination its slot filed the record
+// under (the slot's sent_to[0]), so finding a record costs a scan of one
+// entry. Record/unit totals are maintained incrementally (the peak-tracking
+// used to recount every record on every mutation).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,21 +26,30 @@
 #include "net/topology.h"
 #include "runtime/level_stamp.h"
 #include "runtime/task_packet.h"
-#include "util/slab.h"
+#include "util/boxed.h"
 
 namespace splice::checkpoint {
 
-/// One retained checkpoint: enough to reissue the child and to route its
-/// eventual result back into the owning slot.
+/// One retained checkpoint: where the owner slot's packet went, and enough
+/// to route its eventual result back into that slot. The packet itself
+/// stays in the slot (CallSlot::retained).
 struct CheckpointRecord {
   runtime::TaskUid owner = runtime::kNoTask;  // local parent task
+  runtime::LevelStamp stamp;                  // the retained child's stamp
   lang::ExprId site = lang::kNoExpr;          // slot in the owner's body
-  runtime::TaskPacket packet;                 // the retained task packet
-  /// True when this record was rebuilt from a DurableStore log replay after
-  /// a crash: its owner task died with the node, so reissue must go through
-  /// a re-accepted owner (matched by stamp) or directly from the packet.
-  bool restored = false;
+  std::uint32_t units = 0;                    // the packet's size_units()
+  /// Set only on a record rebuilt from a DurableStore log replay after a
+  /// crash: its owner task died with the node, so the record carries the
+  /// packet itself, and reissue goes through a re-accepted owner (matched
+  /// by stamp) or directly from this packet.
+  util::Boxed<runtime::TaskPacket> packet;
+
+  [[nodiscard]] bool restored() const noexcept { return packet.has_value(); }
 };
+
+// Tens of thousands of records are live at once in a large run; a record
+// indexes its owner's slot instead of holding a second copy of the packet.
+static_assert(sizeof(CheckpointRecord) <= 128);
 
 enum class RecordOutcome : std::uint8_t {
   kRecorded,   // inserted as a (new) topmost checkpoint
@@ -56,7 +64,8 @@ class CheckpointTable {
   class Listener {
    public:
     virtual ~Listener() = default;
-    virtual void on_record(net::ProcId dest, const CheckpointRecord& record) = 0;
+    virtual void on_record(net::ProcId dest, const CheckpointRecord& record,
+                           const runtime::TaskPacket& packet) = 0;
     virtual void on_release(net::ProcId dest,
                             const runtime::LevelStamp& stamp) = 0;
     virtual void on_take(net::ProcId dead) = 0;
@@ -67,10 +76,13 @@ class CheckpointTable {
   /// Install (or detach, with nullptr) the mutation listener.
   void set_listener(Listener* listener) noexcept { listener_ = listener; }
 
-  /// Record a spawn of `record.packet` onto `dest`. Applies the §3.2
+  /// Record a spawn of `packet` onto `dest`. `record` names the owner slot
+  /// (and, if replayed, carries the packet); its stamp and units are taken
+  /// from `packet`, which the listener receives too. Applies the §3.2
   /// subsumption rule and maintains the antichain (descendants of the new
   /// stamp are dropped — they are recoverable through it).
-  RecordOutcome record(net::ProcId dest, CheckpointRecord record);
+  RecordOutcome record(net::ProcId dest, CheckpointRecord record,
+                       const runtime::TaskPacket& packet);
 
   /// Remove and return every checkpoint held against `dead` — the
   /// processor's reissue obligation when `dead` fails.
@@ -80,13 +92,15 @@ class CheckpointTable {
   /// arrived; the checkpoint is no longer needed). Returns true if found.
   bool release(net::ProcId dest, const runtime::LevelStamp& stamp);
 
-  /// Release wherever it is held (used when the destination moved due to a
-  /// prior respawn). Returns true if found. O(1) expected via the stamp
-  /// index — never a scan over all destinations.
+  /// Release the first record for `stamp` in any entry, scanning all P of
+  /// them. Only for a release that cannot name its destination: the result
+  /// of a replayed record whose owner slot never spawned, and a replayed
+  /// release whose record a lossy log filed elsewhere. Returns true if
+  /// found.
   bool release_anywhere(const runtime::LevelStamp& stamp);
 
-  /// Is a checkpoint for `stamp` currently held against `dest`? O(1)
-  /// expected via the stamp index. Used by the state-transfer pump
+  /// Is a checkpoint for `stamp` currently held against `dest`? Scans that
+  /// one entry. Used by the state-transfer pump
   /// to drop packets whose record was released (result arrived, or the
   /// lineage was cancelled) after the stream snapshot was taken — a
   /// released checkpoint must never resurrect as a re-hosted task.
@@ -140,17 +154,6 @@ class CheckpointTable {
   [[nodiscard]] net::ProcId self() const noexcept { return self_; }
 
  private:
-  /// The stamp index allocates one node per live record; a churn-heavy run
-  /// (record on spawn, release on result) makes and frees millions of them,
-  /// so the nodes come from the table's slab arena and recycle through its
-  /// free lists instead of hitting the global allocator every time.
-  using StampIndex = std::unordered_multimap<
-      std::size_t, net::ProcId, std::hash<std::size_t>,
-      std::equal_to<std::size_t>,
-      util::PoolAllocator<std::pair<const std::size_t, net::ProcId>>>;
-
-  void index_add(net::ProcId dest, const runtime::LevelStamp& stamp);
-  void index_remove(net::ProcId dest, const runtime::LevelStamp& stamp);
   void on_insert(const CheckpointRecord& record) noexcept;
   void on_erase(const CheckpointRecord& record) noexcept;
 
@@ -160,11 +163,6 @@ class CheckpointTable {
   /// entries_[d] holds the checkpoints against processor d (the §3.2
   /// "table of linked lists").
   std::vector<std::vector<CheckpointRecord>> entries_;
-  util::SlabArena arena_;  // must outlive by_stamp_ (backs its nodes)
-  /// stamp-hash -> destination, one value per live record. A multimap
-  /// because distinct stamps may collide; hits re-verify against the
-  /// actual records.
-  StampIndex by_stamp_;
 
   std::size_t total_records_ = 0;
   std::uint64_t total_units_ = 0;

@@ -37,6 +37,7 @@
 #include "runtime/task_packet.h"
 #include "sim/time.h"
 #include "store/state_transfer.h"
+#include "util/boxed.h"
 
 namespace splice::net {
 
@@ -88,42 +89,8 @@ class EnvelopeBox {
   std::unique_ptr<Envelope> boxed_;
 };
 
-/// Owning, deep-copying heap cell for a large payload. Implicitly built
-/// from the message itself, so senders assign the message
-/// (`env.payload = packet;`) and readers unwrap with `*`. A moved-from box
-/// is empty: it may only be destroyed or assigned to.
-template <typename T>
-class Boxed {
- public:
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  Boxed(const T& value) : cell_(new T(value)) {}
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  Boxed(T&& value) : cell_(new T(std::move(value))) {}
-  Boxed(const Boxed& other)
-      : cell_(other.cell_ != nullptr ? new T(*other.cell_) : nullptr) {}
-  Boxed(Boxed&& other) noexcept : cell_(std::exchange(other.cell_, nullptr)) {}
-  Boxed& operator=(const Boxed& other) {
-    if (this != &other) *this = Boxed(other);
-    return *this;
-  }
-  Boxed& operator=(Boxed&& other) noexcept {
-    if (this != &other) {
-      delete cell_;
-      cell_ = std::exchange(other.cell_, nullptr);
-    }
-    return *this;
-  }
-  ~Boxed() { delete cell_; }
-
-  [[nodiscard]] T& operator*() noexcept { return *cell_; }
-  [[nodiscard]] const T& operator*() const noexcept { return *cell_; }
-  [[nodiscard]] T* operator->() noexcept { return cell_; }
-  [[nodiscard]] const T* operator->() const noexcept { return cell_; }
-  [[nodiscard]] bool has_value() const noexcept { return cell_ != nullptr; }
-
- private:
-  T* cell_ = nullptr;
-};
+/// Owning, deep-copying heap cell for a large payload (util/boxed.h).
+using util::Boxed;
 
 /// The closed set of wire payloads, one alternative per payload-bearing
 /// MsgKind (monostate covers the kinds that are pure signals). Keep this in

@@ -1,5 +1,7 @@
 #include "recovery/rollback.h"
 
+#include <cassert>
+
 #include "runtime/processor.h"
 #include "runtime/runtime.h"
 
@@ -46,17 +48,18 @@ bool slot_still_checkpointed(Processor& proc, const CallSlot& slot) {
 std::pair<Task*, CallSlot*> resolve_record_owner(
     Processor& proc, checkpoint::CheckpointRecord& record) {
   Task* owner = proc.find_task(record.owner);
-  if (owner == nullptr && record.restored &&
-      !record.packet.stamp.is_root()) {
+  if (owner == nullptr && record.restored() && !record.stamp.is_root()) {
     // Restored across a crash: the uid names the previous incarnation.
-    owner = proc.find_task_by_stamp(record.packet.stamp.parent());
+    owner = proc.find_task_by_stamp(record.stamp.parent());
   }
   if (owner == nullptr) return {nullptr, nullptr};
   CallSlot* slot = owner->find_slot(record.site);
   if (slot == nullptr || !slot->spawned) {
     // A stamp-matched owner re-accepted after the crash may not have
-    // reached this call site yet; re-link the slot from the checkpoint.
-    owner->note_spawned(record.site, record.packet);
+    // reached this call site yet; re-link the slot from the replayed
+    // record's packet. (A live record's slot spawned when it was made.)
+    assert(record.restored());
+    owner->note_spawned(record.site, *record.packet);
     slot = owner->find_slot(record.site);
   }
   return {owner, slot};
@@ -102,7 +105,7 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
   for (auto& record : records) {
     auto [owner, slot] = resolve_record_owner(proc, record);
     if (owner == nullptr) {
-      if (record.restored) {
+      if (record.restored()) {
         // The owner died with this node's previous incarnation and was not
         // re-accepted; the retained packet alone regrows the branch.
         proc.respawn_from_record(std::move(record), "rollback restored");

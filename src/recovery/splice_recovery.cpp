@@ -44,7 +44,7 @@ void SplicePolicy::reissue_against(Processor& proc, net::ProcId dead) {
   for (auto& record : records) {
     auto [owner, slot] = resolve_record_owner(proc, record);
     if (owner == nullptr) {
-      if (record.restored) {
+      if (record.restored()) {
         proc.respawn_from_record(std::move(record), "splice restored");
       }
       continue;

@@ -45,12 +45,7 @@ store::StateStreamer::Env make_streamer_env(Processor& self, Runtime& rt) {
   };
   env.alive = [&rt](net::ProcId p) { return rt.network().alive(p); };
   env.packets_against = [&self](net::ProcId rejoiner) {
-    std::vector<TaskPacket> packets;
-    for (const checkpoint::CheckpointRecord& record :
-         self.table().entry(rejoiner)) {
-      packets.push_back(record.packet);
-    }
-    return packets;
+    return self.packets_against(rejoiner);
   };
   env.still_checkpointed = [&self](net::ProcId rejoiner,
                                    const LevelStamp& stamp) {
@@ -366,6 +361,9 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
     dests = rt_.scheduler().choose_replicas(id_, packet, replicas);
   }
   if (dests.empty()) return;  // no alive processor: the system is gone
+  // Where the superseded spawn's checkpoint was filed (a respawn moves it).
+  const net::ProcId filed_at =
+      slot.sent_to.empty() ? net::kNoProc : slot.sent_to[0];
   slot.sent_to = dests;
   slot.child_procs.assign(dests.size(), net::kNoProc);
   slot.child_uids.assign(dests.size(), kNoTask);
@@ -394,18 +392,17 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
       });
   // Functional checkpoint (replica 0's destination keys the table entry).
   if (rt_.policy().functional_checkpointing()) {
-    if (slot.respawns > 0) {
+    if (slot.respawns > 0 && filed_at != net::kNoProc) {
       // A respawn moves the reissue obligation to the new destination; the
       // record made for the superseded spawn must not linger in the old
       // destination's entry, or a later warm rejoin of that processor
       // would re-host — resurrect — the lineage this respawn replaces.
-      table_.release_anywhere(packet.stamp);
+      table_.release(filed_at, packet.stamp);
     }
     checkpoint::CheckpointRecord record;
     record.owner = owner.uid();
     record.site = slot.site;
-    record.packet = packet;
-    const auto outcome = table_.record(dests[0], std::move(record));
+    const auto outcome = table_.record(dests[0], std::move(record), packet);
     rt_.recorder().record(
         rt_.sim().now(), obs::EventKind::kCheckpoint,
         {.proc = id_,
@@ -574,9 +571,15 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
   if (rt_.config().reclaim.cancellation && (msg.relayed || slot.twin_active)) {
     cancel_slot_instances(task, slot);  // async sends: nothing dies here
   }
-  // The child returned; its functional checkpoint is no longer needed.
+  // The child returned; its functional checkpoint is no longer needed. The
+  // slot filed it under its first destination; a slot that never spawned
+  // (a result for a replayed record's child) names no destination.
   if (rt_.policy().functional_checkpointing()) {
-    table_.release_anywhere(msg.stamp);
+    if (!slot.sent_to.empty()) {
+      table_.release(slot.sent_to[0], msg.stamp);
+    } else {
+      table_.release_anywhere(msg.stamp);
+    }
   }
   slot.retained.args.clear();
   slot.retained.args.shrink_to_fit();
@@ -1027,8 +1030,8 @@ void Processor::cancel_task(TaskUid uid, std::string_view reason) {
   // down every outstanding slot before the local abort frees them.
   for (const CallSlot& slot : task->slots()) {
     if (!slot.spawned || slot.resolved()) continue;
-    if (rt_.policy().functional_checkpointing()) {
-      table_.release_anywhere(slot.retained.stamp);
+    if (rt_.policy().functional_checkpointing() && !slot.sent_to.empty()) {
+      table_.release(slot.sent_to[0], slot.retained.stamp);
     }
     cancel_slot_instances(*task, slot);
   }
@@ -1112,16 +1115,31 @@ Task* Processor::find_task_by_stamp(const LevelStamp& stamp) {
   return best;
 }
 
+std::vector<TaskPacket> Processor::packets_against(net::ProcId rejoiner) {
+  std::vector<TaskPacket> packets;
+  for (const checkpoint::CheckpointRecord& record : table_.entry(rejoiner)) {
+    if (record.restored()) {
+      packets.push_back(*record.packet);
+      continue;
+    }
+    Task* owner = find_task(record.owner);
+    const CallSlot* slot =
+        owner == nullptr ? nullptr : owner->find_slot(record.site);
+    if (slot != nullptr) packets.push_back(slot->retained);
+  }
+  return packets;
+}
+
 void Processor::respawn_from_record(checkpoint::CheckpointRecord record,
                                     std::string_view reason) {
-  TaskPacket packet = record.packet;
+  TaskPacket packet = *record.packet;
   packet.replica = 0;
   // A restored-record reissue supersedes whatever instance the record's
   // previous spawn produced; bump the generation so (a) the replacement's
   // acceptance triggers local duplicate reclaim and (b) a straggling ack
   // from the old instance cannot outrank the new one.
   ++packet.lineage;
-  record.packet.lineage = packet.lineage;
+  record.packet->lineage = packet.lineage;
   const net::ProcId dest = rt_.scheduler().choose(id_, packet);
   if (dest == net::kNoProc) return;
   ++counters_.tasks_respawned;
@@ -1133,7 +1151,8 @@ void Processor::respawn_from_record(checkpoint::CheckpointRecord record,
                         });
   send(MsgKind::kTaskPacket, dest, packet.size_units(), packet);
   if (rt_.policy().functional_checkpointing()) {
-    table_.record(dest, std::move(record));
+    const TaskPacket retained = *record.packet;  // the record keeps its own
+    table_.record(dest, std::move(record), retained);
   }
 }
 
@@ -1289,11 +1308,11 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
   for (auto& [dest, record] : table_.restored_children_of(stamp)) {
     const TaskUid prev_owner = record->owner;
     record->owner = uid;
-    if (!record->packet.ancestors.empty()) {
-      record->packet.ancestors[0] = TaskRef{id_, uid};
+    if (!record->packet->ancestors.empty()) {
+      record->packet->ancestors[0] = TaskRef{id_, uid};
     }
     if (!prelink) continue;
-    task->note_spawned(record->site, record->packet);
+    task->note_spawned(record->site, *record->packet);
     CallSlot& slot = task->slot(record->site);
     slot.sent_to = {dest};
     slot.prelinked = true;
@@ -1303,8 +1322,8 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
     slot.prelink_prev_owner = prev_owner;
     rt_.recorder().record(
         rt_.sim().now(), obs::EventKind::kPreLink,
-        {.proc = id_, .peer = dest, .stamp = &record->packet.stamp}, [&] {
-          return record->packet.stamp.to_string() + " awaiting P" +
+        {.proc = id_, .peer = dest, .stamp = &record->stamp}, [&] {
+          return record->stamp.to_string() + " awaiting P" +
                  std::to_string(dest);
         });
   }

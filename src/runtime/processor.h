@@ -178,6 +178,12 @@ class Processor {
   }
 
   [[nodiscard]] checkpoint::CheckpointTable& table() noexcept { return table_; }
+  /// The task packets state transfer re-hosts on `rejoiner`: one per
+  /// checkpoint held against it — a replayed record's own packet, or else
+  /// the packet its owner slot retains. A record whose owner is gone
+  /// (rollback aborts an orphan without releasing what it retained) guards
+  /// work whose result nobody would consume, so it ships nothing.
+  [[nodiscard]] std::vector<TaskPacket> packets_against(net::ProcId rejoiner);
   [[nodiscard]] Runtime& runtime() noexcept { return rt_; }
   [[nodiscard]] core::Counters& counters() noexcept { return counters_; }
   [[nodiscard]] const store::DurableStore& durable_store() const noexcept {

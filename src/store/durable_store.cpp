@@ -1,5 +1,7 @@
 #include "store/durable_store.h"
 
+#include <cassert>
+
 #include "util/rng.h"
 
 namespace splice::store {
@@ -22,11 +24,16 @@ void DurableStore::append(LogEntry entry) {
 }
 
 void DurableStore::on_record(net::ProcId dest,
-                             const checkpoint::CheckpointRecord& record) {
+                             const checkpoint::CheckpointRecord& record,
+                             const runtime::TaskPacket& packet) {
   LogEntry entry;
   entry.op = Op::kRecord;
   entry.dest = dest;
-  entry.record = record;
+  entry.record.owner = record.owner;
+  entry.record.stamp = record.stamp;
+  entry.record.site = record.site;
+  entry.record.units = record.units;
+  entry.record.packet = packet;
   append(std::move(entry));
 }
 
@@ -35,7 +42,7 @@ void DurableStore::on_release(net::ProcId dest,
   LogEntry entry;
   entry.op = Op::kRelease;
   entry.dest = dest;
-  entry.stamp = stamp;
+  entry.record.stamp = stamp;
   append(std::move(entry));
 }
 
@@ -76,17 +83,16 @@ std::size_t DurableStore::replay_into(checkpoint::CheckpointTable& table) {
         // in the same crash: there is nothing to await or reissue from it,
         // so it does not survive the replay.
         if (entry.dest == self_) break;
-        checkpoint::CheckpointRecord record = entry.record;
-        record.restored = true;
-        table.record(entry.dest, std::move(record));
+        assert(entry.record.restored());
+        table.record(entry.dest, entry.record, *entry.record.packet);
         break;
       }
       case Op::kRelease:
         // The entry key may have drifted (a lossy log can lose the record's
         // own append); fall back to a stamp-wide release, which is a no-op
         // when the record is already gone.
-        if (!table.release(entry.dest, entry.stamp)) {
-          table.release_anywhere(entry.stamp);
+        if (!table.release(entry.dest, entry.record.stamp)) {
+          table.release_anywhere(entry.record.stamp);
         }
         break;
       case Op::kTake:

@@ -9,8 +9,10 @@
 //
 // Replay is order-preserving: a record followed by its release nets out, a
 // take drops the whole entry, and a lossy-lost release merely leaves a
-// stale (harmless, re-releasable) record. Replayed records are marked
-// `restored` because their owner tasks died with the node.
+// stale (harmless, re-releasable) record. Every kRecord entry stores the
+// full task packet, and a replayed record carries it (`restored()`),
+// because its owner task — whose call slot held the live copy — died with
+// the node.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +32,10 @@ class DurableStore final : public checkpoint::CheckpointTable::Listener {
   struct LogEntry {
     Op op = Op::kRecord;
     std::uint64_t incarnation = 0;
-    net::ProcId dest = net::kNoProc;      // record/release: entry; take: dead
-    checkpoint::CheckpointRecord record;  // kRecord payload
-    runtime::LevelStamp stamp;            // kRelease payload
+    net::ProcId dest = net::kNoProc;  // record/release: entry; take: dead
+    /// kRecord: the record, carrying its packet. kRelease: `stamp` names
+    /// the released record.
+    checkpoint::CheckpointRecord record;
   };
 
   /// `seed` feeds the lossy-survival RNG stream; combined with `self` and
@@ -53,8 +56,8 @@ class DurableStore final : public checkpoint::CheckpointTable::Listener {
   }
 
   // ---- CheckpointTable::Listener ------------------------------------------
-  void on_record(net::ProcId dest,
-                 const checkpoint::CheckpointRecord& record) override;
+  void on_record(net::ProcId dest, const checkpoint::CheckpointRecord& record,
+                 const runtime::TaskPacket& packet) override;
   void on_release(net::ProcId dest,
                   const runtime::LevelStamp& stamp) override;
   void on_take(net::ProcId dead) override;
@@ -66,15 +69,16 @@ class DurableStore final : public checkpoint::CheckpointTable::Listener {
 
   /// Replay the surviving log, in order, into `table` (which must have no
   /// listener attached — replay must not re-log itself). Every surviving
-  /// record is inserted with `restored = true`, except records held
-  /// against this node itself — their children died in the same crash, so
-  /// they do not survive the replay. Returns the number of records live in
-  /// the table afterwards.
+  /// record is inserted carrying its packet (`restored()`), except records
+  /// held against this node itself — their children died in the same
+  /// crash, so they do not survive the replay. Returns the number of
+  /// records live in the table afterwards.
   std::size_t replay_into(checkpoint::CheckpointTable& table);
 
-  /// Compact the log to exactly the live contents of `table` (post-replay):
-  /// the new log is one kRecord entry per live record, stamped with the
-  /// current incarnation.
+  /// Compact the log to exactly the live contents of `table` (post-replay,
+  /// so every record carries the packet its entry must store): the new log
+  /// is one kRecord entry per live record, stamped with the current
+  /// incarnation.
   void compact_from(const checkpoint::CheckpointTable& table);
 
   /// Drop everything (cold rejoin: the new life starts blank).

@@ -18,7 +18,9 @@
 //     re-crashes mid-transfer must neither strand nor duplicate work;
 //   * determinism A/B (replay identity of the full cancel traffic);
 //   * regression guards for the cancel/ack races: stale-lineage acks and
-//     double releases of a checkpoint entry.
+//     double releases of a checkpoint entry;
+//   * checkpoint ownership: a result releases the record its own slot
+//     filed, and state transfer re-hosts no record whose owner is gone.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,7 +29,11 @@
 #include "checkpoint/checkpoint_table.h"
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "net/network.h"
 #include "recovery/recovery_oracle.h"
+#include "runtime/processor.h"
+#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "store/persistency.h"
 
 namespace splice {
@@ -343,18 +349,22 @@ TEST(CancelProtocol, ReleaseAnywhereIsIdempotent) {
   // must not double-release the checkpoint entry: the second release of
   // the same stamp finds nothing, counts nothing, and the totals stay sane.
   checkpoint::CheckpointTable table(/*self=*/0, /*processors=*/16);
+  runtime::TaskPacket packet;
+  packet.stamp = runtime::LevelStamp::root().child(3);
   checkpoint::CheckpointRecord record;
   record.owner = 42;
   record.site = 3;
-  record.packet.stamp = runtime::LevelStamp::root().child(3);
-  ASSERT_EQ(table.record(/*dest=*/9, record),
+  ASSERT_EQ(table.record(/*dest=*/9, record, packet),
             checkpoint::RecordOutcome::kRecorded);
-  ASSERT_TRUE(table.contains(9, record.packet.stamp));
+  record = table.entry(9)[0];
+  EXPECT_EQ(record.stamp, packet.stamp);
+  EXPECT_EQ(record.units, packet.size_units());
+  ASSERT_TRUE(table.contains(9, record.stamp));
   EXPECT_EQ(table.total_records(), 1U);
 
-  EXPECT_TRUE(table.release_anywhere(record.packet.stamp));   // result path
-  EXPECT_FALSE(table.release_anywhere(record.packet.stamp));  // cancel path
-  EXPECT_FALSE(table.contains(9, record.packet.stamp));
+  EXPECT_TRUE(table.release_anywhere(record.stamp));   // result path
+  EXPECT_FALSE(table.release_anywhere(record.stamp));  // cancel path
+  EXPECT_FALSE(table.contains(9, record.stamp));
   EXPECT_EQ(table.total_records(), 0U);
   EXPECT_EQ(table.released(), 1U);  // the no-op release is not counted
 }
@@ -363,15 +373,152 @@ TEST(CancelProtocol, ContainsTracksRecordAndRelease) {
   checkpoint::CheckpointTable table(/*self=*/2, /*processors=*/32);
   const auto stamp = runtime::LevelStamp::root().child(5).child(1);
   EXPECT_FALSE(table.contains(17, stamp));
+  runtime::TaskPacket packet;
+  packet.stamp = stamp;
   checkpoint::CheckpointRecord record;
   record.owner = 7;
   record.site = 1;
-  record.packet.stamp = stamp;
-  table.record(17, record);
+  table.record(17, record, packet);
   EXPECT_TRUE(table.contains(17, stamp));
   EXPECT_FALSE(table.contains(18, stamp));  // held against 17, not 18
   table.release(17, stamp);
   EXPECT_FALSE(table.contains(17, stamp));
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint ownership: a record indexes the call slot that retains it
+// ---------------------------------------------------------------------------
+
+/// A runtime nobody starts, its processor 0 frozen: the tests place tasks
+/// and checkpoints there by hand and call its handlers directly, so no
+/// scan runs and the table holds exactly what the test filed.
+struct HandMachine {
+  HandMachine()
+      : cfg(cancel_config(1)),
+        network(simulator, net::Topology(cfg.topology, cfg.processors),
+                cfg.latency),
+        rt(simulator, network, cfg, program) {
+    proc().freeze();
+  }
+
+  runtime::Processor& proc() { return rt.processor(0); }
+  checkpoint::CheckpointTable& table() { return proc().table(); }
+
+  /// Accept a task with `stamp`, spawned by `parent`, on processor 0.
+  runtime::Task& host(const runtime::LevelStamp& stamp,
+                      runtime::TaskRef parent) {
+    runtime::TaskPacket packet;
+    packet.stamp = stamp;
+    packet.ancestors.push_back(parent);
+    return *proc().find_task(proc().accept_packet(std::move(packet)));
+  }
+
+  /// File `owner`'s spawn of the child at `site` onto `dest` the way a
+  /// send does: the slot retains the packet, the table indexes the slot.
+  runtime::TaskPacket spawn(runtime::Task& owner, runtime::StampDigit site,
+                            net::ProcId dest) {
+    runtime::TaskPacket child;
+    child.stamp = owner.stamp().child(site);
+    child.call_site = site;
+    child.args.push_back(lang::Value::integer(site));
+    child.ancestors.push_back(runtime::TaskRef{0, owner.uid()});
+    owner.note_spawned(site, child);
+    owner.slot(site).sent_to = {dest};
+    checkpoint::CheckpointRecord record;
+    record.owner = owner.uid();
+    record.site = site;
+    table().record(dest, record, child);
+    return child;
+  }
+
+  core::SystemConfig cfg;
+  lang::Program program = lang::programs::fib(3);
+  sim::Simulator simulator;
+  net::Network network;
+  runtime::Runtime rt;
+};
+
+TEST(CancelProtocol, ResultReleasesItsOwnSlotsCheckpoint) {
+  // Two live instances of one task on a processor (a duplicate lineage
+  // racing its replacement) each file the same child stamp against a
+  // different destination. A result must release the record its own slot
+  // filed: releasing the other owner's would silently drop that owner's
+  // reissue obligation toward its destination. Both delivery orders run,
+  // so no lookup order can pass by luck.
+  for (const bool first_delivers : {true, false}) {
+    SCOPED_TRACE(first_delivers ? "first owner delivers"
+                                : "second owner delivers");
+    HandMachine m;
+    const runtime::LevelStamp stamp = runtime::LevelStamp::root().child(1);
+    runtime::Task& first = m.host(stamp, runtime::TaskRef{1, 100});
+    runtime::Task& second = m.host(stamp, runtime::TaskRef{2, 200});
+    const runtime::TaskPacket child = m.spawn(first, /*site=*/3, /*dest=*/5);
+    ASSERT_EQ(m.spawn(second, 3, 6).stamp, child.stamp);
+    ASSERT_TRUE(m.table().contains(5, child.stamp));
+    ASSERT_TRUE(m.table().contains(6, child.stamp));
+
+    runtime::Task& delivering = first_delivers ? first : second;
+    const net::ProcId own = first_delivers ? 5 : 6;
+    const net::ProcId other = first_delivers ? 6 : 5;
+    runtime::ResultMsg result;
+    result.stamp = child.stamp;
+    result.call_site = 3;
+    result.value = lang::Value::integer(2);
+    result.target = runtime::TaskRef{0, delivering.uid()};
+    m.proc().deliver_parent_result(delivering, result);
+
+    EXPECT_TRUE(delivering.slot(3).resolved());
+    EXPECT_FALSE(m.table().contains(own, child.stamp));
+    EXPECT_TRUE(m.table().contains(other, child.stamp));
+    ASSERT_EQ(m.table().total_records(), 1U);
+  }
+}
+
+TEST(CancelProtocol, StateTransferShipsNoRecordWhoseOwnerIsGone) {
+  // Rollback with cancellation off aborts an orphan without releasing the
+  // records it retained. Such a record guards work whose result nobody
+  // would consume, so state transfer must not re-host it. A replayed
+  // record's owner died with the node too, but the record carries its own
+  // packet and re-hosts from that.
+  HandMachine m;
+  runtime::Task& owner =
+      m.host(runtime::LevelStamp::root().child(1), runtime::TaskRef{1, 100});
+  const runtime::TaskPacket live = m.spawn(owner, /*site=*/2, /*dest=*/4);
+
+  runtime::Task& orphan =
+      m.host(runtime::LevelStamp::root().child(2), runtime::TaskRef{1, 100});
+  const runtime::TaskPacket stranded = m.spawn(orphan, 2, 4);
+  const runtime::TaskUid orphan_uid = orphan.uid();
+  ASSERT_EQ(m.proc().abort_tasks_if(
+                [&](runtime::Task& task) { return task.uid() == orphan_uid; },
+                "orphan: parent processor failed"),
+            1U);
+  ASSERT_TRUE(m.table().contains(4, stranded.stamp));  // outlived its owner
+
+  runtime::TaskPacket replayed;
+  replayed.stamp = runtime::LevelStamp::root().child(3).child(0);
+  replayed.args.push_back(lang::Value::integer(9));
+  replayed.ancestors.push_back(runtime::TaskRef{0, 999});
+  checkpoint::CheckpointRecord record;
+  record.owner = 999;  // a task of the previous incarnation
+  record.site = 0;
+  record.packet = replayed;
+  m.table().record(4, record, replayed);
+  ASSERT_EQ(m.table().entry(4).size(), 3U);
+
+  const std::vector<runtime::TaskPacket> shipped = m.proc().packets_against(4);
+  ASSERT_EQ(shipped.size(), 2U);
+  for (const runtime::TaskPacket& packet : shipped) {
+    EXPECT_NE(packet.stamp, stranded.stamp);
+  }
+  // The live record ships the packet its owner's slot retains.
+  EXPECT_EQ(shipped[0].stamp, live.stamp);
+  EXPECT_EQ(shipped[0].args[0], live.args[0]);
+  EXPECT_EQ(shipped[0].parent(), (runtime::TaskRef{0, owner.uid()}));
+  // The replayed record ships its own.
+  EXPECT_EQ(shipped[1].stamp, replayed.stamp);
+  EXPECT_EQ(shipped[1].args[0], lang::Value::integer(9));
+  EXPECT_EQ(shipped[1].parent(), (runtime::TaskRef{0, 999}));
 }
 
 }  // namespace

@@ -11,23 +11,59 @@ namespace {
 using runtime::LevelStamp;
 using runtime::TaskPacket;
 
-CheckpointRecord make_record(const LevelStamp& stamp,
-                             runtime::TaskUid owner = 10,
-                             lang::ExprId site = 1) {
+TaskPacket packet_for(const LevelStamp& stamp) {
+  TaskPacket packet;
+  packet.stamp = stamp;
+  packet.fn = 0;
+  return packet;
+}
+
+/// Record the spawn of `stamp` onto `dest` by call site `site` of `owner`.
+RecordOutcome record_spawn(CheckpointTable& table, net::ProcId dest,
+                           const LevelStamp& stamp,
+                           runtime::TaskUid owner = 10, lang::ExprId site = 1) {
   CheckpointRecord record;
   record.owner = owner;
   record.site = site;
-  record.packet.stamp = stamp;
-  record.packet.fn = 0;
-  return record;
+  return table.record(dest, std::move(record), packet_for(stamp));
 }
 
 TEST(CheckpointTable, RecordsTopmostPerDestination) {
   CheckpointTable table(/*self=*/2, /*processors=*/4);
   const LevelStamp b2 = LevelStamp::root().child(1).child(0);
-  EXPECT_EQ(table.record(1, make_record(b2)), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, b2), RecordOutcome::kRecorded);
   EXPECT_EQ(table.entry(1).size(), 1U);
   EXPECT_EQ(table.total_records(), 1U);
+}
+
+TEST(CheckpointTable, LiveRecordIndexesItsSlotWithoutAPacketCopy) {
+  // The owner's call slot keeps the only copy of a live record's packet:
+  // the record takes the stamp and size from it and boxes nothing.
+  CheckpointTable table(0, 4);
+  const LevelStamp b2 = LevelStamp::root().child(1).child(0);
+  TaskPacket packet = packet_for(b2);
+  packet.args.push_back(lang::Value::integer(42));
+  CheckpointRecord record;
+  record.owner = 7;
+  record.site = 3;
+  ASSERT_EQ(table.record(1, record, packet), RecordOutcome::kRecorded);
+  const CheckpointRecord& held = table.entry(1)[0];
+  EXPECT_EQ(held.owner, 7U);
+  EXPECT_EQ(held.site, 3U);
+  EXPECT_EQ(held.stamp, b2);
+  EXPECT_EQ(held.units, packet.size_units());
+  EXPECT_EQ(table.total_units(), packet.size_units());
+  EXPECT_FALSE(held.restored());
+
+  // A replayed record carries its own packet.
+  CheckpointRecord replayed;
+  replayed.owner = 8;
+  replayed.site = 2;
+  replayed.packet = packet_for(LevelStamp::root().child(2));
+  ASSERT_EQ(table.record(2, replayed, *replayed.packet),
+            RecordOutcome::kRecorded);
+  EXPECT_TRUE(table.entry(2)[0].restored());
+  EXPECT_EQ(table.entry(2)[0].packet->stamp, LevelStamp::root().child(2));
 }
 
 TEST(CheckpointTable, DescendantIsSubsumed) {
@@ -36,8 +72,8 @@ TEST(CheckpointTable, DescendantIsSubsumed) {
   CheckpointTable table(2, 4);
   const LevelStamp b2 = LevelStamp::root().child(1).child(0);
   const LevelStamp b5 = b2.child(3).child(0).child(2);  // descendant
-  EXPECT_EQ(table.record(1, make_record(b2)), RecordOutcome::kRecorded);
-  EXPECT_EQ(table.record(1, make_record(b5)), RecordOutcome::kSubsumed);
+  EXPECT_EQ(record_spawn(table, 1, b2), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, b5), RecordOutcome::kSubsumed);
   EXPECT_EQ(table.entry(1).size(), 1U);
   EXPECT_EQ(table.subsumed(), 1U);
 }
@@ -46,9 +82,9 @@ TEST(CheckpointTable, SubsumptionIsPerDestination) {
   CheckpointTable table(2, 4);
   const LevelStamp b2 = LevelStamp::root().child(1).child(0);
   const LevelStamp b5 = b2.child(3);
-  EXPECT_EQ(table.record(1, make_record(b2)), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, b2), RecordOutcome::kRecorded);
   // Same stamps toward a different destination are independent.
-  EXPECT_EQ(table.record(3, make_record(b5)), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 3, b5), RecordOutcome::kRecorded);
   EXPECT_EQ(table.entry(3).size(), 1U);
 }
 
@@ -57,27 +93,27 @@ TEST(CheckpointTable, AncestorArrivingLateEvictsDescendants) {
   const LevelStamp parent = LevelStamp::root().child(2);
   const LevelStamp kid_a = parent.child(0);
   const LevelStamp kid_b = parent.child(1);
-  EXPECT_EQ(table.record(1, make_record(kid_a)), RecordOutcome::kRecorded);
-  EXPECT_EQ(table.record(1, make_record(kid_b)), RecordOutcome::kRecorded);
-  EXPECT_EQ(table.record(1, make_record(parent)), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, kid_a), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, kid_b), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, parent), RecordOutcome::kRecorded);
   ASSERT_EQ(table.entry(1).size(), 1U);
-  EXPECT_EQ(table.entry(1)[0].packet.stamp, parent);
+  EXPECT_EQ(table.entry(1)[0].stamp, parent);
 }
 
 TEST(CheckpointTable, SiblingsCoexist) {
   CheckpointTable table(0, 4);
   const LevelStamp a = LevelStamp::root().child(1);
   const LevelStamp b = LevelStamp::root().child(2);
-  EXPECT_EQ(table.record(1, make_record(a)), RecordOutcome::kRecorded);
-  EXPECT_EQ(table.record(1, make_record(b)), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, a), RecordOutcome::kRecorded);
+  EXPECT_EQ(record_spawn(table, 1, b), RecordOutcome::kRecorded);
   EXPECT_EQ(table.entry(1).size(), 2U);
 }
 
 TEST(CheckpointTable, TakeEmptiesEntryAndReturnsAll) {
   CheckpointTable table(0, 4);
-  table.record(1, make_record(LevelStamp::root().child(1)));
-  table.record(1, make_record(LevelStamp::root().child(2)));
-  table.record(2, make_record(LevelStamp::root().child(3)));
+  record_spawn(table, 1, LevelStamp::root().child(1));
+  record_spawn(table, 1, LevelStamp::root().child(2));
+  record_spawn(table, 2, LevelStamp::root().child(3));
   auto taken = table.take(1);
   EXPECT_EQ(taken.size(), 2U);
   EXPECT_TRUE(table.entry(1).empty());
@@ -88,8 +124,8 @@ TEST(CheckpointTable, ReleaseRemovesExactStamp) {
   CheckpointTable table(0, 4);
   const LevelStamp a = LevelStamp::root().child(1);
   const LevelStamp b = LevelStamp::root().child(2);
-  table.record(1, make_record(a));
-  table.record(1, make_record(b));
+  record_spawn(table, 1, a);
+  record_spawn(table, 1, b);
   EXPECT_TRUE(table.release(1, a));
   EXPECT_FALSE(table.release(1, a));  // already gone
   EXPECT_EQ(table.entry(1).size(), 1U);
@@ -99,15 +135,15 @@ TEST(CheckpointTable, ReleaseRemovesExactStamp) {
 TEST(CheckpointTable, ReleaseAnywhereScansAllEntries) {
   CheckpointTable table(0, 4);
   const LevelStamp a = LevelStamp::root().child(7);
-  table.record(3, make_record(a));
+  record_spawn(table, 3, a);
   EXPECT_TRUE(table.release_anywhere(a));
   EXPECT_FALSE(table.release_anywhere(a));
 }
 
 TEST(CheckpointTable, PeaksAreMonotone) {
   CheckpointTable table(0, 4);
-  table.record(1, make_record(LevelStamp::root().child(1)));
-  table.record(1, make_record(LevelStamp::root().child(2)));
+  record_spawn(table, 1, LevelStamp::root().child(1));
+  record_spawn(table, 1, LevelStamp::root().child(2));
   const auto peak = table.peak_records();
   EXPECT_EQ(peak, 2U);
   table.release(1, LevelStamp::root().child(1));
@@ -128,18 +164,16 @@ TEST(CheckpointTableProperty, EntriesAreAntichains) {
       for (std::uint64_t d = 0; d < depth; ++d) {
         s = s.child(static_cast<runtime::StampDigit>(rng.next_below(3)));
       }
-      table.record(static_cast<net::ProcId>(rng.next_below(3)),
-                   make_record(s));
+      record_spawn(table, static_cast<net::ProcId>(rng.next_below(3)), s);
     }
     for (net::ProcId dest = 0; dest < 3; ++dest) {
       const auto& entry = table.entry(dest);
       for (std::size_t i = 0; i < entry.size(); ++i) {
         for (std::size_t j = 0; j < entry.size(); ++j) {
           if (i == j) continue;
-          EXPECT_FALSE(
-              entry[i].packet.stamp.subsumes(entry[j].packet.stamp))
-              << "entry " << dest << ": " << entry[i].packet.stamp.to_string()
-              << " subsumes " << entry[j].packet.stamp.to_string();
+          EXPECT_FALSE(entry[i].stamp.subsumes(entry[j].stamp))
+              << "entry " << dest << ": " << entry[i].stamp.to_string()
+              << " subsumes " << entry[j].stamp.to_string();
         }
       }
     }
@@ -158,12 +192,12 @@ TEST(CheckpointTableProperty, EverySpawnIsCoveredByAnEntry) {
     for (std::uint64_t d = 0; d < depth; ++d) {
       s = s.child(static_cast<runtime::StampDigit>(rng.next_below(2)));
     }
-    table.record(1, make_record(s));
+    record_spawn(table, 1, s);
     spawned.push_back(s);
     for (const LevelStamp& stamp : spawned) {
       bool covered = false;
       for (const auto& record : table.entry(1)) {
-        if (record.packet.stamp.subsumes(stamp)) {
+        if (record.stamp.subsumes(stamp)) {
           covered = true;
           break;
         }

@@ -282,6 +282,10 @@ TEST(Boxed, ClonedEnvelopeOwnsAnIndependentPayload) {
 TEST(Boxed, MovedFromBoxIsSafeToDestroyAndReassign) {
   runtime::AckMsg ack;
   ack.replica = 3;
+  // A default-built box is empty, like a moved-from one.
+  const Boxed<runtime::AckMsg> unset;
+  EXPECT_FALSE(unset.has_value());
+  EXPECT_FALSE(Boxed<runtime::AckMsg>(unset).has_value());
   Boxed<runtime::AckMsg> box(ack);
   Boxed<runtime::AckMsg> taken(std::move(box));
   // NOLINTBEGIN(bugprone-use-after-move): moved-from state is the contract

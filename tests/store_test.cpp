@@ -28,13 +28,20 @@ TaskPacket packet_for(LevelStamp::Digits digits) {
   return packet;
 }
 
-CheckpointRecord record_for(LevelStamp::Digits digits,
-                            runtime::TaskUid owner) {
+CheckpointRecord record_for(const TaskPacket& packet, runtime::TaskUid owner) {
   CheckpointRecord record;
   record.owner = owner;
-  record.site = digits.back();
-  record.packet = packet_for(std::move(digits));
+  record.site = packet.stamp.digits().back();
+  record.stamp = packet.stamp;
+  record.units = packet.size_units();
   return record;
+}
+
+/// Record the spawn of the packet for `digits` onto `dest` by `owner`.
+void record_spawn(CheckpointTable& table, net::ProcId dest,
+                  LevelStamp::Digits digits, runtime::TaskUid owner) {
+  const TaskPacket packet = packet_for(std::move(digits));
+  table.record(dest, record_for(packet, owner), packet);
 }
 
 // ---------------------------------------------------------------------------
@@ -46,13 +53,13 @@ TEST(DurableStore, ReplayRoundTripEqualsLiveTable) {
   DurableStore store(0, Persistency::kLocal, 1.0, 99);
   live.set_listener(&store);
 
-  live.record(1, record_for({1}, 10));
-  live.record(1, record_for({2}, 10));
-  live.record(2, record_for({3}, 11));
-  live.record(3, record_for({4}, 11));
+  record_spawn(live, 1, {1}, 10);
+  record_spawn(live, 1, {2}, 10);
+  record_spawn(live, 2, {3}, 11);
+  record_spawn(live, 3, {4}, 11);
   EXPECT_TRUE(live.release(1, LevelStamp({2})));   // child returned
   (void)live.take(3);                              // P3 died, reissued
-  live.record(2, record_for({4}, 11));             // ... onto P2
+  record_spawn(live, 2, {4}, 11);                  // ... onto P2
 
   store.on_crash(0);  // local: everything survives
   CheckpointTable replayed(0, 4);
@@ -63,10 +70,13 @@ TEST(DurableStore, ReplayRoundTripEqualsLiveTable) {
     ASSERT_EQ(replayed.entry(dest).size(), live.entry(dest).size())
         << "entry P" << dest;
     for (std::size_t i = 0; i < live.entry(dest).size(); ++i) {
-      EXPECT_EQ(replayed.entry(dest)[i].packet.stamp,
-                live.entry(dest)[i].packet.stamp);
-      EXPECT_TRUE(replayed.entry(dest)[i].restored);
-      EXPECT_FALSE(live.entry(dest)[i].restored);
+      EXPECT_EQ(replayed.entry(dest)[i].stamp, live.entry(dest)[i].stamp);
+      EXPECT_EQ(replayed.entry(dest)[i].units, live.entry(dest)[i].units);
+      EXPECT_TRUE(replayed.entry(dest)[i].restored());
+      EXPECT_FALSE(live.entry(dest)[i].restored());
+      // The log stored the full packet, so the replayed record carries it.
+      EXPECT_EQ(replayed.entry(dest)[i].packet->stamp,
+                live.entry(dest)[i].stamp);
     }
   }
 }
@@ -75,7 +85,7 @@ TEST(DurableStore, PersistencyNoneLogsNothingAndLosesAll) {
   CheckpointTable live(0, 2);
   DurableStore store(0, Persistency::kNone, 1.0, 1);
   live.set_listener(&store);
-  live.record(1, record_for({1}, 10));
+  record_spawn(live, 1, {1}, 10);
   EXPECT_FALSE(store.enabled());
   EXPECT_TRUE(store.log().empty());  // volatile stores skip journaling
   store.on_crash(0);
@@ -90,7 +100,7 @@ TEST(DurableStore, LossySurvivalIsSeededAndDeterministic) {
     DurableStore store(0, Persistency::kLossy, p, seed);
     live.set_listener(&store);
     for (runtime::StampDigit d = 1; d <= 40; ++d) {
-      live.record(static_cast<net::ProcId>(d % 8), record_for({d}, d));
+      record_spawn(live, static_cast<net::ProcId>(d % 8), {d}, d);
     }
     store.on_crash(/*dying=*/3);
     return store.log().size();
@@ -110,7 +120,8 @@ TEST(DurableStore, LossyLostReleaseLeavesHarmlessStaleRecord) {
   // redundant reissue later, never a lost obligation.
   DurableStore store(0, Persistency::kLocal, 1.0, 1);
   store.set_incarnation(0);
-  store.on_record(1, record_for({1}, 10));
+  const TaskPacket packet = packet_for({1});
+  store.on_record(1, record_for(packet, 10), packet);
   CheckpointTable replayed(0, 2);
   EXPECT_EQ(store.replay_into(replayed), 1U);
   EXPECT_EQ(replayed.entry(1).size(), 1U);
@@ -120,21 +131,21 @@ TEST(DurableStore, CompactRewritesLogToLiveRecords) {
   CheckpointTable live(0, 4);
   DurableStore store(0, Persistency::kLocal, 1.0, 1);
   live.set_listener(&store);
-  live.record(1, record_for({1}, 10));
-  live.record(2, record_for({2}, 10));
+  record_spawn(live, 1, {1}, 10);
+  record_spawn(live, 2, {2}, 10);
   EXPECT_TRUE(live.release(1, LevelStamp({1})));
   EXPECT_EQ(store.log().size(), 3U);  // record, record, release
   store.compact_from(live);
   EXPECT_EQ(store.log().size(), 1U);  // one live record remains
-  EXPECT_EQ(store.log()[0].record.packet.stamp, LevelStamp({2}));
+  EXPECT_EQ(store.log()[0].record.stamp, LevelStamp({2}));
 }
 
 TEST(DurableStore, TakeLogsTheWholeEntryDrop) {
   CheckpointTable live(0, 4);
   DurableStore store(0, Persistency::kLocal, 1.0, 1);
   live.set_listener(&store);
-  live.record(1, record_for({1}, 10));
-  live.record(1, record_for({2}, 10));
+  record_spawn(live, 1, {1}, 10);
+  record_spawn(live, 1, {2}, 10);
   (void)live.take(1);
   store.on_crash(0);
   CheckpointTable replayed(0, 4);
