@@ -11,6 +11,7 @@
 #include <map>
 
 #include "bench/harness.h"
+#include "obs/causal.h"
 
 using namespace splice;
 
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = core::RecoveryKind::kRollback;
   cfg.heartbeat_interval = 800;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
 
   // Long-running tasks so every spawn happens while nothing completes: the
   // static snapshot the paper's figure depicts.
@@ -36,11 +37,12 @@ int main(int argc, char** argv) {
   // dies, which is recovery, not the figure).
   core::Simulation clean_sim(cfg, program);
   const core::RunResult clean = clean_sim.run();
-  const core::Trace& trace = clean_sim.trace();
+  const obs::Journal journal = clean_sim.recorder().snapshot();
 
   core::Simulation faulted_sim(cfg, program);
   faulted_sim.set_fault_plan(net::FaultPlan::single(/*B=*/1, sim::SimTime(makespan / 2)));
   const core::RunResult r = faulted_sim.run();
+  const obs::Journal faulted = faulted_sim.recorder().snapshot();
 
   auto pname = [](net::ProcId p) {
     return std::string(1, static_cast<char>('A' + p));
@@ -50,9 +52,9 @@ int main(int argc, char** argv) {
   util::Table placement({"task", "processor (paper)", "processor (run)"});
   placement.set_title("Fig. 1 — call tree mapping");
   std::map<std::string, net::ProcId> placed;
-  for (const auto& e : trace.of_kind("place")) {
-    const std::string task = e.detail.substr(0, e.detail.find(' '));
-    if (!placed.contains(task)) placed[task] = e.proc;
+  for (const obs::Event& e : journal.events) {
+    if (e.kind != obs::EventKind::kPlace) continue;
+    placed.try_emplace(bench::task_name(program, e), e.proc);
   }
   for (const auto& node : lang::programs::figure1_nodes()) {
     placement.add_row({node.name, std::string(1, node.name[0]),
@@ -62,26 +64,33 @@ int main(int argc, char** argv) {
   bench::emit(placement, opt);
 
   // Table 2: checkpoint distribution toward processor B.
-  util::Table dist({"owner proc", "checkpoint", "outcome"});
+  // A checkpoint event names its holder (proc) and destination (peer);
+  // arg 1 marks one an ancestor's checkpoint subsumes (§3.2).
+  util::Table dist({"owner proc", "task", "journal event", "outcome"});
   dist.set_title("Fig. 1 — functional checkpoints held against processor B");
-  for (const auto& e : trace.of_kind("checkpoint")) {
-    if (e.detail.find("entry P1") == std::string::npos) continue;
-    const bool subsumed = e.detail.find("subsumed") != std::string::npos;
-    dist.add_row({pname(e.proc), e.detail.substr(0, e.detail.find(" entry")),
-                  subsumed ? "subsumed (descendant of a topmost)" : "topmost"});
+  for (const obs::Event& e : journal.events) {
+    if (e.kind != obs::EventKind::kCheckpoint || e.peer != 1) continue;
+    dist.add_row({pname(e.proc), bench::task_name(program, e),
+                  obs::render_event(e),
+                  e.arg == 1 ? "subsumed (descendant of a topmost)"
+                             : "topmost"});
   }
   bench::emit(dist, opt);
 
   // Table 3: recovery obligations executed when B died (faulted twin run).
-  util::Table reissue({"proc", "reissued task", "kind"});
+  util::Table reissue({"proc", "reissued task", "journal event", "kind"});
   reissue.set_title(
       "Fig. 1 — reissue set after B fails mid-run (rollback; B tasks that "
       "already returned need no reissue)");
-  for (const auto& e : faulted_sim.trace().of_kind("reissue")) {
-    reissue.add_row({pname(e.proc), e.detail, "rollback"});
-  }
-  for (const auto& e : faulted_sim.trace().of_kind("twin")) {
-    reissue.add_row({pname(e.proc), e.detail, "step-parent"});
+  for (const obs::EventKind kind :
+       {obs::EventKind::kReissue, obs::EventKind::kTwin}) {
+    for (const obs::Event& e : faulted.events) {
+      if (e.kind != kind) continue;
+      reissue.add_row({pname(e.proc), bench::task_name(program, e),
+                       obs::render_event(e),
+                       kind == obs::EventKind::kTwin ? "step-parent"
+                                                     : "rollback"});
+    }
   }
   bench::emit(reissue, opt);
 

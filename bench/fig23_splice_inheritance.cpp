@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
+#include "obs/causal.h"
 
 using namespace splice;
 
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = core::RecoveryKind::kSplice;
   cfg.heartbeat_interval = 800;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
 
   const lang::Program program = lang::programs::figure1_tree(2500);
   const std::int64_t makespan =
@@ -34,16 +35,17 @@ int main(int argc, char** argv) {
                              : std::string(1, static_cast<char>('A' + p));
   };
 
-  util::Table events({"t", "proc", "event", "detail"});
+  util::Table events({"proc", "task", "journal event"});
   events.set_title("Figs. 2/3 — splice recovery narrative (B dies mid-run)");
-  for (const auto& e : sim.trace().events()) {
-    if (e.kind != "crash" && e.kind != "detect" && e.kind != "twin" &&
-        e.kind != "relay" && e.kind != "salvage" && e.kind != "reissue" &&
-        e.kind != "stranded") {
+  using K = obs::EventKind;
+  for (const obs::Event& e : sim.recorder().snapshot().events) {
+    if (e.kind != K::kCrash && e.kind != K::kDetect && e.kind != K::kTwin &&
+        e.kind != K::kRelay && e.kind != K::kSalvage &&
+        e.kind != K::kReissue && e.kind != K::kStranded) {
       continue;
     }
-    events.add_row({util::Table::num(e.ticks), pname(e.proc), e.kind,
-                    e.detail});
+    events.add_row(
+        {pname(e.proc), bench::task_name(program, e), obs::render_event(e)});
   }
   bench::emit(events, opt);
 

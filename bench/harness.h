@@ -16,6 +16,7 @@
 
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "obs/journal.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -90,6 +91,15 @@ inline int correct_count(const std::vector<Replicate>& reps) {
     n += (r.result.completed && r.result.answer_correct) ? 1 : 0;
   }
   return n;
+}
+
+/// The function a journaled task event names, from its stamp; empty for
+/// machine-level events (crash, detect, ...), which carry neither a stamp
+/// nor a task uid.
+inline std::string task_name(const lang::Program& program,
+                             const obs::Event& event) {
+  if (event.stamp.is_root() && event.uid == 0) return {};
+  return program.function_at(event.stamp.digits()).name;
 }
 
 inline void emit(const util::Table& table, const Options& opt) {

@@ -1,4 +1,4 @@
-// Replays the paper's running example (Figures 1-3) with a narrated trace:
+// Replays the paper's running example (Figures 1-3) and prints its journal:
 //
 //   * the call tree A1..D5 is pinned onto processors A,B,C,D exactly as in
 //     Figure 1;
@@ -14,6 +14,7 @@
 
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "obs/causal.h"
 
 int main(int argc, char** argv) {
   using namespace splice;
@@ -25,14 +26,14 @@ int main(int argc, char** argv) {
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = core::RecoveryKind::kSplice;
   cfg.heartbeat_interval = 800;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
 
   const lang::Program program = lang::programs::figure1_tree(node_work);
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
 
   std::printf("Figure 1 call tree (17 tasks) pinned to processors A-D\n");
-  std::printf("fault-free makespan %lld ticks; killing processor B at t=%lld\n\n",
+  std::printf("fault-free makespan %lld ticks; killing processor B at t=%lld\n",
               static_cast<long long>(makespan),
               static_cast<long long>(makespan / 2));
 
@@ -40,16 +41,18 @@ int main(int argc, char** argv) {
   simulation.set_fault_plan(net::FaultPlan::single(1, sim::SimTime(makespan / 2)));
   const core::RunResult r = simulation.run();
 
-  auto proc_name = [](net::ProcId p) {
-    if (p == net::kNoProc) return std::string("host");
-    return std::string(1, static_cast<char>('A' + p));
-  };
-  for (const auto& e : simulation.trace().events()) {
+  // One journal line per protocol event, tagged with the function of the
+  // task it names (machine-level events carry neither stamp nor uid).
+  std::printf("journal (p0=A, p1=B, p2=C, p3=D):\n\n");
+  simulation.recorder().for_each([&](const obs::Event& e) {
     // Print the protocol-level story; skip raw placement noise.
-    if (e.kind == "place") continue;
-    std::printf("t=%-7lld [%s] %-10s %s\n", static_cast<long long>(e.ticks),
-                proc_name(e.proc).c_str(), e.kind.c_str(), e.detail.c_str());
-  }
+    if (e.kind == obs::EventKind::kPlace) return;
+    std::string line = obs::render_event(e);
+    if (!e.stamp.is_root() || e.uid != 0) {
+      line += "  [" + program.function_at(e.stamp.digits()).name + "]";
+    }
+    std::printf("%s\n", line.c_str());
+  });
 
   std::printf("\n%s\n", r.summary().c_str());
   std::printf("twins created (B2' and friends): %llu\n",

@@ -34,7 +34,7 @@ void SuperRoot::on_result(ResultMsg msg) {
       answer_ = msg.value;
       if (env_.recorder != nullptr) {
         env_.recorder->record(sim::SimTime::zero(), obs::EventKind::kAnswer,
-                              {}, [&] { return msg.value.to_string(); });
+                              {});
       }
     }
     return;

@@ -252,9 +252,6 @@ struct SystemConfig {
   /// program's reference work.
   std::int64_t deadline_ticks = 0;
 
-  /// Record a human-readable event trace (fig-walkthrough benches).
-  bool collect_trace = false;
-
   [[nodiscard]] std::string describe() const;
 };
 

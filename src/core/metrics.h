@@ -85,6 +85,7 @@ struct Counters {
   std::int64_t busy_ticks = 0;
 
   void merge(const Counters& other) noexcept;
+  [[nodiscard]] bool operator==(const Counters&) const = default;
 };
 
 /// Result of one simulated run.

@@ -96,41 +96,21 @@ RunResult Simulation::run() {
     // identical across transport backends.
     obs::Recorder& rec = runtime_->recorder();
     for (const auto& cut : injector_->armed_partitions()) {
-      const std::vector<net::ProcId> side = cut.side;
-      sim_->at(cut.start, [this, &rec, side] {
-        rec.record(sim_->now(), obs::EventKind::kPartition,
-                   {.proc = side.empty() ? net::kNoProc : side.front(),
-                    .arg = static_cast<std::uint64_t>(side.size())},
-                   [&] {
-                     std::string detail =
-                         "side of " + std::to_string(side.size()) + ":";
-                     for (net::ProcId p : side) {
-                       detail += ' ';
-                       detail += std::to_string(p);
-                     }
-                     return detail;
-                   });
+      const obs::Recorder::Fields fields{
+          .proc = cut.side.empty() ? net::kNoProc : cut.side.front(),
+          .arg = static_cast<std::uint64_t>(cut.side.size())};
+      sim_->at(cut.start, [this, &rec, fields] {
+        rec.record(sim_->now(), obs::EventKind::kPartition, fields);
       });
       if (cut.heal != sim::SimTime::max()) {
-        sim_->at(cut.heal, [this, &rec, side] {
-          rec.record(sim_->now(), obs::EventKind::kHeal,
-                     {.proc = side.empty() ? net::kNoProc : side.front(),
-                      .arg = static_cast<std::uint64_t>(side.size())},
-                     [&] {
-                       return "partition of " + std::to_string(side.size()) +
-                              " healed";
-                     });
+        sim_->at(cut.heal, [this, &rec, fields] {
+          rec.record(sim_->now(), obs::EventKind::kHeal, fields);
         });
       }
     }
     for (const auto& gray : injector_->plan().grays) {
-      sim_->at(gray.start, [this, &rec, gray] {
-        rec.record(sim_->now(), obs::EventKind::kGray, {.proc = gray.node},
-                   [&] {
-                     return "payload drop " +
-                            std::to_string(gray.payload_drop_p) + ", slow " +
-                            std::to_string(gray.slow_factor) + "x";
-                   });
+      sim_->at(gray.start, [this, &rec, node = gray.node] {
+        rec.record(sim_->now(), obs::EventKind::kGray, {.proc = node});
       });
     }
   }
@@ -165,16 +145,12 @@ RunResult Simulation::run() {
 
 std::int64_t Simulation::fault_free_makespan(const SystemConfig& config,
                                              const lang::Program& program) {
+  // Only the makespan is read: nobody reads the twin's journal.
   SystemConfig clean = config;
-  clean.collect_trace = false;
+  clean.obs.recorder = false;
   Simulation twin(clean, program);
   const RunResult result = twin.run();
   return result.makespan_ticks;
-}
-
-const Trace& Simulation::trace() const {
-  if (!runtime_) throw std::logic_error("trace: run() first");
-  return const_cast<runtime::Runtime&>(*runtime_).trace();
 }
 
 const obs::Recorder& Simulation::recorder() const {

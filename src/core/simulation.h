@@ -22,7 +22,6 @@
 
 #include "core/config.h"
 #include "core/metrics.h"
-#include "core/trace.h"
 #include "lang/interpreter.h"
 #include "lang/program.h"
 #include "net/fault_injector.h"
@@ -54,7 +53,6 @@ class Simulation {
       const SystemConfig& config, const lang::Program& program);
 
   // ---- post-run inspection --------------------------------------------------
-  [[nodiscard]] const Trace& trace() const;
   /// The flight recorder (journal + metrics). Valid after run().
   [[nodiscard]] const obs::Recorder& recorder() const;
   [[nodiscard]] runtime::Runtime& runtime_for_test() { return *runtime_; }

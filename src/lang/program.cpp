@@ -1,6 +1,7 @@
 #include "lang/program.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "lang/interpreter.h"
 
@@ -24,6 +25,20 @@ std::optional<FuncId> Program::find(const std::string& name) const {
     if (functions_[i].name == name) return static_cast<FuncId>(i);
   }
   return std::nullopt;
+}
+
+const FunctionDef& Program::function_at(
+    std::span<const ExprId> call_sites) const {
+  const FunctionDef* fn = &functions_.at(entry_);
+  for (const ExprId site : call_sites) {
+    if (site >= fn->nodes.size() ||
+        fn->nodes[site].kind != ExprKind::kCall) {
+      throw std::invalid_argument("function " + fn->name + ": call site " +
+                                  std::to_string(site) + " is no Call node");
+    }
+    fn = &functions_.at(fn->nodes[site].callee);
+  }
+  return *fn;
 }
 
 void Program::validate() const {

@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,12 @@ class Program {
     return functions_.size();
   }
   [[nodiscard]] std::optional<FuncId> find(const std::string& name) const;
+  /// The function a task runs, from its level stamp's digits (§3.1): walk
+  /// the call sites from the entry function, each one a Call node in the
+  /// previous function's body. Throws std::invalid_argument when a site
+  /// names no Call node.
+  [[nodiscard]] const FunctionDef& function_at(
+      std::span<const ExprId> call_sites) const;
 
   void set_entry(FuncId fn, std::vector<Value> args) {
     invalidate_reference();

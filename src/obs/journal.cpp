@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "net/codec.h"
@@ -10,9 +11,8 @@ namespace splice::obs {
 
 namespace {
 
-// One name per EventKind, in enum order. These are the historical
-// core::Trace kind strings (tests assert on them via Trace::contains), plus
-// the four kinds PR 8 introduces (state-chunk/partition/heal/gray).
+// One name per EventKind, in enum order: what render_event, the Perfetto
+// exporter and `splice_trace stats` print for each kind.
 // The array bound pins the entry *count*; the lint marker additionally
 // requires every enumerator to be named in the block, so a new kind cannot
 // silently value-initialize an empty name at the end of the table.
@@ -60,6 +60,16 @@ EventId lookup(const Map& map, const Key& key) {
   return it == map.end() ? kNoEvent : it->second;
 }
 
+// A dump is outside input (splice_trace --in FILE): a 32-bit field whose
+// varint does not fit is malformed, never silently truncated.
+std::uint32_t narrow(std::uint64_t value, const char* what) {
+  if (value > UINT32_MAX) {
+    throw std::runtime_error(std::string("journal: ") + what +
+                             " out of range");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 }  // namespace
 
 std::string_view to_string(EventKind kind) noexcept {
@@ -76,17 +86,11 @@ const Event* Journal::find(EventId id) const {
   return &events[static_cast<std::size_t>(id - first)];
 }
 
-void Recorder::configure(bool enabled, std::uint32_t capacity,
-                         bool keep_details) {
+void Recorder::configure(bool enabled, std::uint32_t capacity) {
   enabled_ = enabled && capacity > 0;
-  keep_details_ = keep_details;
   capacity_ = capacity;
   slots_.clear();
-  details_.clear();
-  if (enabled_) {
-    slots_.reserve(capacity_);
-    if (keep_details_) details_.reserve(capacity_);
-  }
+  if (enabled_) slots_.reserve(capacity_);
   head_ = 0;
   next_id_ = 1;
   dropped_ = 0;
@@ -94,19 +98,16 @@ void Recorder::configure(bool enabled, std::uint32_t capacity,
 }
 
 EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
-                              const Fields& fields, std::string* detail) {
+                              const Fields& fields) {
   // Claim the ring slot first and build the Event in place: the ring is
   // large and cache-cold, so one pass over the destination lines beats a
   // local Event plus a copy.
   Event* slot;
-  std::string* detail_slot = nullptr;
   if (slots_.size() < capacity_) {
     slot = &slots_.emplace_back();
-    if (keep_details_) detail_slot = &details_.emplace_back();
   } else {
     // Ring full: overwrite the oldest retained slot and count the drop.
     slot = &slots_[head_];
-    if (keep_details_) detail_slot = &details_[head_];
     head_ = (head_ + 1) % slots_.size();
     ++dropped_;
   }
@@ -123,13 +124,6 @@ EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
     event.stamp = runtime::LevelStamp{};  // reused slots must not leak one
   }
   event.arg = fields.arg;
-  if (detail_slot != nullptr) {
-    if (detail != nullptr) {
-      *detail_slot = std::move(*detail);
-    } else {
-      detail_slot->clear();
-    }
-  }
 
   // Metrics feed: spawn/complete drive the goodput window, completion
   // carries spawn→complete latency in arg.
@@ -324,7 +318,7 @@ Journal Recorder::snapshot() const {
   journal.header.dropped = dropped_;
   journal.events.reserve(slots_.size());
   Linker linker;
-  for_each([&](const Event& event, const std::string&) {
+  for_each([&](const Event& event) {
     Event& linked = journal.events.emplace_back(event);
     linked.cause = linker.cause_of(linked);
     linker.learn(linked);
@@ -370,12 +364,12 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
   }
   net::codec::Reader r(data + 4, size - 4);
   Journal journal;
-  journal.header.version = static_cast<std::uint32_t>(r.varint());
+  journal.header.version = narrow(r.varint(), "version");
   if (journal.header.version != 1) {
     throw std::runtime_error("journal: unsupported version");
   }
-  journal.header.rank = static_cast<std::uint32_t>(r.varint());
-  journal.header.processors = static_cast<std::uint32_t>(r.varint());
+  journal.header.rank = narrow(r.varint(), "rank");
+  journal.header.processors = narrow(r.varint(), "processors");
   journal.header.total_recorded = r.varint();
   journal.header.dropped = r.varint();
   const std::uint64_t count = r.varint();
@@ -397,9 +391,9 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
     }
     e.kind = static_cast<EventKind>(kind);
     const std::uint64_t proc = r.varint();
-    e.proc = proc == 0 ? net::kNoProc : static_cast<net::ProcId>(proc - 1);
+    e.proc = proc == 0 ? net::kNoProc : narrow(proc - 1, "proc");
     const std::uint64_t peer = r.varint();
-    e.peer = peer == 0 ? net::kNoProc : static_cast<net::ProcId>(peer - 1);
+    e.peer = peer == 0 ? net::kNoProc : narrow(peer - 1, "peer");
     e.uid = r.varint();
     e.cause = r.varint();
     e.arg = r.varint();
@@ -407,7 +401,7 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
     if (depth > 4096) throw std::runtime_error("journal: stamp too deep");
     runtime::LevelStamp::Digits digits;
     for (std::uint64_t d = 0; d < depth; ++d) {
-      digits.push_back(static_cast<runtime::StampDigit>(r.varint()));
+      digits.push_back(narrow(r.varint(), "stamp digit"));
     }
     e.stamp = runtime::LevelStamp(std::move(digits));
     journal.events.push_back(e);

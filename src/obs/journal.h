@@ -5,21 +5,19 @@
 // checkpoint → crash → detect → reissue → cancel — and this journal is that
 // argument made inspectable: every recovery-relevant protocol action is one
 // fixed-shape Event carrying sim-time, processor, level stamp, task uid and
-// a causal parent reference (the event that made this one happen). The
-// string Trace the figure walkthroughs read is a thin rendering view over
-// these typed events (Runtime::trace() materialises it on demand); the
-// causal query engine (obs/causal.h), the Perfetto exporter (obs/export.h)
-// and the splice_trace CLI all read the same journal.
+// a causal parent reference (the event that made this one happen). It is
+// the only record of a run's protocol events: the figure walkthroughs
+// render it line by line (obs::render_event), tests assert on its kinds and
+// fields, and the causal query engine (obs/causal.h), the Perfetto exporter
+// (obs/export.h) and the splice_trace CLI all read it.
 //
-// Cost discipline — identical to core::Trace's lazy-thunk contract:
+// Cost discipline:
 //  * recorder off (the default, and every throughput bench): record() is a
-//    single predictable branch, detail thunks are never evaluated, no
-//    allocation, no stamp copy;
+//    single predictable branch — no allocation, no stamp copy;
 //  * recorder on: a record is one ring-slot write plus the metrics feed
-//    (the ring overwrites the oldest entry once full and counts the drop);
-//    detail strings are built only when trace rendering is additionally
-//    enabled (collect_trace). Cause edges cost nothing here: snapshot()
-//    infers them when the journal is read.
+//    (the ring overwrites the oldest entry once full and counts the drop).
+//    Cause edges cost nothing here: snapshot() infers them when the
+//    journal is read.
 //
 // Determinism: the journal is a pure function of (config, program, fault
 // plan, seed) — the same run journals byte-identical event streams on the
@@ -31,10 +29,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "net/topology.h"
@@ -49,13 +44,13 @@ using EventId = std::uint64_t;
 inline constexpr EventId kNoEvent = 0;
 
 /// The event taxonomy. One entry per protocol action worth explaining; the
-/// string names (to_string) match the historical core::Trace kinds exactly,
-/// so the rendered view stays assertion-compatible.
+/// comment after each kind gives its to_string() name.
 enum class EventKind : std::uint8_t {
   // Task lifecycle.
   kPlace = 0,     // packet accepted, task resident ("place")
   kSpawn,         // DEMAND_IT sent a child packet ("spawn")
-  kCheckpoint,    // functional checkpoint recorded ("checkpoint")
+  kCheckpoint,    // functional checkpoint recorded ("checkpoint"); arg 1
+                  // when an ancestor's checkpoint subsumes it (§3.2)
   kComplete,      // task reduced to a value ("complete")
   kAbort,         // task reclaimed/aborted ("abort")
   // Faults and detection.
@@ -157,31 +152,17 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  /// `capacity` bounds the ring (entries); `keep_details` additionally
-  /// stores the rendered detail string of every event for the Trace view.
-  void configure(bool enabled, std::uint32_t capacity, bool keep_details);
+  /// `capacity` bounds the ring (entries).
+  void configure(bool enabled, std::uint32_t capacity);
   void set_rank(std::uint32_t rank) noexcept { header_rank_ = rank; }
   void set_processors(std::uint32_t n) noexcept { header_procs_ = n; }
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  [[nodiscard]] bool keeps_details() const noexcept { return keep_details_; }
 
   /// Record a typed event. Returns its id (kNoEvent when disabled).
   EventId record(sim::SimTime t, EventKind kind, const Fields& fields) {
     if (!enabled_) return kNoEvent;
-    return record_slow(t, kind, fields, nullptr);
-  }
-
-  /// Hot-path overload: the detail thunk is evaluated only when details are
-  /// kept (collect_trace), exactly like core::Trace's lazy add().
-  template <typename DetailFn>
-    requires std::is_invocable_r_v<std::string, DetailFn>
-  EventId record(sim::SimTime t, EventKind kind, const Fields& fields,
-                 DetailFn&& detail_fn) {
-    if (!enabled_) return kNoEvent;
-    if (!keep_details_) return record_slow(t, kind, fields, nullptr);
-    std::string detail = std::forward<DetailFn>(detail_fn)();
-    return record_slow(t, kind, fields, &detail);
+    return record_slow(t, kind, fields);
   }
 
   /// Ring + drop introspection (unit tests; stats lines).
@@ -191,17 +172,12 @@ class Recorder {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
-  /// Visit retained events oldest-first. Fn: void(const Event&, const
-  /// std::string& detail) — detail is empty unless keeps_details(), and
-  /// every cause is kNoEvent: only snapshot() fills causes.
+  /// Visit retained events oldest-first. Fn: void(const Event&) — every
+  /// cause is kNoEvent: only snapshot() fills causes.
   template <typename Fn>
   void for_each(Fn fn) const {
-    static const std::string kNoDetail;
     const std::size_t n = slots_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t at = (head_ + i) % n;
-      fn(slots_[at], details_.empty() ? kNoDetail : details_[at]);
-    }
+    for (std::size_t i = 0; i < n; ++i) fn(slots_[(head_ + i) % n]);
   }
 
   /// Copy the retained window out as a Journal (id order) and infer each
@@ -213,19 +189,14 @@ class Recorder {
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
  private:
-  EventId record_slow(sim::SimTime t, EventKind kind, const Fields& fields,
-                      std::string* detail);
+  EventId record_slow(sim::SimTime t, EventKind kind, const Fields& fields);
 
   bool enabled_ = false;
-  bool keep_details_ = false;
   std::uint32_t capacity_ = 0;
   std::uint32_t header_rank_ = 0;
   std::uint32_t header_procs_ = 0;
-  // The ring proper. Detail strings live in a parallel vector that is only
-  // populated under keep_details_, so the common recorder-on configuration
-  // writes a fixed-size Event per record and nothing else.
+  // The ring proper: one fixed-size Event per record.
   std::vector<Event> slots_;
-  std::vector<std::string> details_;
   std::size_t head_ = 0;  // index of the oldest retained slot once full
   EventId next_id_ = 1;
   std::uint64_t dropped_ = 0;

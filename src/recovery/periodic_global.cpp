@@ -41,8 +41,7 @@ void PeriodicGlobalPolicy::begin_snapshot() {
   ++snapshots_;
   snapshot_units_total_ += units;
   rt_->recorder().record(rt_->sim().now(), obs::EventKind::kSnapshot,
-                         {.arg = units},
-                         [&] { return std::to_string(units) + " units"; });
+                         {.arg = units});
   // "Virtually stop all computational operations while ... checkpointing
   // takes place": frozen for a state-size-dependent window.
   const auto freeze =
@@ -75,10 +74,7 @@ void PeriodicGlobalPolicy::restore() {
   // equivalent).
   parked_.clear();
   parked_results_.clear();
-  rt_->recorder().record(rt_->sim().now(), obs::EventKind::kRestore, {}, [&] {
-    return std::string(snapshot_valid_ ? "from last snapshot"
-                                       : "from scratch");
-  });
+  rt_->recorder().record(rt_->sim().now(), obs::EventKind::kRestore, {});
   if (!snapshot_valid_) {
     // Failure before the first snapshot: nothing saved, restart everything.
     for (net::ProcId p = 0; p < rt_->processor_count(); ++p) {
@@ -165,9 +161,7 @@ void PeriodicGlobalPolicy::on_rejoin(runtime::Runtime& rt, net::ProcId back) {
   parked_.erase(it);
   rt.recorder().record(
       rt.sim().now(), obs::EventKind::kUnpark,
-      {.proc = back, .arg = static_cast<std::uint64_t>(tasks.size())}, [&] {
-        return std::to_string(tasks.size()) + " parked tasks resumed";
-      });
+      {.proc = back, .arg = static_cast<std::uint64_t>(tasks.size())});
   // Each resumed task is a redistribution (and the reissue traffic it
   // implies) the park avoided — the counter E15/E18 compare against the
   // splice stack's transfer-avoided reissues.
@@ -196,9 +190,7 @@ void PeriodicGlobalPolicy::redistribute_parked(net::ProcId home) {
   if (alive.empty()) return;
   rt_->recorder().record(
       rt_->sim().now(), obs::EventKind::kParkExpired,
-      {.proc = home, .arg = static_cast<std::uint64_t>(tasks.size())}, [&] {
-        return std::to_string(tasks.size()) + " tasks redistributed cold";
-      });
+      {.proc = home, .arg = static_cast<std::uint64_t>(tasks.size())});
   std::vector<std::vector<Task>> plan(rt_->processor_count());
   std::size_t rr = 0;
   for (Task& task : tasks) {

@@ -47,7 +47,7 @@ void RecoveryPolicy::on_spawn_undeliverable(Processor& proc,
     if (!proc.knows_dead(where)) ++possible;
   }
   if (possible >= quorum) return;
-  proc.respawn_slot(*owner, *slot, /*as_twin=*/false, "spawn bounce");
+  proc.respawn_slot(*owner, *slot, /*as_twin=*/false);
 }
 
 void NoRecoveryPolicy::on_result_undeliverable(Processor& proc,

@@ -78,9 +78,9 @@ void reclaim_orphans(Processor& proc, net::ProcId dead) {
     return task.packet().parent().proc == dead;
   };
   if (proc.runtime().config().reclaim.cancellation) {
-    proc.cancel_tasks_if(orphaned, "orphan: parent processor failed");
+    proc.cancel_tasks_if(orphaned);
   } else {
-    proc.abort_tasks_if(orphaned, "orphan: parent processor failed");
+    proc.abort_tasks_if(orphaned);
   }
 }
 
@@ -108,13 +108,13 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
       if (record.restored()) {
         // The owner died with this node's previous incarnation and was not
         // re-accepted; the retained packet alone regrows the branch.
-        proc.respawn_from_record(std::move(record), "rollback restored");
+        proc.respawn_from_record(std::move(record));
       }
       continue;  // owner was aborted in (a): its branch regrows from a
                  // higher ancestor
     }
     if (slot == nullptr || slot->resolved()) continue;
-    proc.respawn_slot(*owner, *slot, /*as_twin=*/false, "rollback reissue");
+    proc.respawn_slot(*owner, *slot, /*as_twin=*/false);
   }
 
   // (c) Abort doomed descendants: tasks waiting on children trapped in the
@@ -133,9 +133,9 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
     return false;
   };
   if (cascade) {
-    proc.cancel_tasks_if(doomed, "doomed: child lost and not topmost");
+    proc.cancel_tasks_if(doomed);
   } else {
-    proc.abort_tasks_if(doomed, "doomed: child lost and not topmost");
+    proc.abort_tasks_if(doomed);
   }
 }
 

@@ -30,8 +30,7 @@ void SplicePolicy::reissue_against(Processor& proc, net::ProcId dead) {
       }
       for (auto& slot : task.slots_mut()) {
         if (slot.outstanding() && all_destinations_dead(proc, slot)) {
-          proc.respawn_slot(task, slot, /*as_twin=*/true,
-                            "eager step-parent");
+          proc.respawn_slot(task, slot, /*as_twin=*/true);
         }
       }
     });
@@ -45,12 +44,12 @@ void SplicePolicy::reissue_against(Processor& proc, net::ProcId dead) {
     auto [owner, slot] = resolve_record_owner(proc, record);
     if (owner == nullptr) {
       if (record.restored()) {
-        proc.respawn_from_record(std::move(record), "splice restored");
+        proc.respawn_from_record(std::move(record));
       }
       continue;
     }
     if (slot == nullptr || slot->resolved()) continue;
-    proc.respawn_slot(*owner, *slot, /*as_twin=*/true, "step-parent");
+    proc.respawn_slot(*owner, *slot, /*as_twin=*/true);
   }
   // No aborts: orphans keep computing; their results are salvage material.
 }
@@ -85,10 +84,9 @@ void SplicePolicy::escalate(Processor& proc, ResultMsg msg) {
     }
   }
   ++proc.counters().orphans_stranded;
-  proc.runtime().recorder().record(
-      proc.runtime().sim().now(), obs::EventKind::kStranded,
-      {.proc = proc.id(), .stamp = &msg.stamp},
-      [&] { return msg.stamp.to_string() + " (ancestor chain exhausted)"; });
+  proc.runtime().recorder().record(proc.runtime().sim().now(),
+                                   obs::EventKind::kStranded,
+                                   {.proc = proc.id(), .stamp = &msg.stamp});
 }
 
 void SplicePolicy::on_ancestor_result(Processor& proc, ResultMsg msg) {
@@ -131,8 +129,7 @@ void SplicePolicy::on_ancestor_result(Processor& proc, ResultMsg msg) {
   }
   // "Create a step-parent for the grandchild if there isn't one already."
   if (slot.spawned && all_destinations_dead(proc, slot)) {
-    proc.respawn_slot(*ancestor, slot, /*as_twin=*/true,
-                      "step-parent (orphan arrival)");
+    proc.respawn_slot(*ancestor, slot, /*as_twin=*/true);
     if (proc.crashed()) return;  // respawn trigger killed the relay host
   }
   // "Transfer the result to its step-parent" — now, or when the twin acks.

@@ -58,12 +58,11 @@ PdesEngine::PdesEngine(Runtime& runtime, net::Network& network,
   validate(config);
   const auto nshards = static_cast<std::uint32_t>(shards_.size());
   for (net::ProcId p = 0; p < procs_; ++p) shard_of_[p] = p % nshards;
-  const bool journaling = config.obs.recorder || config.collect_trace;
   for (std::uint32_t s = 0; s < nshards; ++s) {
     shards_[s].index = s;
     shards_[s].inbox.resize(nshards + 1);
-    shards_[s].recorder.configure(journaling, config.obs.journal_capacity,
-                                  config.collect_trace);
+    shards_[s].recorder.configure(config.obs.recorder,
+                                  config.obs.journal_capacity);
     shards_[s].recorder.set_processors(config.processors);
   }
 }
@@ -352,7 +351,6 @@ void PdesEngine::merge_journals() {
   // that window unless T is on the grid — where the barrier runs first.
   struct Entry {
     obs::Event event;
-    std::string detail;
     std::uint32_t rank = 0;
     std::uint32_t ring = 0;
     std::uint64_t index = 0;
@@ -361,11 +359,10 @@ void PdesEngine::merge_journals() {
   const auto harvest = [&](const obs::Recorder& ring, bool coordinator,
                            std::uint32_t ring_id) {
     std::uint64_t index = 0;
-    ring.for_each([&](const obs::Event& event, const std::string& detail) {
+    ring.for_each([&](const obs::Event& event) {
       const bool on_grid = event.ticks % lookahead_ == 0;
       Entry entry;
       entry.event = event;
-      entry.detail = detail;
       entry.rank = coordinator ? (on_grid ? 0U : 2U) : 1U;
       entry.ring = ring_id;
       entry.index = index++;
@@ -388,8 +385,7 @@ void PdesEngine::merge_journals() {
   // infers); stored gauge samples slot in ahead of the first strictly-later
   // event.
   const std::uint32_t capacity = rt_.config().obs.journal_capacity;
-  const bool keep_details = base.keeps_details();
-  base.configure(true, capacity, keep_details);
+  base.configure(true, capacity);
   base.set_processors(procs_);
   auto sample = samples_.begin();
   const auto flush_samples_before = [&](std::int64_t ticks) {
@@ -410,12 +406,7 @@ void PdesEngine::merge_journals() {
     fields.uid = ev.uid;
     fields.stamp = ev.stamp.is_root() ? nullptr : &ev.stamp;
     fields.arg = ev.arg;
-    if (keep_details) {
-      base.record(sim::SimTime(ev.ticks), ev.kind, fields,
-                  [&entry] { return std::move(entry.detail); });
-    } else {
-      base.record(sim::SimTime(ev.ticks), ev.kind, fields);
-    }
+    base.record(sim::SimTime(ev.ticks), ev.kind, fields);
   }
   flush_samples_before(horizon().ticks() + 1);
 }

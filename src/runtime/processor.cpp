@@ -24,14 +24,7 @@ store::StateStreamer::Env make_streamer_env(Processor& self, Runtime& rt) {
                          {.proc = self.id(),
                           .peer = to,
                           .arg = static_cast<std::uint64_t>(
-                              chunk.packets.size())},
-                         [&] {
-                           return "seq " + std::to_string(chunk.seq) + " (" +
-                                  std::to_string(chunk.packets.size()) +
-                                  " packets" +
-                                  (chunk.last ? ", last)" : ")") + " -> P" +
-                                  std::to_string(to);
-                         });
+                              chunk.packets.size())});
     Envelope env_out;
     env_out.kind = MsgKind::kStateChunk;
     env_out.from = self.id();
@@ -184,7 +177,6 @@ TaskUid Processor::accept_packet(TaskPacket packet) {
   const lang::ExprId call_site = packet.call_site;
   const std::uint32_t replica = packet.replica;
   const std::uint32_t lineage = packet.lineage;
-  const lang::FuncId fn = packet.fn;
   if (rt_.config().reclaim.cancellation && lineage > 0 && !stamp.is_root() &&
       rt_.replication_for(stamp.depth()) == 1) {
     // A recovery respawn landed here. If an older instance of the same
@@ -195,18 +187,14 @@ TaskUid Processor::accept_packet(TaskPacket packet) {
     // parent-filtered so a sibling lineage's copy is never touched.)
     if (Task* older = find_task_by_stamp_replica(stamp, replica, parent,
                                                  rt_.sim().now())) {
-      cancel_task(older->uid(), "cancelled: superseded by local respawn");
+      cancel_task(older->uid());
     }
   }
   tasks_.emplace(uid,
                  task_pool_.make(uid, std::move(packet), rt_.sim().now()));
 
   rt_.recorder().record(rt_.sim().now(), obs::EventKind::kPlace,
-                        {.proc = id_, .uid = uid, .stamp = &stamp}, [&] {
-                          return rt_.program().function(fn).name + " " +
-                                 stamp.to_string() +
-                                 " uid=" + std::to_string(uid);
-                        });
+                        {.proc = id_, .uid = uid, .stamp = &stamp});
 
   // Positive acknowledgement: establishes the parent-to-child pointer
   // (Fig. 6 state b -> c).
@@ -383,13 +371,7 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
   }
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kSpawn,
-      {.proc = id_, .peer = dests[0], .stamp = &packet.stamp}, [&] {
-        return rt_.program().function(packet.fn).name + " " +
-               packet.stamp.to_string() + " -> P" + std::to_string(dests[0]) +
-               (dests.size() > 1
-                    ? " (+" + std::to_string(dests.size() - 1) + ")"
-                    : "");
-      });
+      {.proc = id_, .peer = dests[0], .stamp = &packet.stamp});
   // Functional checkpoint (replica 0's destination keys the table entry).
   if (rt_.policy().functional_checkpointing()) {
     if (slot.respawns > 0 && filed_at != net::kNoProc) {
@@ -408,14 +390,8 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
         {.proc = id_,
          .peer = dests[0],
          .uid = owner.uid(),
-         .stamp = &packet.stamp},
-        [&] {
-          return packet.stamp.to_string() + " entry P" +
-                 std::to_string(dests[0]) +
-                 (outcome == checkpoint::RecordOutcome::kSubsumed
-                      ? " (subsumed)"
-                      : "");
-        });
+         .stamp = &packet.stamp,
+         .arg = outcome == checkpoint::RecordOutcome::kSubsumed ? 1u : 0u});
   }
 }
 
@@ -445,11 +421,7 @@ void Processor::complete_task(TaskUid uid, const lang::Value& value) {
        .uid = task->uid(),
        .stamp = &task->stamp(),
        .arg = static_cast<std::uint64_t>(
-           (rt_.sim().now() - task->created_at()).ticks())},
-      [&] {
-        return rt_.program().function(task->packet().fn).name + " " +
-               task->stamp().to_string() + " = " + value.to_string();
-      });
+           (rt_.sim().now() - task->created_at()).ticks())});
   if (rt_.has_triggers()) {
     rt_.fire_trigger("complete:" +
                      rt_.program().function(task->packet().fn).name);
@@ -547,9 +519,7 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
     ++counters_.orphan_results_salvaged;
     rt_.recorder().record(
         rt_.sim().now(), obs::EventKind::kSalvage,
-        {.proc = id_, .uid = task.uid(), .stamp = &msg.stamp}, [&] {
-          return msg.stamp.to_string() + " into " + task.stamp().to_string();
-        });
+        {.proc = id_, .uid = task.uid(), .stamp = &msg.stamp});
   }
   // An unspawned slot can be pre-filled here (twin not yet scanned, or a
   // stamp-matched delivery into a re-hosted task); its default-constructed
@@ -614,7 +584,7 @@ void Processor::handle_ack(AckMsg msg) {
   // with a uid-exact cancel so the in-flight spawns of reclaimed lineages
   // are reclaimed too, however late they land. (Replicated depths keep
   // every copy; see cancel_slot_instances.)
-  const auto reply_cancel = [&](std::string_view why) {
+  const auto reply_cancel = [&] {
     if (!rt_.config().reclaim.cancellation || msg.stamp.is_root() ||
         rt_.replication_for(msg.stamp.depth()) > 1 ||
         msg.child.proc == net::kNoProc || knows_dead(msg.child.proc)) {
@@ -630,14 +600,13 @@ void Processor::handle_ack(AckMsg msg) {
     }
     rt_.recorder().record(
         rt_.sim().now(), obs::EventKind::kAckOfCorpse,
-        {.proc = id_, .uid = msg.child.uid, .stamp = &msg.stamp},
-        [&] { return msg.stamp.to_string() + " " + std::string(why); });
+        {.proc = id_, .uid = msg.child.uid, .stamp = &msg.stamp});
     send_cancel(msg.stamp, msg.replica, msg.child.uid, msg.parent,
                 msg.child.proc);
   };
   Task* task = find_task(msg.parent.uid);
   if (task == nullptr) {
-    reply_cancel("parent instance gone");
+    reply_cancel();  // the parent instance is gone
     return;
   }
   if (!task->note_ack(msg.call_site, msg.child, msg.replica, msg.lineage)) {
@@ -646,7 +615,7 @@ void Processor::handle_ack(AckMsg msg) {
     // point relays — and forwarded cancels — at a corpse; the reply makes
     // sure the superseded instance itself dies even if the respawn-time
     // cancel raced past it in flight.
-    reply_cancel("superseded spawn generation");
+    reply_cancel();
     return;
   }
   if (rt_.has_triggers()) {
@@ -688,11 +657,7 @@ void Processor::relay_or_buffer(Task& ancestor, CallSlot& slot,
   ++counters_.results_relayed;
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kRelay,
-      {.proc = id_, .peer = twin.proc, .uid = twin.uid, .stamp = &msg.stamp},
-      [&] {
-        return msg.stamp.to_string() + " -> twin " + std::to_string(twin.uid) +
-               "@P" + std::to_string(twin.proc);
-      });
+      {.proc = id_, .peer = twin.proc, .uid = twin.uid, .stamp = &msg.stamp});
   send_result_msg(std::move(msg), twin.proc);
 }
 
@@ -881,14 +846,7 @@ void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
   note_transfer_peer_done(dead);
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kDetect,
-      {.proc = id_, .peer = dead, .arg = direct_detection ? 1u : 0u}, [&] {
-        // Incremental concatenation dodges a gcc 12 -Wrestrict false
-        // positive.
-        std::string detail = "P";
-        detail += std::to_string(dead);
-        detail += direct_detection ? " (direct)" : " (broadcast)";
-        return detail;
-      });
+      {.proc = id_, .peer = dead, .arg = direct_detection ? 1u : 0u});
   rt_.note_detection(dead, id_);
   if (direct_detection) {
     // First-hand detector: broadcast error-detection so every processor can
@@ -902,8 +860,7 @@ void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
   rt_.policy().on_error_detected(*this, dead);
 }
 
-void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
-                             std::string_view reason) {
+void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin) {
   if (slot.resolved() || !slot.spawned) return;
   // The instances the slot pointed at so far are superseded by the twin
   // about to spawn; any that survive on a live processor (undetected
@@ -921,11 +878,7 @@ void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
   rt_.recorder().record(
       rt_.sim().now(),
       as_twin ? obs::EventKind::kTwin : obs::EventKind::kReissue,
-      {.proc = id_, .stamp = &slot.retained.stamp}, [&] {
-        return rt_.program().function(slot.retained.fn).name + " " +
-               slot.retained.stamp.to_string() + " (" + std::string(reason) +
-               ")";
-      });
+      {.proc = id_, .stamp = &slot.retained.stamp});
   send_packet(owner, slot);
 }
 
@@ -947,13 +900,7 @@ void Processor::send_cancel(const LevelStamp& stamp, std::uint32_t replica,
   ++counters_.cancels_sent;
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kCancel,
-      {.proc = id_, .peer = to, .uid = uid, .stamp = &stamp}, [&] {
-        return stamp.to_string() +
-               (uid != kNoTask
-                    ? " uid=" + std::to_string(uid)
-                    : " (of parent uid=" + std::to_string(parent.uid) + ")") +
-               " -> P" + std::to_string(to);
-      });
+      {.proc = id_, .peer = to, .uid = uid, .stamp = &stamp});
   CancelMsg msg;
   msg.stamp = stamp;
   msg.replica = replica;
@@ -1014,10 +961,10 @@ void Processor::handle_cancel(CancelMsg msg) {
     ++counters_.cancels_ignored;
     return;
   }
-  cancel_task(task->uid(), "cancelled: duplicate lineage");
+  cancel_task(task->uid());
 }
 
-void Processor::cancel_task(TaskUid uid, std::string_view reason) {
+void Processor::cancel_task(TaskUid uid) {
   Task* task = find_task(uid);
   if (task == nullptr || task->state() == TaskState::kCompleted ||
       task->state() == TaskState::kAborted) {
@@ -1035,10 +982,10 @@ void Processor::cancel_task(TaskUid uid, std::string_view reason) {
     }
     cancel_slot_instances(*task, slot);
   }
-  abort_task(uid, reason);
+  abort_task(uid);
 }
 
-void Processor::abort_task(TaskUid uid, std::string_view reason) {
+void Processor::abort_task(TaskUid uid) {
   Task* task = find_task(uid);
   if (task == nullptr) return;
   if (task->state() == TaskState::kCompleted ||
@@ -1047,11 +994,8 @@ void Processor::abort_task(TaskUid uid, std::string_view reason) {
   }
   task->set_state(TaskState::kAborted);
   ++counters_.tasks_aborted;
-  rt_.recorder().record(
-      rt_.sim().now(), obs::EventKind::kAbort,
-      {.proc = id_, .uid = uid, .stamp = &task->stamp()}, [&] {
-        return task->stamp().to_string() + " (" + std::string(reason) + ")";
-      });
+  rt_.recorder().record(rt_.sim().now(), obs::EventKind::kAbort,
+                        {.proc = id_, .uid = uid, .stamp = &task->stamp()});
   tasks_.erase(uid);
 }
 
@@ -1130,8 +1074,7 @@ std::vector<TaskPacket> Processor::packets_against(net::ProcId rejoiner) {
   return packets;
 }
 
-void Processor::respawn_from_record(checkpoint::CheckpointRecord record,
-                                    std::string_view reason) {
+void Processor::respawn_from_record(checkpoint::CheckpointRecord record) {
   TaskPacket packet = *record.packet;
   packet.replica = 0;
   // A restored-record reissue supersedes whatever instance the record's
@@ -1144,11 +1087,7 @@ void Processor::respawn_from_record(checkpoint::CheckpointRecord record,
   if (dest == net::kNoProc) return;
   ++counters_.tasks_respawned;
   rt_.recorder().record(rt_.sim().now(), obs::EventKind::kReissue,
-                        {.proc = id_, .stamp = &packet.stamp}, [&] {
-                          return packet.stamp.to_string() +
-                                 " from restored record (" +
-                                 std::string(reason) + ")";
-                        });
+                        {.proc = id_, .stamp = &packet.stamp});
   send(MsgKind::kTaskPacket, dest, packet.size_units(), packet);
   if (rt_.policy().functional_checkpointing()) {
     const TaskPacket retained = *record.packet;  // the record keeps its own
@@ -1207,12 +1146,7 @@ void Processor::revive() {
   ++counters_.rejoins;
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kRejoin,
-      {.proc = id_, .arg = warm ? static_cast<std::uint64_t>(restored) : 0},
-      [&] {
-        return warm ? "repaired, warm (" + std::to_string(restored) +
-                          " checkpoints restored)"
-                    : std::string("repaired, blank");
-      });
+      {.proc = id_, .arg = warm ? static_cast<std::uint64_t>(restored) : 0});
   // Announce the rejoin so live peers drop this node from their dead sets
   // (dead peers either stay silent forever or rejoin themselves).
   for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
@@ -1294,8 +1228,7 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
   ++counters_.reissues_avoided;  // the peer would have respawned this task
   const LevelStamp stamp = packet.stamp;
   rt_.recorder().record(rt_.sim().now(), obs::EventKind::kTransferIn,
-                        {.proc = id_, .stamp = &stamp},
-                        [&] { return stamp.to_string() + " re-hosted"; });
+                        {.proc = id_, .stamp = &stamp});
   const TaskUid uid = accept_packet(std::move(packet));
   Task* task = find_task(uid);
   if (task == nullptr) return;
@@ -1322,10 +1255,7 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
     slot.prelink_prev_owner = prev_owner;
     rt_.recorder().record(
         rt_.sim().now(), obs::EventKind::kPreLink,
-        {.proc = id_, .peer = dest, .stamp = &record->stamp}, [&] {
-          return record->stamp.to_string() + " awaiting P" +
-                 std::to_string(dest);
-        });
+        {.proc = id_, .peer = dest, .stamp = &record->stamp});
   }
 }
 
@@ -1342,12 +1272,7 @@ void Processor::complete_catch_up() {
       rt_.sim().now(), obs::EventKind::kCatchUp,
       {.proc = id_,
        .arg = static_cast<std::uint64_t>(
-           (rt_.sim().now() - revive_time_).ticks())},
-      [&] {
-        return "state transfer complete after " +
-               std::to_string((rt_.sim().now() - revive_time_).ticks()) +
-               " ticks";
-      });
+           (rt_.sim().now() - revive_time_).ticks())});
   flush_warm_results();  // stragglers now resolve or discard normally
   // Liveness guard on the awaited orphans: a pre-linked result can be lost
   // to a later fault (ancestor chain exhausted, host re-crash) or be a
@@ -1362,8 +1287,7 @@ void Processor::complete_catch_up() {
                       for (CallSlot& slot : task.slots_mut()) {
                         if (!slot.prelinked || slot.resolved()) continue;
                         slot.prelinked = false;
-                        respawn_slot(task, slot, /*as_twin=*/true,
-                                     "pre-link grace expired");
+                        respawn_slot(task, slot, /*as_twin=*/true);
                       }
                     });
                     // Catch-up is over and every awaited slot has either
@@ -1384,16 +1308,9 @@ void Processor::learn_alive(net::ProcId back) {
     send(MsgKind::kStateRequest, back, 1,
          store::StateRequestMsg{id_, incarnation_});
   }
-  // Incremental concatenation in the thunks dodges a gcc 12 -Wrestrict
-  // false positive (same workaround as learn_dead).
   if (known_dead_.erase(back) > 0) {
     rt_.recorder().record(rt_.sim().now(), obs::EventKind::kPeerRejoin,
-                          {.proc = id_, .peer = back}, [&] {
-                            std::string detail = "P";
-                            detail += std::to_string(back);
-                            detail += " is back";
-                            return detail;
-                          });
+                          {.proc = id_, .peer = back});
     return;
   }
   // We never saw this node die: the repair beat our detection timeout. Its
@@ -1401,12 +1318,7 @@ void Processor::learn_alive(net::ProcId back) {
   // the same, so honour the reissue obligations a death notification would
   // have triggered. (No-op when we hold no checkpoints toward it.)
   rt_.recorder().record(rt_.sim().now(), obs::EventKind::kPeerRejoin,
-                        {.proc = id_, .peer = back}, [&] {
-                          std::string detail = "P";
-                          detail += std::to_string(back);
-                          detail += " rejoined undetected";
-                          return detail;
-                        });
+                        {.proc = id_, .peer = back});
   rt_.policy().on_error_detected(*this, back);
 }
 

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -115,17 +114,15 @@ class Processor {
   /// node and was not re-accepted: send the retained packet to a fresh
   /// destination and re-record it. The result flows to the old parent ref
   /// and is salvaged by stamp (warm) or by ancestor escalation (splice).
-  void respawn_from_record(checkpoint::CheckpointRecord record,
-                           std::string_view reason);
+  void respawn_from_record(checkpoint::CheckpointRecord record);
   /// Reissue the child of `slot` from its retained packet. `as_twin` marks
   /// a splice step-parent (enables orphan-result inheritance).
-  void respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
-                    std::string_view reason);
+  void respawn_slot(Task& owner, CallSlot& slot, bool as_twin);
   /// Cancel a local task: abort it, release the checkpoint-table entries it
   /// retained for its own children, and forward kCancel messages down every
   /// outstanding call slot so the whole duplicate subtree converges by
   /// message propagation.
-  void cancel_task(TaskUid uid, std::string_view reason);
+  void cancel_task(TaskUid uid);
   /// Deliver a direct-child result into a live local task (shared by the
   /// network path and policy relays).
   void deliver_parent_result(Task& task, const ResultMsg& msg);
@@ -136,7 +133,7 @@ class Processor {
   void send_result_msg(ResultMsg msg, net::ProcId to);
   /// Abort every live task matching a predicate; returns count.
   template <typename Pred>
-  std::size_t abort_tasks_if(Pred pred, std::string_view reason) {
+  std::size_t abort_tasks_if(Pred pred) {
     std::vector<TaskUid> victims;
     for (auto& [uid, task] : tasks_) {
       if (task->state() != TaskState::kCompleted &&
@@ -144,7 +141,7 @@ class Processor {
         victims.push_back(uid);
       }
     }
-    for (TaskUid uid : victims) abort_task(uid, reason);
+    for (TaskUid uid : victims) abort_task(uid);
     return victims.size();
   }
   /// Cancel every live task matching a predicate (abort + checkpoint
@@ -153,7 +150,7 @@ class Processor {
   /// descendants on other processors are reclaimed by message instead of
   /// computing to run end.
   template <typename Pred>
-  std::size_t cancel_tasks_if(Pred pred, std::string_view reason) {
+  std::size_t cancel_tasks_if(Pred pred) {
     std::vector<TaskUid> victims;
     for (auto& [uid, task] : tasks_) {
       if (task->state() != TaskState::kCompleted &&
@@ -162,7 +159,7 @@ class Processor {
       }
     }
     std::sort(victims.begin(), victims.end());
-    for (TaskUid uid : victims) cancel_task(uid, reason);
+    for (TaskUid uid : victims) cancel_task(uid);
     return victims.size();
   }
   /// Iterate live tasks (policies use this for reissue sweeps).
@@ -253,7 +250,7 @@ class Processor {
  private:
   /// Abort one local task. Every abort is a local recovery decision
   /// (abort_tasks_if) or the receiving end of a cancel (cancel_task).
-  void abort_task(TaskUid uid, std::string_view reason);
+  void abort_task(TaskUid uid);
   /// Hand the network one envelope from this processor.
   void send(net::MsgKind kind, net::ProcId to, std::uint32_t size_units,
             net::Payload payload);

@@ -21,12 +21,9 @@ Runtime::Runtime(sim::Simulator& sim, net::Network& network,
       program_(program),
       hosts_super_root_(network.is_local(0)),
       detection_noted_(config.processors, false) {
-  // The recorder is the single write path for observability: an explicit
-  // obs.recorder opt-in journals typed events, and collect_trace (the
-  // legacy human-readable trace) additionally keeps rendered detail
-  // strings — the Trace accessor materialises its view from this journal.
-  recorder_.configure(config_.obs.recorder || config_.collect_trace,
-                      config_.obs.journal_capacity, config_.collect_trace);
+  // The recorder is the single write path for observability; the
+  // obs.recorder opt-in turns it on.
+  recorder_.configure(config_.obs.recorder, config_.obs.journal_capacity);
   recorder_.set_processors(config_.processors);
   scheduler_ = sched::make_scheduler(config_.scheduler);
   policy_ = recovery::make_policy(config_.recovery);
@@ -152,23 +149,6 @@ void Runtime::start() {
   schedule_obs_sample();
 }
 
-core::Trace& Runtime::trace() {
-  // Rebuild the rendering view when the journal advanced. With the
-  // recorder off both counts are 0 after the first call, so this stays a
-  // cheap comparison.
-  if (trace_materialized_ != recorder_.total_recorded()) {
-    trace_ = core::Trace(true);
-    recorder_.for_each([this](const obs::Event& event,
-                              const std::string& detail) {
-      trace_.add(sim::SimTime(event.ticks), event.proc,
-                 std::string(obs::to_string(event.kind)), detail);
-    });
-    trace_.set_enabled(recorder_.enabled());
-    trace_materialized_ = recorder_.total_recorded();
-  }
-  return trace_;
-}
-
 void Runtime::schedule_obs_sample() {
   if (!recorder_.enabled()) return;
   sim_.after(sim::SimTime(obs::Metrics::kSampleInterval), [this] {
@@ -214,10 +194,7 @@ net::ProcId Runtime::spawn_root_packet(TaskPacket packet) {
       network_.distributed() ? 0 : scheduler_->choose(0, packet);
   if (dest == net::kNoProc) return net::kNoProc;
   recorder_.record(sim_.now(), obs::EventKind::kInjectRoot,
-                   {.peer = dest, .arg = packet.replica}, [&] {
-                     return "replica " + std::to_string(packet.replica) +
-                            " -> P" + std::to_string(dest);
-                   });
+                   {.peer = dest, .arg = packet.replica});
   sim_.after(sim::SimTime(config_.latency.base),
              [this, dest, packet = std::move(packet)]() mutable {
                if (!network_.alive(dest)) {
@@ -266,9 +243,7 @@ void Runtime::deliver_to_super_root(ResultMsg msg, net::ProcId acting) {
                if (!was_done && super_root_->done()) {
                  done_ = true;
                  completion_time_ = sim_.now();
-                 recorder_.record(sim_.now(), obs::EventKind::kDone, {}, [&] {
-                   return super_root_->answer().to_string();
-                 });
+                 recorder_.record(sim_.now(), obs::EventKind::kDone, {});
                }
              });
 }
@@ -336,8 +311,7 @@ void Runtime::note_detection(net::ProcId dead, net::ProcId detector) {
 
 void Runtime::on_kill(net::ProcId dead) {
   procs_.at(dead)->nuke();
-  recorder_.record(sim_.now(), obs::EventKind::kCrash, {.proc = dead},
-                   [] { return std::string("processor failed (fail-silent)"); });
+  recorder_.record(sim_.now(), obs::EventKind::kCrash, {.proc = dead});
 }
 
 void Runtime::on_revive(net::ProcId back) {
@@ -355,10 +329,7 @@ void Runtime::on_revive(net::ProcId back) {
   } else {
     procs_.at(back)->revive();
   }
-  recorder_.record(sim_.now(), obs::EventKind::kRevive, {.proc = back}, [&] {
-    return std::string(warm_rejoin_ ? "processor repaired (warm)"
-                                    : "processor repaired (blank)");
-  });
+  recorder_.record(sim_.now(), obs::EventKind::kRevive, {.proc = back});
   if (undetected) {
     // The repair completed before anyone observed the death (stale bounce
     // notices are suppressed once the node is alive again), but the
@@ -424,10 +395,7 @@ bool Runtime::defer_reissue(Processor& proc, net::ProcId dead) {
   // Context-aware clock/recorder/timer: on the engine path this runs on the
   // holder's shard thread, and the grace timer belongs on that same shard.
   recorder().record(sim().now(), obs::EventKind::kDefer,
-                    {.proc = proc.id(), .peer = dead}, [&] {
-                      return "reissue against P" + std::to_string(dead) +
-                             " (warm rejoin)";
-                    });
+                    {.proc = proc.id(), .peer = dead});
   const net::ProcId holder = proc.id();
   sim().after(sim::SimTime(config_.store.warm_grace), [this, holder, dead] {
     if (done_) return;
@@ -436,9 +404,7 @@ bool Runtime::defer_reissue(Processor& proc, net::ProcId dead) {
     if (p.crashed()) return;  // the holder died meanwhile; its own recovery
                               // (or its peers') regrows the branch
     recorder().record(sim().now(), obs::EventKind::kGraceExpired,
-                      {.proc = holder, .peer = dead}, [&] {
-                        return "cold reissue against P" + std::to_string(dead);
-                      });
+                      {.proc = holder, .peer = dead});
     policy_->reissue_against(p, dead);
   });
   return true;
@@ -675,10 +641,7 @@ void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
                            oracle_prev_sightings_.end(), sighting)) {
       ++gc_oracle_orphans_;
       recorder_.record(sim_.now(), obs::EventKind::kOracleLeak,
-                       {.proc = sighting.first, .uid = sighting.second}, [&] {
-                         return "uid=" + std::to_string(sighting.second) +
-                                " outlived the cancel protocol";
-                       });
+                       {.proc = sighting.first, .uid = sighting.second});
     }
   }
   oracle_prev_sightings_ = std::move(sightings);

@@ -13,7 +13,6 @@
 #include "checkpoint/super_root.h"
 #include "core/config.h"
 #include "core/metrics.h"
-#include "core/trace.h"
 #include "lang/interpreter.h"
 #include "lang/program.h"
 #include "net/network.h"
@@ -117,10 +116,6 @@ class Runtime {
   /// The canonical (merged) recorder, ignoring thread context — the engine
   /// replays shard rings into this one at the end of a run.
   [[nodiscard]] obs::Recorder& base_recorder() noexcept { return recorder_; }
-  /// The human-readable trace, materialised on demand as a rendering view
-  /// over the typed journal (the write path is recorder(); this is the
-  /// read path the figure walkthroughs and test assertions consume).
-  [[nodiscard]] core::Trace& trace();
   [[nodiscard]] checkpoint::SuperRoot& super_root() noexcept {
     return *super_root_;
   }
@@ -266,8 +261,6 @@ class Runtime {
   std::unique_ptr<recovery::RecoveryPolicy> policy_;
   std::unique_ptr<checkpoint::SuperRoot> super_root_;
   obs::Recorder recorder_;
-  core::Trace trace_;  // lazily rebuilt view over recorder_'s journal
-  std::uint64_t trace_materialized_ = UINT64_MAX;
 
   EngineHooks* engine_ = nullptr;
   /// Engine path: per-processor uid stream cursors (see next_uid). Written

@@ -21,7 +21,6 @@
 #include "core/config.h"
 #include "core/metrics.h"
 #include "core/simulation.h"
-#include "core/trace.h"
 #include "lang/interpreter.h"
 #include "lang/program.h"
 #include "lang/programs.h"

@@ -16,6 +16,10 @@ namespace {
 
 using core::RunResult;
 using core::SystemConfig;
+using obs::EventKind;
+using splice::testing::events_of;
+using splice::testing::function_of;
+using splice::testing::has_event;
 
 constexpr net::ProcId kA = 0, kB = 1, kC = 2, kD = 3;
 
@@ -26,19 +30,18 @@ SystemConfig figure1_config(core::RecoveryKind recovery, std::int64_t hb = 800) 
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = recovery;
   cfg.heartbeat_interval = hb;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   cfg.seed = 1;
   return cfg;
 }
 
 // Stamps are path digits (call-site ExprIds), so identify tasks by the
-// trace's function names instead of raw stamps.
-bool placed_on(const core::Trace& trace, const std::string& fn,
+// function names their stamps lead to instead of raw stamps.
+bool placed_on(const core::Simulation& sim, const std::string& fn,
                net::ProcId proc) {
-  for (const auto& e : trace.of_kind("place")) {
-    if (e.proc == proc && e.detail.rfind(fn + " ", 0) == 0) return true;
-  }
-  return false;
+  return has_event(sim, EventKind::kPlace, [&](const obs::Event& e) {
+    return e.proc == proc && function_of(sim, e) == fn;
+  });
 }
 
 TEST(Figure1, FaultFreePlacementFollowsThePaper) {
@@ -47,9 +50,8 @@ TEST(Figure1, FaultFreePlacementFollowsThePaper) {
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  const core::Trace& trace = sim.trace();
   for (const auto& node : lang::programs::figure1_nodes()) {
-    EXPECT_TRUE(placed_on(trace, node.name,
+    EXPECT_TRUE(placed_on(sim, node.name,
                           static_cast<net::ProcId>(node.name[0] - 'A')))
         << node.name << " not on processor " << node.name[0];
   }
@@ -61,20 +63,18 @@ TEST(Figure1, CheckpointDistributionMatchesSection3) {
   // has happened while nothing has completed.
   SystemConfig cfg = figure1_config(core::RecoveryKind::kSplice);
   core::Simulation sim(cfg, lang::programs::figure1_tree(50000));
-  // Kill nobody; instead inspect the table state mid-run via the trace:
-  // every "checkpoint <stamp> entry P<dest>" line records who checkpointed
-  // onto whom.
+  // Kill nobody; instead inspect the table state mid-run via the journal:
+  // every checkpoint event records who checkpointed onto whom (proc ->
+  // peer), and arg 1 marks one an ancestor's checkpoint subsumes.
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed);
-  const core::Trace& trace = sim.trace();
 
   // Count checkpoint records toward processor B by owner processor.
   int from_a = 0, from_c = 0, from_d = 0;
   int subsumed_to_b = 0;
-  for (const auto& e : trace.of_kind("checkpoint")) {
-    if (e.detail.find("entry P1") == std::string::npos) continue;
-    const bool subsumed = e.detail.find("subsumed") != std::string::npos;
-    if (subsumed) {
+  for (const obs::Event& e : events_of(sim, EventKind::kCheckpoint)) {
+    if (e.peer != kB) continue;
+    if (e.arg == 1) {
       ++subsumed_to_b;
       continue;
     }
@@ -89,6 +89,10 @@ TEST(Figure1, CheckpointDistributionMatchesSection3) {
   // spawned C->B, by C4) is a descendant of B2 and must be subsumed.
   EXPECT_EQ(from_c, 2);
   EXPECT_EQ(subsumed_to_b, 1);
+  EXPECT_TRUE(has_event(sim, EventKind::kCheckpoint, [&](const obs::Event& e) {
+    return e.proc == kC && e.peer == kB && e.arg == 1 &&
+           function_of(sim, e) == "B5";
+  }));
   // "and processor D contains checkpoints for B7" (spawned D2->B).
   EXPECT_EQ(from_d, 1);
 }
@@ -112,17 +116,21 @@ TEST(Figure1, KillingBFragmentsAndRollbackRegrows) {
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  const core::Trace& trace = sim.trace();
+  const auto reissued = [&](const std::string& fn) {
+    return has_event(sim, EventKind::kReissue, [&](const obs::Event& e) {
+      return function_of(sim, e) == fn;
+    });
+  };
   // The reissue set is exactly the paper's: "the system needs to command
   // processor A to respawn B1, and command processor C to regenerate B2
   // and B3."
-  EXPECT_TRUE(trace.contains("reissue", "B1"));
-  EXPECT_TRUE(trace.contains("reissue", "B2"));
-  EXPECT_TRUE(trace.contains("reissue", "B3"));
+  EXPECT_TRUE(reissued("B1"));
+  EXPECT_TRUE(reissued("B2"));
+  EXPECT_TRUE(reissued("B3"));
   // B5/B7 had not spawned yet; nothing else is reissued at detection time
   // from the dead processor's entries.
-  EXPECT_FALSE(trace.contains("reissue", "B5"));
-  EXPECT_FALSE(trace.contains("reissue", "B7"));
+  EXPECT_FALSE(reissued("B5"));
+  EXPECT_FALSE(reissued("B7"));
 }
 
 TEST(Figure1, SpliceCreatesStepParentAndSalvagesD4) {
@@ -137,14 +145,11 @@ TEST(Figure1, SpliceCreatesStepParentAndSalvagesD4) {
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  const core::Trace& trace = sim.trace();
   // B2' (a twin of B2) must be created by processor C (B2's checkpoint
   // owner C1 lives there).
-  bool twin_b2_on_c = false;
-  for (const auto& e : trace.of_kind("twin")) {
-    if (e.proc == kC && e.detail.rfind("B2 ", 0) == 0) twin_b2_on_c = true;
-  }
-  EXPECT_TRUE(twin_b2_on_c) << "no B2 step-parent created on processor C";
+  EXPECT_TRUE(has_event(sim, EventKind::kTwin, [&](const obs::Event& e) {
+    return e.proc == kC && function_of(sim, e) == "B2";
+  })) << "no B2 step-parent created on processor C";
   EXPECT_GT(r.counters.results_relayed + r.counters.orphan_results_salvaged,
             0U)
       << "no orphan result travelled the grandparent path";
@@ -159,7 +164,7 @@ TEST(Figure1, SpliceSalvagesWhereRollbackDiscards) {
   const auto program = lang::programs::figure1_tree(2500);
   SystemConfig scfg = figure1_config(core::RecoveryKind::kSplice);
   SystemConfig rcfg = figure1_config(core::RecoveryKind::kRollback);
-  scfg.collect_trace = rcfg.collect_trace = false;
+  scfg.obs.recorder = rcfg.obs.recorder = false;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(scfg, program);
   const RunResult s = core::run_once(scfg, program,

@@ -188,6 +188,36 @@ TEST(Program, FindByName) {
   EXPECT_FALSE(p.find("missing").has_value());
 }
 
+TEST(Program, FunctionAtWalksCallSitesFromTheEntry) {
+  // main calls leaf at one site and mid at another; mid calls leaf.
+  Program p;
+  FunctionBuilder leaf("leaf", 0);
+  const ExprId one = leaf.constant(1);
+  const FuncId leaf_fn = p.add_function(std::move(leaf).build(one));
+  FunctionBuilder mid("mid", 0);
+  const ExprId mid_site = mid.call(leaf_fn, {});
+  const FuncId mid_fn = p.add_function(std::move(mid).build(mid_site));
+  FunctionBuilder main("main", 0);
+  const ExprId to_leaf = main.call(leaf_fn, {});
+  const ExprId to_mid = main.call(mid_fn, {});
+  const ExprId body = main.add(to_leaf, to_mid);
+  p.set_entry(p.add_function(std::move(main).build(body)), {});
+  p.validate();
+
+  EXPECT_EQ(p.function_at({}).name, "main");
+  const std::vector<ExprId> leaf_path = {to_leaf};
+  EXPECT_EQ(p.function_at(leaf_path).name, "leaf");
+  const std::vector<ExprId> mid_path = {to_mid};
+  EXPECT_EQ(p.function_at(mid_path).name, "mid");
+  const std::vector<ExprId> deep_path = {to_mid, mid_site};
+  EXPECT_EQ(p.function_at(deep_path).name, "leaf");
+  // A site that is no Call node (the add), or past the body's end.
+  const std::vector<ExprId> not_a_call = {body};
+  EXPECT_THROW((void)p.function_at(not_a_call), std::invalid_argument);
+  const std::vector<ExprId> out_of_range = {to_mid, 99};
+  EXPECT_THROW((void)p.function_at(out_of_range), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Interpreter vs known answers
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "net/codec.h"
 #include "obs/causal.h"
 #include "obs/export.h"
 #include "obs/journal.h"
@@ -25,7 +26,7 @@ runtime::LevelStamp make_stamp(std::initializer_list<runtime::StampDigit> ds) {
 
 TEST(Recorder, RingWrapKeepsNewestWindowAndCountsDrops) {
   obs::Recorder rec;
-  rec.configure(/*enabled=*/true, /*capacity=*/8, /*keep_details=*/false);
+  rec.configure(/*enabled=*/true, /*capacity=*/8);
   for (std::uint64_t i = 1; i <= 20; ++i) {
     rec.record(sim::SimTime(static_cast<std::int64_t>(i)),
                obs::EventKind::kPlace, {.proc = 0, .uid = i});
@@ -49,26 +50,16 @@ TEST(Recorder, RingWrapKeepsNewestWindowAndCountsDrops) {
   EXPECT_EQ(journal.find(20)->uid, 20u);
 }
 
-TEST(Recorder, DisabledAndDetailOffNeverEvaluateTheThunk) {
+TEST(Recorder, DisabledJournalsNothing) {
   obs::Recorder rec;
-  bool evaluated = false;
-  auto thunk = [&evaluated] {
-    evaluated = true;
-    return std::string("prose");
-  };
-  EXPECT_EQ(rec.record(sim::SimTime(1), obs::EventKind::kPlace, {}, thunk),
+  EXPECT_EQ(rec.record(sim::SimTime(1), obs::EventKind::kPlace, {}),
             obs::kNoEvent);
-  EXPECT_FALSE(evaluated);
   EXPECT_EQ(rec.total_recorded(), 0u);
 
-  rec.configure(true, 8, /*keep_details=*/false);
-  EXPECT_NE(rec.record(sim::SimTime(1), obs::EventKind::kPlace, {}, thunk),
+  rec.configure(true, 8);
+  EXPECT_NE(rec.record(sim::SimTime(1), obs::EventKind::kPlace, {}),
             obs::kNoEvent);
-  EXPECT_FALSE(evaluated);  // journal on, rendered prose off
-
-  rec.configure(true, 8, /*keep_details=*/true);
-  rec.record(sim::SimTime(1), obs::EventKind::kPlace, {}, thunk);
-  EXPECT_TRUE(evaluated);
+  EXPECT_EQ(rec.total_recorded(), 1u);
 }
 
 TEST(LogHistogram, PercentilesWithinBucketError) {
@@ -101,7 +92,7 @@ TEST(LogHistogram, PercentilesWithinBucketError) {
 
 TEST(Recorder, InfersTheCrashDetectTwinChain) {
   obs::Recorder rec;
-  rec.configure(true, 64, false);
+  rec.configure(true, 64);
   const auto crash =
       rec.record(sim::SimTime(10), obs::EventKind::kCrash, {.proc = 3});
   const auto detect = rec.record(sim::SimTime(20), obs::EventKind::kDetect,
@@ -143,7 +134,7 @@ TEST(Recorder, InfersTheCrashDetectTwinChain) {
 
 TEST(Recorder, WrappedRingLinksOnlyRetainedEvents) {
   obs::Recorder rec;
-  rec.configure(true, /*capacity=*/4, false);
+  rec.configure(true, /*capacity=*/4);
   rec.record(sim::SimTime(10), obs::EventKind::kCrash, {.proc = 3});
   rec.record(sim::SimTime(20), obs::EventKind::kDetect, {.proc = 1, .peer = 3});
   const auto stamp = make_stamp({4, 2});
@@ -177,7 +168,7 @@ TEST(Recorder, WrappedRingLinksOnlyRetainedEvents) {
 
 TEST(Journal, SerializeRoundtripPreservesEveryField) {
   obs::Recorder rec;
-  rec.configure(true, 64, false);
+  rec.configure(true, 64);
   rec.set_rank(2);
   rec.set_processors(16);
   const auto stamp = make_stamp({1, 15, 3});
@@ -219,18 +210,53 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
   corrupt[0] = 'X';
   EXPECT_THROW(obs::deserialize(corrupt.data(), corrupt.size()),
                std::runtime_error);
+
+  // A 32-bit field whose varint does not fit is rejected, not truncated:
+  // proc (written +1) 2^32 + 6 would load as p5, stamp digit 2^32 + 3 as 3.
+  const auto one_event_dump = [](std::uint64_t proc, std::uint64_t peer,
+                                 std::uint64_t digit) {
+    std::vector<std::uint8_t> out;
+    for (const char c : obs::kJournalMagic) {
+      out.push_back(static_cast<std::uint8_t>(c));
+    }
+    net::codec::Writer w(out);
+    // version, rank, processors, total_recorded, dropped, event count
+    for (const std::uint64_t header : {1, 0, 16, 1, 0, 1}) w.varint(header);
+    w.varint(1);  // id delta
+    w.svarint(10);
+    w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
+    w.varint(proc);
+    w.varint(peer);
+    // uid, cause, arg
+    for (const std::uint64_t field : {42, 0, 0}) w.varint(field);
+    w.varint(1);  // stamp depth
+    w.varint(digit);
+    return out;
+  };
+  constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
+  const auto fits = one_event_dump(6, 0, 3);
+  const obs::Journal loaded = obs::deserialize(fits.data(), fits.size());
+  ASSERT_EQ(loaded.events.size(), 1u);
+  EXPECT_EQ(loaded.events[0].proc, 5u);
+  EXPECT_EQ(loaded.events[0].stamp, make_stamp({3}));
+  for (const auto& dump : {one_event_dump(k2to32 + 6, 0, 3),
+                           one_event_dump(6, k2to32 + 6, 3),
+                           one_event_dump(6, 0, k2to32 + 3)}) {
+    EXPECT_THROW(obs::deserialize(dump.data(), dump.size()),
+                 std::runtime_error);
+  }
 }
 
 TEST(Journal, MergeRenumbersAndRemapsCausalEdges) {
   obs::Recorder r0;
-  r0.configure(true, 64, false);
+  r0.configure(true, 64);
   r0.set_rank(0);
   const auto crash = r0.record(sim::SimTime(10), obs::EventKind::kCrash,
                                {.proc = 3});
   r0.record(sim::SimTime(30), obs::EventKind::kDetect, {.proc = 0, .peer = 3});
 
   obs::Recorder r1;
-  r1.configure(true, 64, false);
+  r1.configure(true, 64);
   r1.set_rank(1);
   r1.record(sim::SimTime(20), obs::EventKind::kDetect, {.proc = 1, .peer = 3});
 
@@ -278,8 +304,7 @@ TEST(Metrics, SamplingWindowsAccumulateGoodput) {
 // The integration fixture: a seeded partition-and-heal chaos run with the
 // recorder on — the E19 recipe shrunk to suite scale.
 core::RunResult run_chaos(core::SystemConfig cfg, obs::Journal* journal_out,
-                          std::vector<obs::TimePoint>* series_out = nullptr,
-                          std::string* trace_render = nullptr) {
+                          std::vector<obs::TimePoint>* series_out = nullptr) {
   cfg.reclaim.cancellation = true;
   cfg.reclaim.gc_interval = 0;
   const lang::Program program = lang::programs::tree_sum(7, 2, 400, 30);
@@ -295,7 +320,6 @@ core::RunResult run_chaos(core::SystemConfig cfg, obs::Journal* journal_out,
   const core::RunResult result = sim.run();
   if (journal_out != nullptr) *journal_out = sim.recorder().snapshot();
   if (series_out != nullptr) *series_out = sim.recorder().metrics().series();
-  if (trace_render != nullptr) *trace_render = sim.trace().render();
   return result;
 }
 
@@ -336,6 +360,17 @@ TEST(FlightRecorder, ChaosRunJournalsTheRecoveryStory) {
   }
   EXPECT_EQ(partitions, 1u);
   EXPECT_EQ(heals, 1u);
+
+  // arg 1 marks a checkpoint an ancestor's subsumes (§3.2). Nothing is
+  // replayed from a durable log here, so the table records only journaled
+  // checkpoints, and the marks add up to its subsumption count.
+  ASSERT_EQ(journal.header.dropped, 0u);
+  std::uint64_t subsumed = 0;
+  for (const obs::Event& e : journal.events) {
+    subsumed += e.kind == obs::EventKind::kCheckpoint && e.arg == 1;
+  }
+  EXPECT_GT(subsumed, 0u);
+  EXPECT_EQ(subsumed, result.counters.checkpoint_subsumed);
 
   const obs::EventId reissue = obs::first_reissued(journal);
   ASSERT_NE(reissue, obs::kNoEvent);
@@ -383,26 +418,36 @@ TEST(FlightRecorder, ChaosRunJournalsTheRecoveryStory) {
             result.net.partition_cut > 0);
 }
 
-TEST(FlightRecorder, TraceViewRendersFromTheJournal) {
-  core::SystemConfig cfg = testing::base_config(16, 5);
-  cfg.collect_trace = true;  // enables the recorder + detail prose
+TEST(FlightRecorder, RecorderOnAndOffRunIdentically) {
+  // The recorder only observes: on the classic loop, over either
+  // single-process transport, the same seeded chaos run with and without
+  // journaling ends identically.
+  for (const net::TransportKind backend :
+       {net::TransportKind::kInProcess, net::TransportKind::kShmRing}) {
+    core::SystemConfig cfg = testing::base_config(16, 5);
+    cfg.transport.backend = backend;
+    cfg.obs.recorder = true;
+    obs::Journal journal;
+    const core::RunResult on = run_chaos(cfg, &journal);
+    ASSERT_TRUE(on.completed && on.answer_correct) << on.summary();
+    ASSERT_FALSE(journal.events.empty());
 
-  obs::Journal journal;
-  std::string rendered;
-  const core::RunResult result =
-      run_chaos(cfg, &journal, nullptr, &rendered);
-  ASSERT_TRUE(result.completed && result.answer_correct) << result.summary();
-  // The string view is a rendering of the typed journal: same kinds, same
-  // order, one line per retained event.
-  EXPECT_NE(rendered.find("place"), std::string::npos);
-  EXPECT_NE(rendered.find("partition"), std::string::npos);
-  EXPECT_NE(rendered.find("done"), std::string::npos);
-  EXPECT_FALSE(journal.events.empty());
+    cfg.obs.recorder = false;
+    const core::RunResult off = run_chaos(cfg, nullptr);
+    EXPECT_EQ(on.makespan_ticks, off.makespan_ticks);
+    EXPECT_EQ(on.answer, off.answer);
+    EXPECT_TRUE(on.counters == off.counters);
+    for (std::size_t k = 0; k < net::kMsgKindCount; ++k) {
+      EXPECT_EQ(on.net.sent[k], off.net.sent[k]) << "sent kind " << k;
+      EXPECT_EQ(on.net.delivered[k], off.net.delivered[k])
+          << "delivered kind " << k;
+    }
+  }
 }
 
 TEST(RecoveryOracle, ViolationsCarryTheCausalChain) {
   obs::Recorder rec;
-  rec.configure(true, 64, false);
+  rec.configure(true, 64);
   rec.record(sim::SimTime(10), obs::EventKind::kCrash, {.proc = 3});
   rec.record(sim::SimTime(20), obs::EventKind::kDetect, {.proc = 1, .peer = 3});
   const obs::Journal journal = rec.snapshot();
@@ -418,7 +463,7 @@ TEST(RecoveryOracle, ViolationsCarryTheCausalChain) {
 
   // task-leak prefers the leak's own chain.
   obs::Recorder rec2;
-  rec2.configure(true, 64, false);
+  rec2.configure(true, 64);
   rec2.record(sim::SimTime(10), obs::EventKind::kCrash, {.proc = 3});
   rec2.record(sim::SimTime(30), obs::EventKind::kPlace, {.proc = 2, .uid = 9});
   rec2.record(sim::SimTime(90), obs::EventKind::kOracleLeak,

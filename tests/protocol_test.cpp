@@ -19,7 +19,7 @@ using splice::testing::base_config;
 TEST(Protocol, ErrorDetectionBroadcastReachesEveryProcessor) {
   SystemConfig cfg = base_config(8, 3);
   cfg.topology = net::TopologyKind::kComplete;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const auto program = lang::programs::tree_sum(4, 2, 400, 50);
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
@@ -30,7 +30,10 @@ TEST(Protocol, ErrorDetectionBroadcastReachesEveryProcessor) {
   // Every surviving processor must have learned of P2's death (detect
   // events from 7 processors: the victim can't detect itself).
   std::set<net::ProcId> learned;
-  for (const auto& e : sim.trace().of_kind("detect")) learned.insert(e.proc);
+  for (const obs::Event& e :
+       splice::testing::events_of(sim, obs::EventKind::kDetect)) {
+    learned.insert(e.proc);
+  }
   EXPECT_EQ(learned.size(), 7U);
 }
 
@@ -83,7 +86,7 @@ TEST(Protocol, ZoneEligibilityConfinesReplicaLanes) {
   cfg.replication.max_depth = 1;
   cfg.replication.majority = false;
   cfg.replication.zoned = true;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const auto program = lang::programs::tree_sum(3, 2, 100, 20);
   core::Simulation sim(cfg, program);
   const RunResult r = sim.run();
@@ -96,7 +99,8 @@ TEST(Protocol, ZoneEligibilityConfinesReplicaLanes) {
   // The run completing with first-vote quorum already proves lanes exist;
   // here we check placements span all three zones.
   std::set<net::ProcId> zones_used;
-  for (const auto& e : sim.trace().of_kind("place")) {
+  for (const obs::Event& e :
+       splice::testing::events_of(sim, obs::EventKind::kPlace)) {
     zones_used.insert(e.proc % 3);
   }
   EXPECT_EQ(zones_used.size(), 3U);
@@ -135,11 +139,12 @@ TEST(Protocol, ReplicationOfEveryTaskAtDepthTwoStillCorrect) {
 
 TEST(Protocol, TraceDisabledCollectsNothing) {
   SystemConfig cfg = base_config(4, 1);
-  cfg.collect_trace = false;
+  cfg.obs.recorder = false;
   core::Simulation sim(cfg, lang::programs::fib(6));
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed);
-  EXPECT_TRUE(sim.trace().events().empty());
+  EXPECT_EQ(sim.recorder().total_recorded(), 0U);
+  EXPECT_TRUE(sim.recorder().snapshot().events.empty());
 }
 
 TEST(Protocol, ConfigDescribeMentionsEveryAxis) {

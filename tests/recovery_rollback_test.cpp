@@ -1,6 +1,8 @@
 // Rollback recovery (§3): reissue topmost checkpoints, abandon orphans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/simulation.h"
 #include "lang/programs.h"
 #include "test_util.h"
@@ -66,7 +68,7 @@ TEST(Rollback, AbortsOrphansOfDeadParent) {
   SystemConfig cfg = rollback_config(4, 1);
   cfg.topology = net::TopologyKind::kComplete;
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const auto program = lang::programs::figure1_tree(400);
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
@@ -75,7 +77,17 @@ TEST(Rollback, AbortsOrphansOfDeadParent) {
   const RunResult r = simulation.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(simulation.trace().contains("reissue", "rollback reissue"));
+  // Rollback reissued a checkpoint its holder kept against the dead B.
+  const auto checkpoints =
+      splice::testing::events_of(simulation, obs::EventKind::kCheckpoint);
+  EXPECT_TRUE(splice::testing::has_event(
+      simulation, obs::EventKind::kReissue, [&](const obs::Event& reissue) {
+        return std::any_of(checkpoints.begin(), checkpoints.end(),
+                           [&](const obs::Event& c) {
+                             return c.proc == reissue.proc && c.peer == 1 &&
+                                    c.stamp == reissue.stamp;
+                           });
+      }));
 }
 
 TEST(Rollback, DetectionHappensAfterFault) {

@@ -90,7 +90,7 @@ TEST(Splice, TwinsInheritViaGrandparentRelay) {
   SystemConfig cfg = splice_config(4, 1);
   cfg.topology = net::TopologyKind::kComplete;
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   // Figure-1 scenario with heavy node work so B dies while D4's subtree is
   // still computing: D4's result must be relayed via C1 into B2'.
   const auto program = lang::programs::figure1_tree(2500);
@@ -101,7 +101,9 @@ TEST(Splice, TwinsInheritViaGrandparentRelay) {
   const RunResult r = simulation.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(simulation.trace().contains("twin", "step-parent"));
+  // A step-parent (twin) was spliced in for the dead B2.
+  EXPECT_FALSE(
+      splice::testing::events_of(simulation, obs::EventKind::kTwin).empty());
 }
 
 TEST(Splice, NoAbortsUnderSplice) {

@@ -3,6 +3,7 @@
 // scheduling — under every recovery policy, repeatedly, deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/config.h"
@@ -11,6 +12,7 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace splice {
 namespace {
@@ -135,7 +137,7 @@ TEST(Rejoin, SpliceCompletesWithKillAndRejoin) {
 TEST(Rejoin, RevivedNodeAnnouncesAndPeersForgetItsDeath) {
   const auto program = lang::programs::tree_sum(4, 3, 300, 40);
   core::SystemConfig cfg = base_config(core::RecoveryKind::kSplice);
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   net::FaultPlan plan = net::FaultPlan::single(2, sim::SimTime(makespan / 3));
@@ -145,11 +147,27 @@ TEST(Rejoin, RevivedNodeAnnouncesAndPeersForgetItsDeath) {
   const core::RunResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("rejoin", "repaired, blank"));
-  EXPECT_TRUE(sim.trace().contains("revive", "processor repaired"));
+  // P2 was repaired and rejoined blank: nothing restored, no catch-up.
+  using obs::EventKind;
+  using splice::testing::events_of;
+  using splice::testing::has_event;
+  EXPECT_TRUE(has_event(sim, EventKind::kRevive,
+                        [](const obs::Event& e) { return e.proc == 2; }));
+  EXPECT_TRUE(has_event(sim, EventKind::kRejoin, [](const obs::Event& e) {
+    return e.proc == 2 && e.arg == 0;
+  }));
+  EXPECT_TRUE(events_of(sim, EventKind::kCatchUp).empty());
   // At least one live peer had detected the death and processed the
   // rejoin notice.
-  EXPECT_TRUE(sim.trace().contains("peer-rejoin", "P2 is back"));
+  const auto detects = events_of(sim, EventKind::kDetect);
+  EXPECT_TRUE(has_event(sim, EventKind::kPeerRejoin, [&](const obs::Event& back) {
+    return back.peer == 2 &&
+           std::any_of(detects.begin(), detects.end(),
+                       [&](const obs::Event& d) {
+                         return d.proc == back.proc && d.peer == 2 &&
+                                d.id < back.id;
+                       });
+  }));
 }
 
 TEST(Rejoin, SecondDeathOfRejoinedNodeIsDetectedAndRecovered) {

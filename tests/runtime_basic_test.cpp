@@ -119,16 +119,19 @@ TEST(RuntimeBasic, HeartbeatsFlowWhenEnabled) {
 
 TEST(RuntimeBasic, TraceRecordsLifecycle) {
   SystemConfig cfg = base_config(4);
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   core::Simulation simulation(cfg, lang::programs::fib(5));
   const RunResult r = simulation.run();
   ASSERT_TRUE(r.completed);
-  const core::Trace& trace = simulation.trace();
-  EXPECT_FALSE(trace.of_kind("place").empty());
-  EXPECT_FALSE(trace.of_kind("spawn").empty());
-  EXPECT_FALSE(trace.of_kind("complete").empty());
-  EXPECT_FALSE(trace.of_kind("checkpoint").empty());
-  EXPECT_TRUE(trace.contains("done", std::to_string(fib_value(5))));
+  using obs::EventKind;
+  using splice::testing::events_of;
+  EXPECT_FALSE(events_of(simulation, EventKind::kPlace).empty());
+  EXPECT_FALSE(events_of(simulation, EventKind::kSpawn).empty());
+  EXPECT_FALSE(events_of(simulation, EventKind::kComplete).empty());
+  EXPECT_FALSE(events_of(simulation, EventKind::kCheckpoint).empty());
+  // The run is done exactly once, with the right answer.
+  EXPECT_EQ(events_of(simulation, EventKind::kDone).size(), 1U);
+  EXPECT_EQ(r.answer.as_int(), fib_value(5));
 }
 
 TEST(RuntimeBasic, BusyTicksAccountedAndPositive) {

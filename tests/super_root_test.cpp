@@ -77,7 +77,7 @@ TEST(SuperRoot, OrphanedLevelOneTasksRelayThroughSuperRoot) {
   // super-root (the grandparent of level-1 tasks) and must be salvaged
   // into the respawned root.
   SystemConfig cfg = pinned_config();
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const auto program = rooted_program();
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);

@@ -1,17 +1,20 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/config.h"
 #include "core/simulation.h"
 #include "lang/programs.h"
 #include "net/fault_injector.h"
+#include "obs/journal.h"
 
 namespace splice::testing {
 
 /// Baseline configuration used across the suite: small mesh, random
-/// scheduler, splice recovery, heartbeats on, tracing off.
+/// scheduler, splice recovery, heartbeats on, recorder off.
 inline core::SystemConfig base_config(std::uint32_t processors = 8,
                                       std::uint64_t seed = 1) {
   core::SystemConfig cfg;
@@ -22,6 +25,30 @@ inline core::SystemConfig base_config(std::uint32_t processors = 8,
   cfg.heartbeat_interval = 1500;
   cfg.seed = seed;
   return cfg;
+}
+
+/// A run's journaled events of one kind, oldest first (needs
+/// obs.recorder on).
+inline std::vector<obs::Event> events_of(const core::Simulation& sim,
+                                         obs::EventKind kind) {
+  std::vector<obs::Event> out;
+  sim.recorder().for_each([&](const obs::Event& event) {
+    if (event.kind == kind) out.push_back(event);
+  });
+  return out;
+}
+
+/// True if the run journaled an event of `kind` matching `pred`.
+template <typename Pred>
+bool has_event(const core::Simulation& sim, obs::EventKind kind, Pred pred) {
+  const std::vector<obs::Event> events = events_of(sim, kind);
+  return std::any_of(events.begin(), events.end(), pred);
+}
+
+/// The name of the function an event's task runs, from its stamp.
+inline const std::string& function_of(const core::Simulation& sim,
+                                      const obs::Event& event) {
+  return sim.program().function_at(event.stamp.digits()).name;
 }
 
 /// Reference fibonacci for oracle checks.

@@ -11,6 +11,7 @@
 #include "lang/programs.h"
 #include "net/fault_plan.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace splice {
 namespace {
@@ -82,7 +83,7 @@ TEST(WarmRejoin, CatchUpCompletesAndIsTraced) {
   const auto program = lang::programs::tree_sum(5, 3, 300, 40);
   core::SystemConfig cfg =
       base_config(core::RecoveryKind::kSplice, store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   cfg.store.warm_grace = makespan;
@@ -92,10 +93,17 @@ TEST(WarmRejoin, CatchUpCompletesAndIsTraced) {
   sim.set_fault_plan(plan);
   const core::RunResult r = sim.run();
   ASSERT_TRUE(r.completed && r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("rejoin", "repaired, warm"));
-  EXPECT_TRUE(sim.trace().contains("revive", "processor repaired (warm)"));
-  EXPECT_TRUE(sim.trace().contains("defer", "warm rejoin"));
-  EXPECT_TRUE(sim.trace().contains("catch-up", "state transfer complete"));
+  // P2 was repaired and rejoined; a survivor deferred its reissue against
+  // P2 for the warm rejoin, and P2's state transfer completed — only a warm
+  // rejoin catches up.
+  using obs::EventKind;
+  using splice::testing::has_event;
+  const auto on_p2 = [](const obs::Event& e) { return e.proc == 2; };
+  EXPECT_TRUE(has_event(sim, EventKind::kRevive, on_p2));
+  EXPECT_TRUE(has_event(sim, EventKind::kRejoin, on_p2));
+  EXPECT_TRUE(has_event(sim, EventKind::kDefer,
+                        [](const obs::Event& e) { return e.peer == 2; }));
+  EXPECT_TRUE(has_event(sim, EventKind::kCatchUp, on_p2));
   EXPECT_GT(r.counters.catch_up_ticks, 0);
   EXPECT_GT(r.counters.state_units_transferred, 0U);
 }
@@ -223,7 +231,7 @@ TEST(WarmRejoin, GraceExpiryFallsBackToColdReissue) {
   const auto program = lang::programs::tree_sum(4, 3, 250, 40);
   core::SystemConfig cfg =
       base_config(core::RecoveryKind::kSplice, store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   cfg.store.warm_grace = 1500;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
@@ -234,7 +242,10 @@ TEST(WarmRejoin, GraceExpiryFallsBackToColdReissue) {
   const core::RunResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("grace-expired", "cold reissue"));
+  // A survivor's grace against P3 ran out and it reissued cold.
+  EXPECT_TRUE(splice::testing::has_event(
+      sim, obs::EventKind::kGraceExpired,
+      [](const obs::Event& e) { return e.peer == 3; }));
   EXPECT_GT(r.counters.tasks_respawned, 0U);
 }
 
@@ -246,7 +257,7 @@ TEST(WarmRejoin, PeriodicGlobalWarmUnparksForTheRejoiner) {
   const auto program = lang::programs::tree_sum(5, 3, 300, 40);
   core::SystemConfig cfg = base_config(core::RecoveryKind::kPeriodicGlobal,
                                        store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   // A snapshot must exist before the kill, and the repair must beat the
@@ -262,7 +273,10 @@ TEST(WarmRejoin, PeriodicGlobalWarmUnparksForTheRejoiner) {
   EXPECT_TRUE(r.answer_correct);
   EXPECT_EQ(r.nodes_revived, 1U);
   EXPECT_GE(r.counters.restores, 1U);
-  EXPECT_TRUE(sim.trace().contains("unpark", "parked tasks resumed"));
+  // P3's parked snapshot slice was handed back to it.
+  EXPECT_TRUE(splice::testing::has_event(
+      sim, obs::EventKind::kUnpark,
+      [](const obs::Event& e) { return e.proc == 3 && e.arg > 0; }));
   EXPECT_GT(r.counters.reissues_avoided, 0U);
 }
 
@@ -273,7 +287,7 @@ TEST(WarmRejoin, PeriodicGlobalParkExpiryRedistributesCold) {
   const auto program = lang::programs::tree_sum(4, 3, 250, 40);
   core::SystemConfig cfg = base_config(core::RecoveryKind::kPeriodicGlobal,
                                        store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   cfg.recovery.checkpoint_interval = makespan / 8;
@@ -285,7 +299,10 @@ TEST(WarmRejoin, PeriodicGlobalParkExpiryRedistributesCold) {
   const core::RunResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("park-expired", "redistributed cold"));
+  // P3's park grace ran out and its slice was redistributed cold.
+  EXPECT_TRUE(splice::testing::has_event(
+      sim, obs::EventKind::kParkExpired,
+      [](const obs::Event& e) { return e.proc == 3; }));
 }
 
 }  // namespace
