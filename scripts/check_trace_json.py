@@ -12,7 +12,9 @@ Schema checks (stdlib only, no perfetto dependency):
   * timestamps are non-negative and every referenced tid has a thread_name
     metadata record;
   * causal edges do not dangle: every slice's args.cause names the args.id
-    of a slice in the same file.
+    of a slice in the same file;
+  * time runs forward: in args.id order no slice's ts drops below the one
+    before it, and no cause's slice starts after its effect's.
 
 Exit 0 and print a one-line summary on success; exit 1 with the first
 violations otherwise.
@@ -26,6 +28,12 @@ import json
 import sys
 
 KNOWN_PH = {"X", "M", "s", "f", "C"}
+
+
+def _later(a: object, b: object) -> bool:
+    """True when timestamp a is strictly after b (non-numbers never are)."""
+    numeric = (int, float)
+    return isinstance(a, numeric) and isinstance(b, numeric) and a > b
 
 
 def check(path: str) -> int:
@@ -48,8 +56,8 @@ def check(path: str) -> int:
     flow_close: dict[object, int] = {}
     named_tids: set[object] = set()
     used_tids: set[object] = set()
-    slice_ids: set[object] = set()
-    causes: list[tuple[str, object]] = []
+    slice_ts: dict[object, object] = {}  # args.id -> ts
+    causes: list[tuple[str, object, object]] = []  # (where, cause, ts)
 
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
@@ -76,9 +84,9 @@ def check(path: str) -> int:
             args = ev.get("args")
             if isinstance(args, dict):
                 if "id" in args:
-                    slice_ids.add(args["id"])
+                    slice_ts[args["id"]] = ev.get("ts")
                 if "cause" in args:
-                    causes.append((where, args["cause"]))
+                    causes.append((where, args["cause"], ev.get("ts")))
         elif ph == "M":
             if ev.get("name") == "thread_name":
                 named_tids.add(ev.get("tid"))
@@ -110,9 +118,17 @@ def check(path: str) -> int:
     for tid in used_tids:
         if tid not in named_tids:
             err(f"tid={tid}: slices present but no thread_name metadata")
-    for where, cause in causes:
-        if cause not in slice_ids:
+    for where, cause, ts in causes:
+        if cause not in slice_ts:
             err(f"{where}: cause={cause} names no slice id in this file")
+        elif _later(slice_ts[cause], ts):
+            err(f"{where}: cause={cause} starts at ts={slice_ts[cause]}, "
+                f"after its effect at ts={ts}")
+    ordered = sorted(i for i in slice_ts if isinstance(i, int))
+    for prev, cur in zip(ordered, ordered[1:]):
+        if _later(slice_ts[prev], slice_ts[cur]):
+            err(f"slice id={cur} at ts={slice_ts[cur]} runs backwards from "
+                f"id={prev} at ts={slice_ts[prev]}")
 
     if counts["X"] == 0:
         err("no slice ('X') events at all — empty trace?")

@@ -32,10 +32,6 @@ void SuperRoot::on_result(ResultMsg msg) {
     if (votes_ >= env_.quorum) {
       done_ = true;
       answer_ = msg.value;
-      if (env_.recorder != nullptr) {
-        env_.recorder->record(sim::SimTime::zero(), obs::EventKind::kAnswer,
-                              {});
-      }
     }
     return;
   }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "lang/value.h"
-#include "obs/journal.h"
 #include "runtime/task_packet.h"
 #include "sim/simulator.h"
 
@@ -38,8 +37,6 @@ class SuperRoot {
     std::function<void(runtime::ResultMsg)> relay;
     /// Count a stranded orphan (super-root disabled or no recovery).
     std::function<void()> on_stranded;
-    /// Flight recorder for the "answer" milestone (null = don't journal).
-    obs::Recorder* recorder = nullptr;
     /// Votes needed before the answer is accepted (§5.3 with a replicated
     /// root; 1 otherwise).
     std::uint32_t quorum = 1;

@@ -37,13 +37,11 @@ void Counters::merge(const Counters& other) noexcept {
   checkpoint_peak_entries += other.checkpoint_peak_entries;
   checkpoint_peak_units += other.checkpoint_peak_units;
   snapshots_taken += other.snapshots_taken;
-  snapshot_units += other.snapshot_units;
   restores += other.restores;
   freeze_ticks += other.freeze_ticks;
   error_broadcasts += other.error_broadcasts;
   rejoins += other.rejoins;
   store_entries_logged += other.store_entries_logged;
-  store_entries_lost += other.store_entries_lost;
   store_records_replayed += other.store_records_replayed;
   state_chunks_sent += other.state_chunks_sent;
   state_packets_transferred += other.state_packets_transferred;

@@ -61,7 +61,6 @@ struct Counters {
 
   // Periodic-global baseline.
   std::uint64_t snapshots_taken = 0;
-  std::uint64_t snapshot_units = 0;
   std::uint64_t restores = 0;
   std::int64_t freeze_ticks = 0;
 
@@ -71,7 +70,6 @@ struct Counters {
 
   // Durable store + warm-rejoin state transfer (store/ subsystem).
   std::uint64_t store_entries_logged = 0;   // checkpoint mutations journaled
-  std::uint64_t store_entries_lost = 0;     // erased by the persistency model
   std::uint64_t store_records_replayed = 0; // live records after log replay
   std::uint64_t state_chunks_sent = 0;      // kStateChunk messages streamed
   std::uint64_t state_packets_transferred = 0;  // packets re-accepted on rejoin

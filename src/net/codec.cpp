@@ -243,6 +243,7 @@ struct PayloadEncoder {
     w.varint(m.ancestor_index);
     put_ancestors(w, m.ancestors);
     w.varint(m.replica);
+    w.varint(m.lineage);
     w.u8(m.relayed ? 1 : 0);
   }
   void operator()(const ErrorMsg& m) const {
@@ -346,6 +347,7 @@ Payload decode_payload(MsgKind kind, Reader& r) {
       m.ancestor_index = get_u32(r, "ancestor_index");
       m.ancestors = get_ancestors(r);
       m.replica = get_u32(r, "replica");
+      m.lineage = get_u32(r, "lineage");
       const std::uint8_t relayed = r.u8();
       if (relayed > 1) throw CodecError("codec: bad relayed flag");
       m.relayed = relayed != 0;

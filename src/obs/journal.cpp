@@ -47,7 +47,6 @@ constexpr std::string_view kKindNames[kEventKindCount] = {
     "gray",           // kGray
     "inject-root",    // kInjectRoot
     "done",           // kDone
-    "answer",         // kAnswer
     "snapshot",       // kSnapshot
     "restore",        // kRestore
     "unpark",         // kUnpark
@@ -228,11 +227,10 @@ EventId Linker::cause_of(const Event& e) const {
     case EventKind::kRestore:
       return last_fault_;
     // Run milestones are causal roots: nothing upstream explains them.
-    // Exhaustive by SPL003 and -Wswitch-enum — a 35th EventKind must pick
+    // Exhaustive by SPL003 and -Wswitch-enum — a 34th EventKind must pick
     // its causal-inference rule here explicitly, not inherit "no cause".
     case EventKind::kInjectRoot:
     case EventKind::kDone:
-    case EventKind::kAnswer:
     case EventKind::kSnapshot:
     case EventKind::kCount:
       return kNoEvent;
@@ -298,7 +296,6 @@ void Linker::learn(const Event& e) {
     case EventKind::kHeal:
     case EventKind::kInjectRoot:
     case EventKind::kDone:
-    case EventKind::kAnswer:
     case EventKind::kSnapshot:
     case EventKind::kRestore:
     case EventKind::kUnpark:
@@ -365,7 +362,7 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
   net::codec::Reader r(data + 4, size - 4);
   Journal journal;
   journal.header.version = narrow(r.varint(), "version");
-  if (journal.header.version != 1) {
+  if (journal.header.version != kJournalVersion) {
     throw std::runtime_error("journal: unsupported version");
   }
   journal.header.rank = narrow(r.varint(), "rank");
@@ -383,7 +380,10 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
     Event e;
     e.id = prev_id + r.varint();
     prev_id = e.id;
-    e.ticks = prev_ticks + r.svarint();
+    // Each delta is in range; their running sum may not be.
+    if (__builtin_add_overflow(prev_ticks, r.svarint(), &e.ticks)) {
+      throw std::runtime_error("journal: tick out of range");
+    }
     prev_ticks = e.ticks;
     const std::uint8_t kind = r.u8();
     if (kind >= kEventKindCount) {

@@ -82,7 +82,6 @@ enum class EventKind : std::uint8_t {
   // Host channel / run milestones.
   kInjectRoot,    // super-root injected the root program ("inject-root")
   kDone,          // the answer reached the super-root ("done")
-  kAnswer,        // super-root accepted the answer value ("answer")
   // Periodic-global baseline.
   kSnapshot,      // coordinated global snapshot ("snapshot")
   kRestore,       // global restore after a failure ("restore")
@@ -111,9 +110,13 @@ struct Event {
   std::uint64_t arg = 0;            // kind-specific scalar (latency, count)
 };
 
+/// The dump format's version: a dump stores each EventKind by number, so
+/// it is bumped whenever the numbering changes.
+inline constexpr std::uint32_t kJournalVersion = 2;
+
 /// Journal dump header (what serialize() writes before the events).
 struct JournalHeader {
-  std::uint32_t version = 1;
+  std::uint32_t version = kJournalVersion;
   std::uint32_t rank = 0;        // multi-process rank; 0 single-process
   std::uint32_t processors = 0;  // machine size of the run
   std::uint64_t total_recorded = 0;  // includes events the ring dropped

@@ -39,7 +39,6 @@ void PeriodicGlobalPolicy::begin_snapshot() {
   }
   snapshot_valid_ = true;
   ++snapshots_;
-  snapshot_units_total_ += units;
   rt_->recorder().record(rt_->sim().now(), obs::EventKind::kSnapshot,
                          {.arg = units});
   // "Virtually stop all computational operations while ... checkpointing
@@ -232,14 +231,8 @@ void PeriodicGlobalPolicy::on_result_undeliverable(runtime::Processor& proc,
   ++proc.counters().late_results_discarded;
 }
 
-void PeriodicGlobalPolicy::on_ancestor_result(runtime::Processor& proc,
-                                              ResultMsg /*msg*/) {
-  ++proc.counters().late_results_discarded;
-}
-
 void PeriodicGlobalPolicy::contribute(core::Counters& counters) const {
   counters.snapshots_taken += snapshots_;
-  counters.snapshot_units += snapshot_units_total_;
   counters.restores += restores_;
   counters.freeze_ticks += freeze_ticks_;
 }

@@ -32,21 +32,15 @@ class PeriodicGlobalPolicy final : public RecoveryPolicy {
   explicit PeriodicGlobalPolicy(const core::RecoveryConfig& config)
       : cfg_(config) {}
 
-  [[nodiscard]] core::RecoveryKind kind() const override {
-    return core::RecoveryKind::kPeriodicGlobal;
-  }
   [[nodiscard]] bool functional_checkpointing() const override {
     return false;
   }
 
   void attach(runtime::Runtime& rt) override;
-  void on_error_detected(runtime::Processor&, net::ProcId) override {}
   void on_global_failure(runtime::Runtime& rt, net::ProcId dead) override;
   void on_rejoin(runtime::Runtime& rt, net::ProcId back) override;
   void on_result_undeliverable(runtime::Processor& proc,
                                runtime::ResultMsg msg) override;
-  void on_ancestor_result(runtime::Processor& proc,
-                          runtime::ResultMsg msg) override;
   void contribute(core::Counters& counters) const override;
 
  private:
@@ -88,7 +82,6 @@ class PeriodicGlobalPolicy final : public RecoveryPolicy {
       parked_results_;
 
   std::uint64_t snapshots_ = 0;
-  std::uint64_t snapshot_units_total_ = 0;
   std::uint64_t restores_ = 0;
   std::int64_t freeze_ticks_ = 0;
 };

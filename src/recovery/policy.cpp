@@ -14,6 +14,15 @@ using runtime::ResultMsg;
 using runtime::Task;
 using runtime::TaskPacket;
 
+void RecoveryPolicy::on_result_undeliverable(Processor& proc,
+                                             ResultMsg /*msg*/) {
+  ++proc.counters().late_results_discarded;
+}
+
+void RecoveryPolicy::on_ancestor_result(Processor& proc, ResultMsg /*msg*/) {
+  ++proc.counters().late_results_discarded;
+}
+
 void RecoveryPolicy::on_spawn_undeliverable(Processor& proc,
                                             const TaskPacket& packet) {
   // Fig. 6 state b: the child never arrived, no ack will come. The parent
@@ -50,30 +59,11 @@ void RecoveryPolicy::on_spawn_undeliverable(Processor& proc,
   proc.respawn_slot(*owner, *slot, /*as_twin=*/false);
 }
 
-void NoRecoveryPolicy::on_result_undeliverable(Processor& proc,
-                                               ResultMsg /*msg*/) {
-  ++proc.counters().late_results_discarded;
-}
-
-void NoRecoveryPolicy::on_ancestor_result(Processor& proc,
-                                          ResultMsg /*msg*/) {
-  ++proc.counters().late_results_discarded;
-}
-
 void RestartPolicy::on_global_failure(runtime::Runtime& rt,
                                       net::ProcId /*dead*/) {
   // No checkpoints anywhere: the only recovery is to run the whole program
   // again from the super-root's preevaluation copy.
   rt.super_root().restart_program();
-}
-
-void RestartPolicy::on_result_undeliverable(Processor& proc,
-                                            ResultMsg /*msg*/) {
-  ++proc.counters().late_results_discarded;
-}
-
-void RestartPolicy::on_ancestor_result(Processor& proc, ResultMsg /*msg*/) {
-  ++proc.counters().late_results_discarded;
 }
 
 std::unique_ptr<RecoveryPolicy> make_policy(

@@ -7,6 +7,10 @@
 //   * what to do with a result whose target is dead,
 //   * what to do with a spawn that never arrived,
 //   * what to do with an orphan result addressed to an ancestor.
+// Each reaction has a default, so a policy overrides only where it differs:
+// a death prompts nothing, a spawn that never arrived respawns through its
+// slot, and a result nobody can consume is discarded (counted in
+// late_results_discarded, §4.1 case 8).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +32,6 @@ class RecoveryPolicy {
  public:
   virtual ~RecoveryPolicy() = default;
 
-  [[nodiscard]] virtual core::RecoveryKind kind() const = 0;
-
   /// Do parents retain packets and populate the checkpoint table? True for
   /// the paper's schemes; false for the baselines (their overhead lives
   /// elsewhere).
@@ -46,8 +48,9 @@ class RecoveryPolicy {
   virtual void attach(runtime::Runtime& /*rt*/) {}
 
   /// First time `proc` learns that `dead` failed (error-detection, §4.2).
-  virtual void on_error_detected(runtime::Processor& proc,
-                                 net::ProcId dead) = 0;
+  /// Default: nothing (the policy reacts globally, or not at all).
+  virtual void on_error_detected(runtime::Processor& /*proc*/,
+                                 net::ProcId /*dead*/) {}
 
   /// The cold reissue action for the checkpoints `proc` holds against
   /// `dead`. Checkpoint-based policies implement their on_error_detected
@@ -70,9 +73,10 @@ class RecoveryPolicy {
   /// revived node as soon as peers process its rejoin notice.
   virtual void on_rejoin(runtime::Runtime& /*rt*/, net::ProcId /*back*/) {}
 
-  /// A completed task's result could not reach msg.target.
+  /// A completed task's result could not reach msg.target. Default:
+  /// discard it.
   virtual void on_result_undeliverable(runtime::Processor& proc,
-                                       runtime::ResultMsg msg) = 0;
+                                       runtime::ResultMsg msg);
 
   /// A spawned task packet never arrived (Fig. 6 state b: "processor G
   /// times out and reissues a new task P"). Default: respawn through the
@@ -81,9 +85,10 @@ class RecoveryPolicy {
                                       const runtime::TaskPacket& packet);
 
   /// An orphan result addressed to a live local ancestor arrived
-  /// (relation kToAncestor).
+  /// (relation kToAncestor). Default: discard it — a policy without
+  /// grandparent transport ignores the packet ("others: Ignore").
   virtual void on_ancestor_result(runtime::Processor& proc,
-                                  runtime::ResultMsg msg) = 0;
+                                  runtime::ResultMsg msg);
 
   /// Extra counters this policy accumulated outside any processor.
   virtual void contribute(core::Counters& /*counters*/) const {}
@@ -92,39 +97,23 @@ class RecoveryPolicy {
 /// No fault tolerance: failures lose subtrees permanently (control arm).
 class NoRecoveryPolicy final : public RecoveryPolicy {
  public:
-  [[nodiscard]] core::RecoveryKind kind() const override {
-    return core::RecoveryKind::kNone;
-  }
   [[nodiscard]] bool functional_checkpointing() const override {
     return false;
   }
-  void on_error_detected(runtime::Processor&, net::ProcId) override {}
-  void on_result_undeliverable(runtime::Processor& proc,
-                               runtime::ResultMsg msg) override;
   void on_spawn_undeliverable(runtime::Processor&,
                               const runtime::TaskPacket&) override {}
-  void on_ancestor_result(runtime::Processor& proc,
-                          runtime::ResultMsg msg) override;
 };
 
 /// Restart the whole program from the super-root's preevaluation checkpoint
 /// on any failure (the no-checkpoint baseline).
 class RestartPolicy final : public RecoveryPolicy {
  public:
-  [[nodiscard]] core::RecoveryKind kind() const override {
-    return core::RecoveryKind::kRestart;
-  }
   [[nodiscard]] bool functional_checkpointing() const override {
     return false;
   }
-  void on_error_detected(runtime::Processor&, net::ProcId) override {}
   void on_global_failure(runtime::Runtime& rt, net::ProcId dead) override;
-  void on_result_undeliverable(runtime::Processor& proc,
-                               runtime::ResultMsg msg) override;
   void on_spawn_undeliverable(runtime::Processor&,
                               const runtime::TaskPacket&) override {}
-  void on_ancestor_result(runtime::Processor& proc,
-                          runtime::ResultMsg msg) override;
 };
 
 /// Factory over the full policy set (rollback/splice/periodic included).

@@ -1,6 +1,7 @@
 #include "recovery/rollback.h"
 
 #include <cassert>
+#include <utility>
 
 #include "runtime/processor.h"
 #include "runtime/runtime.h"
@@ -9,7 +10,6 @@ namespace splice::recovery {
 
 using runtime::CallSlot;
 using runtime::Processor;
-using runtime::ResultMsg;
 using runtime::Task;
 
 bool all_destinations_dead(Processor& proc, const CallSlot& slot) {
@@ -45,6 +45,14 @@ bool slot_still_checkpointed(Processor& proc, const CallSlot& slot) {
   return false;
 }
 
+namespace {
+
+/// Resolve a checkpoint record's owner task: by uid for live owners, by
+/// stamp for records restored across a crash (their uid died with the old
+/// incarnation; warm rejoin re-accepts the owner under a fresh one). When
+/// found by stamp, the slot is re-linked from the record if needed.
+/// Returns the owner and the slot to respawn through, or {nullptr,
+/// nullptr} when reissue must go directly from the record.
 std::pair<Task*, CallSlot*> resolve_record_owner(
     Processor& proc, checkpoint::CheckpointRecord& record) {
   Task* owner = proc.find_task(record.owner);
@@ -65,8 +73,6 @@ std::pair<Task*, CallSlot*> resolve_record_owner(
   return {owner, slot};
 }
 
-namespace {
-
 /// (a) Reclaim the direct orphans of `dead`: their results could only flow
 /// to the dead parent ("the result of the task cannot be forwarded"). Under
 /// the cancellation protocol their descendants on *other* processors are
@@ -74,17 +80,28 @@ namespace {
 /// instead of letting the subtree compute to run end for a result nobody
 /// can consume.
 void reclaim_orphans(Processor& proc, net::ProcId dead) {
-  const auto orphaned = [&](Task& task) {
-    return task.packet().parent().proc == dead;
-  };
-  if (proc.runtime().config().reclaim.cancellation) {
-    proc.cancel_tasks_if(orphaned);
-  } else {
-    proc.abort_tasks_if(orphaned);
-  }
+  proc.reclaim_tasks_if(
+      [&](const Task& task) { return task.packet().parent().proc == dead; });
 }
 
 }  // namespace
+
+void reissue_topmost(Processor& proc, net::ProcId dead, bool as_twin) {
+  auto records = proc.table().take(dead);
+  for (auto& record : records) {
+    auto [owner, slot] = resolve_record_owner(proc, record);
+    if (owner == nullptr) {
+      if (record.restored()) {
+        // The owner died with this node's previous incarnation and was not
+        // re-accepted; the retained packet alone regrows the branch.
+        proc.respawn_from_record(std::move(record));
+      }
+      continue;  // a reclaimed owner's branch regrows from a higher ancestor
+    }
+    if (slot == nullptr || slot->resolved()) continue;
+    proc.respawn_slot(*owner, *slot, as_twin);
+  }
+}
 
 void RollbackPolicy::on_error_detected(Processor& proc, net::ProcId dead) {
   if (!proc.runtime().defer_reissue(proc, dead)) {
@@ -101,29 +118,15 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
   reclaim_orphans(proc, dead);
 
   // (b) Reissue the topmost checkpoints held against the dead processor.
-  auto records = proc.table().take(dead);
-  for (auto& record : records) {
-    auto [owner, slot] = resolve_record_owner(proc, record);
-    if (owner == nullptr) {
-      if (record.restored()) {
-        // The owner died with this node's previous incarnation and was not
-        // re-accepted; the retained packet alone regrows the branch.
-        proc.respawn_from_record(std::move(record));
-      }
-      continue;  // owner was aborted in (a): its branch regrows from a
-                 // higher ancestor
-    }
-    if (slot == nullptr || slot->resolved()) continue;
-    proc.respawn_slot(*owner, *slot, /*as_twin=*/false);
-  }
+  //     An owner reclaimed in (a) regrows from a higher ancestor.
+  reissue_topmost(proc, dead, /*as_twin=*/false);
 
-  // (c) Abort doomed descendants: tasks waiting on children trapped in the
-  //     dead node whose checkpoints were subsumed — their own topmost
+  // (c) Reclaim doomed descendants: tasks waiting on children trapped in
+  //     the dead node whose checkpoints were subsumed — their own topmost
   //     ancestor is being regrown elsewhere, so "new arguments of the task
   //     cannot be obtained". (Reissued slots in (b) already point at live
   //     destinations and are skipped.)
-  const bool cascade = proc.runtime().config().reclaim.cancellation;
-  const auto doomed = [&](Task& task) {
+  proc.reclaim_tasks_if([&](const Task& task) {
     for (const auto& slot : task.slots()) {
       if (slot.outstanding() && all_destinations_dead(proc, slot) &&
           !slot_still_checkpointed(proc, slot)) {
@@ -131,24 +134,7 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
       }
     }
     return false;
-  };
-  if (cascade) {
-    proc.cancel_tasks_if(doomed);
-  } else {
-    proc.abort_tasks_if(doomed);
-  }
-}
-
-void RollbackPolicy::on_result_undeliverable(Processor& proc,
-                                             ResultMsg /*msg*/) {
-  // "Returns from orphan tasks are theoretically harmless since they are
-  //  forwarded to a faulty processor." Rollback abandons the partial result.
-  ++proc.counters().late_results_discarded;
-}
-
-void RollbackPolicy::on_ancestor_result(Processor& proc, ResultMsg /*msg*/) {
-  // Rollback has no grandparent transport; "others: ignore the packet".
-  ++proc.counters().late_results_discarded;
+  });
 }
 
 }  // namespace splice::recovery

@@ -12,36 +12,30 @@
 // forwarded to the parent task."
 #pragma once
 
-#include <utility>
-
-#include "checkpoint/checkpoint_table.h"
 #include "recovery/policy.h"
 #include "runtime/task.h"
 
 namespace splice::recovery {
 
+/// Rollback abandons orphan results: "Returns from orphan tasks are
+/// theoretically harmless since they are forwarded to a faulty processor",
+/// and without grandparent transport an ancestor ignores them — both are
+/// the default discards.
 class RollbackPolicy final : public RecoveryPolicy {
  public:
-  [[nodiscard]] core::RecoveryKind kind() const override {
-    return core::RecoveryKind::kRollback;
-  }
   void on_error_detected(runtime::Processor& proc, net::ProcId dead) override;
   void reissue_against(runtime::Processor& proc, net::ProcId dead) override;
-  void on_result_undeliverable(runtime::Processor& proc,
-                               runtime::ResultMsg msg) override;
-  void on_ancestor_result(runtime::Processor& proc,
-                          runtime::ResultMsg msg) override;
 };
 
-/// Resolve a checkpoint record's owner task: by uid for live owners, by
-/// stamp for records restored across a crash (their uid died with the old
-/// incarnation; warm rejoin re-accepts the owner under a fresh one). When
-/// found by stamp, the slot is re-linked from the record if needed.
-/// Returns the owner and the slot to respawn through, or {nullptr,
-/// nullptr} when reissue must go directly from the record.
-[[nodiscard]] std::pair<runtime::Task*, runtime::CallSlot*>
-resolve_record_owner(runtime::Processor& proc,
-                     checkpoint::CheckpointRecord& record);
+/// The reissue both checkpoint schemes share ("find the topmost offspring
+/// of all branches, respawn all of these apply tasks"): take `proc`'s
+/// checkpoint-table entry for `dead` and respawn each record through its
+/// owner's call slot — `as_twin` marks splice step-parents. A record whose
+/// owner is gone reissues from its own packet when it was restored across
+/// a crash; otherwise the owner was reclaimed and its branch regrows from a
+/// higher ancestor.
+void reissue_topmost(runtime::Processor& proc, net::ProcId dead,
+                     bool as_twin);
 
 /// True when every destination the slot's packet was last sent to is known
 /// dead (no live or potentially-live incarnation of the child remains).

@@ -12,7 +12,6 @@ using runtime::ResultMsg;
 using runtime::ResultRelation;
 using runtime::Task;
 using runtime::TaskRef;
-using runtime::TaskState;
 
 void SplicePolicy::on_error_detected(Processor& proc, net::ProcId dead) {
   if (proc.runtime().defer_reissue(proc, dead)) return;
@@ -24,10 +23,6 @@ void SplicePolicy::reissue_against(Processor& proc, net::ProcId dead) {
     // Ablation variant: every live parent regenerates every child whose
     // every incarnation is trapped in dead processors.
     proc.for_each_task([&](Task& task) {
-      if (task.state() == TaskState::kCompleted ||
-          task.state() == TaskState::kAborted) {
-        return;
-      }
       for (auto& slot : task.slots_mut()) {
         if (slot.outstanding() && all_destinations_dead(proc, slot)) {
           proc.respawn_slot(task, slot, /*as_twin=*/true);
@@ -38,20 +33,9 @@ void SplicePolicy::reissue_against(Processor& proc, net::ProcId dead) {
   }
   // Paper-faithful: "Find the topmost offspring of all branches, respawn
   // all of these apply tasks." — the checkpoint table's entry for the dead
-  // node is exactly that set.
-  auto records = proc.table().take(dead);
-  for (auto& record : records) {
-    auto [owner, slot] = resolve_record_owner(proc, record);
-    if (owner == nullptr) {
-      if (record.restored()) {
-        proc.respawn_from_record(std::move(record));
-      }
-      continue;
-    }
-    if (slot == nullptr || slot->resolved()) continue;
-    proc.respawn_slot(*owner, *slot, /*as_twin=*/true);
-  }
-  // No aborts: orphans keep computing; their results are salvage material.
+  // node is exactly that set. No reclaims: orphans keep computing; their
+  // results are salvage material.
+  reissue_topmost(proc, dead, /*as_twin=*/true);
 }
 
 void SplicePolicy::on_result_undeliverable(Processor& proc, ResultMsg msg) {
@@ -99,8 +83,7 @@ void SplicePolicy::on_ancestor_result(Processor& proc, ResultMsg msg) {
     const std::size_t depth = msg.stamp.depth() - (msg.ancestor_index + 1);
     ancestor = proc.find_task_by_stamp(msg.stamp.truncated(depth));
   }
-  if (ancestor == nullptr || ancestor->state() == TaskState::kCompleted ||
-      ancestor->state() == TaskState::kAborted) {
+  if (ancestor == nullptr) {
     // Case 8: nobody recognises the answer any more.
     ++proc.counters().late_results_discarded;
     return;

@@ -24,9 +24,6 @@ class SplicePolicy final : public RecoveryPolicy {
   explicit SplicePolicy(bool eager_respawn)
       : eager_respawn_(eager_respawn) {}
 
-  [[nodiscard]] core::RecoveryKind kind() const override {
-    return core::RecoveryKind::kSplice;
-  }
   [[nodiscard]] bool salvages_orphans() const override { return true; }
   void on_error_detected(runtime::Processor& proc, net::ProcId dead) override;
   void reissue_against(runtime::Processor& proc, net::ProcId dead) override;

@@ -224,7 +224,8 @@ void Processor::enqueue_scan(TaskUid uid) {
 
 void Processor::start_next_step() {
   if (dead_ || frozen_ || executing_) return;
-  // Skip stale queue entries (aborted / completed tasks).
+  // Skip stale queue entries: tasks gone since they queued, or already
+  // scanned from an earlier entry.
   while (!step_queue_.empty()) {
     const TaskUid uid = step_queue_.front();
     Task* task = find_task(uid);
@@ -270,7 +271,7 @@ void Processor::start_next_step() {
 
 void Processor::finish_scan(TaskUid uid, ScanOutcome& outcome) {
   Task* task = find_task(uid);
-  if (task == nullptr || task->state() == TaskState::kAborted) return;
+  if (task == nullptr) return;
   if (outcome.result.has_value()) {
     complete_task(uid, *outcome.result);
     return;
@@ -400,37 +401,40 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
 // ---------------------------------------------------------------------------
 
 void Processor::complete_task(TaskUid uid, const lang::Value& value) {
-  Task* task = find_task(uid);
-  if (task == nullptr) return;
-  task->set_state(TaskState::kCompleted);
+  const auto it = tasks_.find(uid);
+  if (it == tasks_.end()) return;
+  const Task& task = *it->second;
   ++counters_.tasks_completed;
 
   ResultMsg msg;
-  msg.stamp = task->stamp();
-  msg.call_site = task->packet().call_site;
+  msg.stamp = task.stamp();
+  msg.call_site = task.packet().call_site;
   msg.value = value;
-  msg.target = task->packet().parent();
+  msg.target = task.packet().parent();
   msg.relation = ResultRelation::kToParent;
   msg.ancestor_index = 0;
-  msg.ancestors = task->packet().ancestors;
-  msg.replica = task->packet().replica;
+  msg.ancestors = task.packet().ancestors;
+  msg.replica = task.packet().replica;
+  msg.lineage = task.packet().lineage;
+  const lang::FuncId fn = task.packet().fn;
 
   rt_.recorder().record(
       rt_.sim().now(), obs::EventKind::kComplete,
       {.proc = id_,
-       .uid = task->uid(),
-       .stamp = &task->stamp(),
+       .uid = uid,
+       .stamp = &msg.stamp,
        .arg = static_cast<std::uint64_t>(
-           (rt_.sim().now() - task->created_at()).ticks())});
-  if (rt_.has_triggers()) {
-    rt_.fire_trigger("complete:" +
-                     rt_.program().function(task->packet().fn).name);
-    if (dead_) return;  // trigger killed this node; `task` is freed
-  }
+           (rt_.sim().now() - task.created_at()).ticks())});
 
-  // The task is fully reduced; free the node's copy before routing the
-  // result (matches the paper's reduction of the evaluation structure).
-  tasks_.erase(uid);
+  // The task is fully reduced: free the node's copy (the paper's reduction
+  // of the evaluation structure) before anything else can happen to the
+  // node, so a crash the complete: trigger causes finds it finished, not
+  // resident and lost.
+  tasks_.erase(it);
+  if (rt_.has_triggers()) {
+    rt_.fire_trigger("complete:" + rt_.program().function(fn).name);
+    if (dead_) return;  // trigger killed this node; the result dies with it
+  }
 
   if (msg.target.proc == net::kNoProc) {
     rt_.deliver_to_super_root(std::move(msg), id_);
@@ -475,9 +479,8 @@ void Processor::handle_result(ResultMsg msg) {
     // "interpret the level stamp" instead of the stale pointer.
     task = find_task_by_stamp(msg.stamp.parent());
   }
-  if (task == nullptr || task->state() == TaskState::kCompleted ||
-      task->state() == TaskState::kAborted) {
-    if (task == nullptr && buffer_warm_result(std::move(msg))) return;
+  if (task == nullptr) {
+    if (buffer_warm_result(std::move(msg))) return;
     // Case 8: "The processor which contained P' may no longer recognize the
     // arrived answer. The result is discarded."
     ++counters_.late_results_discarded;
@@ -534,12 +537,18 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
   // superseded original): some instance of it may still be computing the
   // very value just delivered. The §4.1 rules would let it run to run end
   // and ignore its result; instead the discard travels as a cancel to
-  // every instance the slot still points at (a completed producer is
-  // simply no longer there to receive it). A pre-linked slot resolving
-  // directly needs nothing: its single awaited original just completed,
-  // and its grace respawn would have set twin_active.
-  if (rt_.config().reclaim.cancellation && (msg.relayed || slot.twin_active)) {
-    cancel_slot_instances(task, slot);  // async sends: nothing dies here
+  // every instance the slot still points at — except the producer of a
+  // direct return from the slot's current lineage, which has just
+  // completed (a superseded original's return still cancels the twin). A
+  // pre-linked slot resolving directly needs nothing: its single awaited
+  // original just completed, and its grace respawn would have set
+  // twin_active.
+  if (msg.relayed || slot.twin_active) {
+    std::optional<std::uint32_t> producer;
+    if (!msg.relayed && msg.lineage == slot.retained.lineage) {
+      producer = msg.replica;
+    }
+    cancel_slot_instances(task, slot, producer);  // async: nothing dies here
   }
   // The child returned; its functional checkpoint is no longer needed. The
   // slot filed it under its first destination; a slot that never spawned
@@ -567,8 +576,6 @@ void Processor::resume_after_fill(Task& task) {
       task.set_dirty(true);
       break;
     case TaskState::kQueued:
-    case TaskState::kCompleted:
-    case TaskState::kAborted:
       break;
   }
 }
@@ -868,7 +875,7 @@ void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin) {
   // would compute a duplicate lineage. Discard travels as a message:
   // cancels go out *before* the replacement packets, so on a shared
   // destination the cancel is delivered first and can never hit the twin.
-  if (rt_.config().reclaim.cancellation) cancel_slot_instances(owner, slot);
+  cancel_slot_instances(owner, slot);
   ++slot.respawns;
   ++counters_.tasks_respawned;
   if (as_twin) {
@@ -910,7 +917,8 @@ void Processor::send_cancel(const LevelStamp& stamp, std::uint32_t replica,
   send(MsgKind::kCancel, to, msg.size_units(), msg);
 }
 
-void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot) {
+void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot,
+                                      std::optional<std::uint32_t> spared) {
   if (!rt_.config().reclaim.cancellation) return;
   const LevelStamp& stamp = slot.retained.stamp;
   // Roots belong to the super-root; replicated depths keep every copy by
@@ -924,6 +932,7 @@ void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot) {
                                  ? slot.prelink_prev_owner
                                  : owner.uid()};
   for (std::size_t r = 0; r < slot.sent_to.size(); ++r) {
+    if (spared == r) continue;
     const bool acked = r < slot.child_procs.size() &&
                        slot.child_procs[r] != net::kNoProc &&
                        slot.child_uids[r] != kNoTask;
@@ -954,8 +963,7 @@ void Processor::handle_cancel(CancelMsg msg) {
     task = find_task_by_stamp_replica(msg.stamp, msg.replica, msg.parent,
                                       msg.issued_at);
   }
-  if (task == nullptr || task->state() == TaskState::kCompleted ||
-      task->state() == TaskState::kAborted) {
+  if (task == nullptr) {
     // Already completed, already reclaimed, or a fresh lineage the
     // incarnation fence protects — either way the cancel found no work.
     ++counters_.cancels_ignored;
@@ -966,10 +974,7 @@ void Processor::handle_cancel(CancelMsg msg) {
 
 void Processor::cancel_task(TaskUid uid) {
   Task* task = find_task(uid);
-  if (task == nullptr || task->state() == TaskState::kCompleted ||
-      task->state() == TaskState::kAborted) {
-    return;
-  }
+  if (task == nullptr) return;
   ++counters_.tasks_cancelled;
   counters_.reclaim_latency_ticks +=
       (rt_.sim().now() - task->created_at()).ticks();
@@ -988,15 +993,18 @@ void Processor::cancel_task(TaskUid uid) {
 void Processor::abort_task(TaskUid uid) {
   Task* task = find_task(uid);
   if (task == nullptr) return;
-  if (task->state() == TaskState::kCompleted ||
-      task->state() == TaskState::kAborted) {
-    return;
-  }
-  task->set_state(TaskState::kAborted);
   ++counters_.tasks_aborted;
   rt_.recorder().record(rt_.sim().now(), obs::EventKind::kAbort,
                         {.proc = id_, .uid = uid, .stamp = &task->stamp()});
   tasks_.erase(uid);
+}
+
+void Processor::reclaim_task(TaskUid uid) {
+  if (rt_.config().reclaim.cancellation) {
+    cancel_task(uid);
+  } else {
+    abort_task(uid);
+  }
 }
 
 Task* Processor::find_task(TaskUid uid) {
@@ -1007,10 +1015,6 @@ Task* Processor::find_task(TaskUid uid) {
 bool Processor::has_stake_in(net::ProcId dead) const {
   if (!table_.entry(dead).empty()) return true;
   for (const auto& [uid, task] : tasks_) {
-    if (task->state() == TaskState::kCompleted ||
-        task->state() == TaskState::kAborted) {
-      continue;
-    }
     if (task->packet().parent().proc == dead) return true;
     for (const CallSlot& slot : task->slots()) {
       if (!slot.outstanding()) continue;
@@ -1033,9 +1037,7 @@ Task* Processor::find_task_by_stamp_replica(const LevelStamp& stamp,
                                             sim::SimTime before) {
   Task* best = nullptr;
   for (auto& [uid, task] : tasks_) {
-    if (task->state() == TaskState::kCompleted ||
-        task->state() == TaskState::kAborted || task->stamp() != stamp ||
-        task->packet().replica != replica ||
+    if (task->stamp() != stamp || task->packet().replica != replica ||
         !(task->packet().parent() == parent) ||
         !(task->created_at() < before)) {
       continue;
@@ -1050,10 +1052,7 @@ Task* Processor::find_task_by_stamp(const LevelStamp& stamp) {
   // iteration order (replicas can share a stamp on one node).
   Task* best = nullptr;
   for (auto& [uid, task] : tasks_) {
-    if (task->state() == TaskState::kCompleted ||
-        task->state() == TaskState::kAborted || task->stamp() != stamp) {
-      continue;
-    }
+    if (task->stamp() != stamp) continue;
     if (best == nullptr || task->uid() < best->uid()) best = task.get();
   }
   return best;
@@ -1101,10 +1100,10 @@ void Processor::respawn_from_record(checkpoint::CheckpointRecord record) {
 
 void Processor::nuke() {
   dead_ = true;
-  // Everything resident is live work (completed/aborted tasks are erased
-  // eagerly); it dies with the node. Counted so the RecoveryOracle can
-  // balance the task-conservation equation — counters_ itself survives the
-  // crash, it describes the run, not the incarnation.
+  // Everything resident is live work (finished tasks are erased at once);
+  // it dies with the node. Counted so the RecoveryOracle can balance the
+  // task-conservation equation — counters_ itself survives the crash, it
+  // describes the run, not the incarnation.
   counters_.tasks_lost_to_crash += tasks_.size();
   tasks_.clear();
   step_queue_.clear();

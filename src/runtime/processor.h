@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -94,12 +95,14 @@ class Processor {
   }
 
   // ---- services used by recovery policies ---------------------------------
+  /// Resident task with this uid, or nullptr. A finished task leaves the
+  /// map at once (runtime/task.h), so a resident task is live.
   [[nodiscard]] Task* find_task(TaskUid uid);
-  /// Live (not completed/aborted) local task with this exact stamp, or
-  /// nullptr. Warm rejoin re-creates tasks under fresh uids; stamp identity
-  /// is what survives the crash (§3.1: names come from program structure).
+  /// Resident task with this exact stamp, or nullptr. Warm rejoin re-creates
+  /// tasks under fresh uids; stamp identity is what survives the crash
+  /// (§3.1: names come from program structure).
   [[nodiscard]] Task* find_task_by_stamp(const LevelStamp& stamp);
-  /// Stamp-addressed cancel resolution: the live local task matching
+  /// Stamp-addressed cancel resolution: the resident task matching
   /// (stamp, replica) that carries exactly `parent` as its parent ref and
   /// was accepted strictly before `before` (lowest uid wins for
   /// determinism). The parent filter makes the match unambiguous — uids
@@ -131,35 +134,19 @@ class Processor {
   void relay_or_buffer(Task& ancestor, CallSlot& slot, ResultMsg msg);
   /// Send a result message into the network (policy escalation helper).
   void send_result_msg(ResultMsg msg, net::ProcId to);
-  /// Abort every live task matching a predicate; returns count.
+  /// Reclaim every resident task matching a predicate, in uid order;
+  /// returns count. With the cancellation protocol on, each is cancelled
+  /// (see cancel_task), so a doomed lineage's descendants on other
+  /// processors are reclaimed by message instead of computing to run end;
+  /// with it off, each is aborted where it stands.
   template <typename Pred>
-  std::size_t abort_tasks_if(Pred pred) {
+  std::size_t reclaim_tasks_if(Pred pred) {
     std::vector<TaskUid> victims;
     for (auto& [uid, task] : tasks_) {
-      if (task->state() != TaskState::kCompleted &&
-          task->state() != TaskState::kAborted && pred(*task)) {
-        victims.push_back(uid);
-      }
-    }
-    for (TaskUid uid : victims) abort_task(uid);
-    return victims.size();
-  }
-  /// Cancel every live task matching a predicate (abort + checkpoint
-  /// release + cancels forwarded to children); returns count. The
-  /// cancellation-protocol variant of abort_tasks_if: a doomed lineage's
-  /// descendants on other processors are reclaimed by message instead of
-  /// computing to run end.
-  template <typename Pred>
-  std::size_t cancel_tasks_if(Pred pred) {
-    std::vector<TaskUid> victims;
-    for (auto& [uid, task] : tasks_) {
-      if (task->state() != TaskState::kCompleted &&
-          task->state() != TaskState::kAborted && pred(*task)) {
-        victims.push_back(uid);
-      }
+      if (pred(*task)) victims.push_back(uid);
     }
     std::sort(victims.begin(), victims.end());
-    for (TaskUid uid : victims) cancel_task(uid);
+    for (TaskUid uid : victims) reclaim_task(uid);
     return victims.size();
   }
   /// Iterate live tasks (policies use this for reissue sweeps).
@@ -218,7 +205,6 @@ class Processor {
   // ---- periodic-global baseline support ------------------------------------
   void freeze();
   void unfreeze();
-  [[nodiscard]] bool frozen() const noexcept { return frozen_; }
   /// Logical state snapshot: value-copies of all live tasks.
   [[nodiscard]] std::vector<Task> snapshot_tasks() const;
   /// Replace all volatile state with `tasks` and requeue them.
@@ -249,8 +235,10 @@ class Processor {
 
  private:
   /// Abort one local task. Every abort is a local recovery decision
-  /// (abort_tasks_if) or the receiving end of a cancel (cancel_task).
+  /// (reclaim_tasks_if) or the receiving end of a cancel (cancel_task).
   void abort_task(TaskUid uid);
+  /// cancel_task with the cancellation protocol on, abort_task with it off.
+  void reclaim_task(TaskUid uid);
   /// Hand the network one envelope from this processor.
   void send(net::MsgKind kind, net::ProcId to, std::uint32_t size_units,
             net::Payload payload);
@@ -295,8 +283,10 @@ class Processor {
   /// respawn replaces it, a salvaged result resolves it, or the owning
   /// task is itself cancelled. Replicated depths are exempt (their copies
   /// are the redundancy) and destinations known dead are skipped (nothing
-  /// lives there to reclaim).
-  void cancel_slot_instances(const Task& owner, const CallSlot& slot);
+  /// lives there to reclaim), as is the `spared` replica: the instance that
+  /// has just returned the slot's value.
+  void cancel_slot_instances(const Task& owner, const CallSlot& slot,
+                             std::optional<std::uint32_t> spared = {});
   void handle_state_request(store::StateRequestMsg msg);
   void handle_state_chunk(net::ProcId from, store::StateChunkMsg msg);
   /// Re-host one transferred task packet: accept it, then pre-link its call

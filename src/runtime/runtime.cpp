@@ -44,7 +44,6 @@ Runtime::Runtime(sim::Simulator& sim, net::Network& network,
   };
   sr.relay = [this](ResultMsg msg) { host_send_result(std::move(msg)); };
   sr.on_stranded = [this] { ++stranded_from_host_; };
-  sr.recorder = &recorder_;
   sr.quorum = quorum_for(0);
   sr.replicas = replication_for(0);
   // Root respawn is itself a recovery action: the no-recovery control arm
@@ -711,7 +710,6 @@ core::RunResult Runtime::collect(sim::SimTime end_time,
     result.counters.checkpoint_peak_units += table.peak_units();
     const auto& durable = proc->durable_store();
     result.counters.store_entries_logged += durable.entries_logged();
-    result.counters.store_entries_lost += durable.entries_lost();
     result.counters.store_records_replayed += durable.records_replayed();
   }
   policy_->contribute(result.counters);

@@ -13,10 +13,6 @@ std::string_view to_string(TaskState state) noexcept {
       return "running";
     case TaskState::kWaiting:
       return "waiting";
-    case TaskState::kCompleted:
-      return "completed";
-    case TaskState::kAborted:
-      return "aborted";
   }
   return "?";
 }

@@ -14,7 +14,10 @@
 //
 // The task state machine mirrors Fig. 6 (states a-g) from the task's own
 // viewpoint; transient states b/d of the figure live in the network as
-// unacknowledged packets.
+// unacknowledged packets. A finished task — reduced to a value, cancelled
+// or aborted — leaves its processor's task map at once (§4.2 reduces it out
+// of the evaluation structure), so a resident task is live and no state
+// records an ending.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +32,9 @@
 namespace splice::runtime {
 
 enum class TaskState : std::uint8_t {
-  kQueued,     // packet accepted by a processor, no scan yet
-  kRunning,    // a scan step is executing
-  kWaiting,    // suspended on outstanding children ("cannot proceed")
-  kCompleted,  // value produced and forwarded
-  kAborted,    // killed by recovery policy (rollback orphan rule)
+  kQueued,   // packet accepted by a processor, or woken to rescan
+  kRunning,  // a scan step is executing
+  kWaiting,  // suspended on outstanding children ("cannot proceed")
 };
 
 [[nodiscard]] std::string_view to_string(TaskState state) noexcept;

@@ -99,6 +99,9 @@ struct ResultMsg {
   lang::Value value;
   TaskRef target;                // task expected to consume the result
   ResultRelation relation = ResultRelation::kToParent;
+  /// True once an ancestor relayed this result toward a step-parent —
+  /// consuming such a result is a *salvage* (§4's whole point).
+  bool relayed = false;
   /// Index into the producer's ancestor chain that `target` came from
   /// (0 = parent). Lets the receiver escalate to the next ancestor on
   /// failure when the §5.2 extension is active.
@@ -106,9 +109,10 @@ struct ResultMsg {
   /// Remaining ancestor chain of the producer (for escalation).
   util::SmallVec<TaskRef, 4> ancestors;
   std::uint32_t replica = 0;
-  /// True once an ancestor relayed this result toward a step-parent —
-  /// consuming such a result is a *salvage* (§4's whole point).
-  bool relayed = false;
+  /// Echo of the producer's TaskPacket::lineage, as AckMsg carries it: a
+  /// direct return names the spawn generation it came from, so the parent
+  /// can tell its current child's return from a superseded instance's.
+  std::uint32_t lineage = 0;
 
   [[nodiscard]] std::uint32_t size_units() const noexcept {
     return 1 + value.size_units();

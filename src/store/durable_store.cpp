@@ -56,7 +56,6 @@ void DurableStore::on_take(net::ProcId dead) {
 void DurableStore::on_crash(std::uint64_t dying) {
   switch (model_) {
     case Persistency::kNone:
-      entries_lost_ += log_.size();
       log_.clear();
       return;
     case Persistency::kLocal:
@@ -64,18 +63,15 @@ void DurableStore::on_crash(std::uint64_t dying) {
     case Persistency::kLossy: {
       util::Xoshiro256 rng(util::hash_combine(
           util::hash_combine(seed_, kLossyStream + self_), dying));
-      const std::size_t before = log_.size();
       std::erase_if(log_, [&](const LogEntry&) {
         return !rng.next_bool(survive_p_);
       });
-      entries_lost_ += before - log_.size();
       return;
     }
   }
 }
 
 std::size_t DurableStore::replay_into(checkpoint::CheckpointTable& table) {
-  ++replays_;
   for (const LogEntry& entry : log_) {
     switch (entry.op) {
       case Op::kRecord: {

@@ -44,7 +44,6 @@ class DurableStore final : public checkpoint::CheckpointTable::Listener {
   DurableStore(net::ProcId self, Persistency model, double survive_p,
                std::uint64_t seed);
 
-  [[nodiscard]] Persistency model() const noexcept { return model_; }
   [[nodiscard]] bool enabled() const noexcept {
     return model_ != Persistency::kNone;
   }
@@ -92,13 +91,9 @@ class DurableStore final : public checkpoint::CheckpointTable::Listener {
   [[nodiscard]] std::uint64_t entries_logged() const noexcept {
     return entries_logged_;
   }
-  [[nodiscard]] std::uint64_t entries_lost() const noexcept {
-    return entries_lost_;
-  }
   [[nodiscard]] std::uint64_t records_replayed() const noexcept {
     return records_replayed_;
   }
-  [[nodiscard]] std::uint64_t replays() const noexcept { return replays_; }
 
  private:
   void append(LogEntry entry);
@@ -111,9 +106,7 @@ class DurableStore final : public checkpoint::CheckpointTable::Listener {
   std::vector<LogEntry> log_;
 
   std::uint64_t entries_logged_ = 0;
-  std::uint64_t entries_lost_ = 0;
   std::uint64_t records_replayed_ = 0;
-  std::uint64_t replays_ = 0;
 };
 
 }  // namespace splice::store

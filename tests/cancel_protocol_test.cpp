@@ -20,7 +20,8 @@
 //   * regression guards for the cancel/ack races: stale-lineage acks and
 //     double releases of a checkpoint entry;
 //   * checkpoint ownership: a result releases the record its own slot
-//     filed, and state transfer re-hosts no record whose owner is gone.
+//     filed, and state transfer re-hosts no record whose owner is gone;
+//   * a direct return cancels no instance but the ones still computing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -393,8 +394,8 @@ TEST(CancelProtocol, ContainsTracksRecordAndRelease) {
 /// and checkpoints there by hand and call its handlers directly, so no
 /// scan runs and the table holds exactly what the test filed.
 struct HandMachine {
-  HandMachine()
-      : cfg(cancel_config(1)),
+  explicit HandMachine(SystemConfig config = cancel_config(1))
+      : cfg(std::move(config)),
         network(simulator, net::Topology(cfg.topology, cfg.processors),
                 cfg.latency),
         rt(simulator, network, cfg, program) {
@@ -474,13 +475,47 @@ TEST(CancelProtocol, ResultReleasesItsOwnSlotsCheckpoint) {
   }
 }
 
+TEST(CancelProtocol, DirectReturnSparesItsProducer) {
+  // A twin's slot resolves on a direct return and cancels every instance it
+  // still points at — but not the one that returned: it has completed, so
+  // a cancel could only be ignored. The superseded original returning
+  // first is no such instance and must still cancel the live twin. Both
+  // return orders run.
+  for (const bool twin_first : {true, false}) {
+    SCOPED_TRACE(twin_first ? "twin returns first" : "original returns first");
+    HandMachine m;
+    runtime::Task& owner =
+        m.host(runtime::LevelStamp::root().child(1), runtime::TaskRef{1, 100});
+    const runtime::TaskPacket original = m.spawn(owner, /*site=*/3, /*dest=*/5);
+    runtime::CallSlot& slot = owner.slot(3);
+    m.proc().respawn_slot(owner, slot, /*as_twin=*/true);
+    ASSERT_TRUE(slot.twin_active);
+    ASSERT_EQ(slot.retained.lineage, 1U);
+    ASSERT_EQ(slot.sent_to.size(), 1U);
+    const std::uint64_t before = m.proc().counters().cancels_sent;
+
+    runtime::ResultMsg result;
+    result.stamp = original.stamp;
+    result.call_site = 3;
+    result.value = lang::Value::integer(2);
+    result.target = runtime::TaskRef{0, owner.uid()};
+    result.lineage = twin_first ? slot.retained.lineage : original.lineage;
+    m.proc().deliver_parent_result(owner, result);
+
+    EXPECT_TRUE(slot.resolved());
+    EXPECT_EQ(m.proc().counters().cancels_sent - before, twin_first ? 0U : 1U);
+  }
+}
+
 TEST(CancelProtocol, StateTransferShipsNoRecordWhoseOwnerIsGone) {
   // Rollback with cancellation off aborts an orphan without releasing the
   // records it retained. Such a record guards work whose result nobody
   // would consume, so state transfer must not re-host it. A replayed
   // record's owner died with the node too, but the record carries its own
   // packet and re-hosts from that.
-  HandMachine m;
+  SystemConfig cfg = cancel_config(1);
+  cfg.reclaim.cancellation = false;
+  HandMachine m(cfg);
   runtime::Task& owner =
       m.host(runtime::LevelStamp::root().child(1), runtime::TaskRef{1, 100});
   const runtime::TaskPacket live = m.spawn(owner, /*site=*/2, /*dest=*/4);
@@ -489,7 +524,7 @@ TEST(CancelProtocol, StateTransferShipsNoRecordWhoseOwnerIsGone) {
       m.host(runtime::LevelStamp::root().child(2), runtime::TaskRef{1, 100});
   const runtime::TaskPacket stranded = m.spawn(orphan, 2, 4);
   const runtime::TaskUid orphan_uid = orphan.uid();
-  ASSERT_EQ(m.proc().abort_tasks_if([&](runtime::Task& task) {
+  ASSERT_EQ(m.proc().reclaim_tasks_if([&](const runtime::Task& task) {
               return task.uid() == orphan_uid;
             }),
             1U);

@@ -151,6 +151,7 @@ net::Payload fuzz_payload(MsgKind kind, Rng& rng, int box_depth) {
       m.ancestor_index = static_cast<std::uint32_t>(pick(rng, 4));
       m.ancestors = fuzz_ancestors(rng);
       m.replica = static_cast<std::uint32_t>(pick(rng, 4));
+      m.lineage = static_cast<std::uint32_t>(pick(rng, 1000));
       m.relayed = pick(rng, 2) == 0;
       return m;
     }
@@ -306,6 +307,7 @@ TEST(CodecRoundtrip, FieldFidelitySpotChecks) {
     EXPECT_EQ(n.value, m.value);
     EXPECT_EQ(n.target, m.target);
     EXPECT_EQ(n.relation, m.relation);
+    EXPECT_EQ(n.lineage, m.lineage);
     EXPECT_EQ(n.relayed, m.relayed);
   }
   {

@@ -177,15 +177,15 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
              {.proc = 1, .peer = 5, .arg = 2});
   rec.record(sim::SimTime(300), obs::EventKind::kTwin,
              {.proc = 1, .uid = 42, .stamp = &stamp});
-  // Host-side event at t=0 after later ticks: the tick delta goes negative
-  // (svarint) and proc is kNoProc (the +1 bias).
-  rec.record(sim::SimTime::zero(), obs::EventKind::kAnswer, {});
+  // Host-side event stamped before the one ahead of it: the tick delta goes
+  // negative (svarint) and proc is kNoProc (the +1 bias).
+  rec.record(sim::SimTime(50), obs::EventKind::kRestore, {});
 
   const obs::Journal journal = rec.snapshot();
   const std::vector<std::uint8_t> bytes = obs::serialize(journal);
   const obs::Journal back = obs::deserialize(bytes.data(), bytes.size());
 
-  EXPECT_EQ(back.header.version, 1u);
+  EXPECT_EQ(back.header.version, 2u);
   EXPECT_EQ(back.header.rank, 2u);
   EXPECT_EQ(back.header.processors, 16u);
   EXPECT_EQ(back.header.total_recorded, journal.header.total_recorded);
@@ -210,6 +210,15 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
   corrupt[0] = 'X';
   EXPECT_THROW(obs::deserialize(corrupt.data(), corrupt.size()),
                std::runtime_error);
+  // Version 2 renumbered the kinds after `done`; a dump of any other
+  // version would decode them wrong, so it is refused.
+  for (const std::uint8_t version : {1, 3}) {
+    corrupt = bytes;
+    ASSERT_EQ(corrupt[4], 2u);  // the version varint follows the magic
+    corrupt[4] = version;
+    EXPECT_THROW(obs::deserialize(corrupt.data(), corrupt.size()),
+                 std::runtime_error);
+  }
 
   // A 32-bit field whose varint does not fit is rejected, not truncated:
   // proc (written +1) 2^32 + 6 would load as p5, stamp digit 2^32 + 3 as 3.
@@ -221,7 +230,7 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
     }
     net::codec::Writer w(out);
     // version, rank, processors, total_recorded, dropped, event count
-    for (const std::uint64_t header : {1, 0, 16, 1, 0, 1}) w.varint(header);
+    for (const std::uint64_t header : {2, 0, 16, 1, 0, 1}) w.varint(header);
     w.varint(1);  // id delta
     w.svarint(10);
     w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
@@ -245,6 +254,37 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
     EXPECT_THROW(obs::deserialize(dump.data(), dump.size()),
                  std::runtime_error);
   }
+
+  // Each tick delta fits in int64 but their running sum must too: two
+  // crashes of delta INT64_MAX would overflow it.
+  const auto crash_dump = [](std::uint64_t crashes) {
+    std::vector<std::uint8_t> out;
+    for (const char c : obs::kJournalMagic) {
+      out.push_back(static_cast<std::uint8_t>(c));
+    }
+    net::codec::Writer w(out);
+    // version, rank, processors, total_recorded, dropped, event count
+    for (const std::uint64_t header :
+         std::initializer_list<std::uint64_t>{2, 0, 16, crashes, 0, crashes}) {
+      w.varint(header);
+    }
+    for (std::uint64_t i = 0; i < crashes; ++i) {
+      w.varint(1);  // id delta
+      w.svarint(INT64_MAX);
+      w.u8(static_cast<std::uint8_t>(obs::EventKind::kCrash));
+      // proc, peer, uid, cause, arg, stamp depth
+      for (const std::uint64_t field : {1, 0, 0, 0, 0, 0}) w.varint(field);
+    }
+    return out;
+  };
+  const auto one_crash = crash_dump(1);
+  const obs::Journal at_max = obs::deserialize(one_crash.data(),
+                                               one_crash.size());
+  ASSERT_EQ(at_max.events.size(), 1u);
+  EXPECT_EQ(at_max.events[0].ticks, INT64_MAX);
+  const auto two_crashes = crash_dump(2);
+  EXPECT_THROW(obs::deserialize(two_crashes.data(), two_crashes.size()),
+               std::runtime_error);
 }
 
 TEST(Journal, MergeRenumbersAndRemapsCausalEdges) {
@@ -360,6 +400,14 @@ TEST(FlightRecorder, ChaosRunJournalsTheRecoveryStory) {
   }
   EXPECT_EQ(partitions, 1u);
   EXPECT_EQ(heals, 1u);
+
+  // Every event is stamped when it happens, so in id order time never runs
+  // backwards — the end of the run included.
+  for (std::size_t i = 1; i < journal.events.size(); ++i) {
+    EXPECT_GE(journal.events[i].ticks, journal.events[i - 1].ticks)
+        << obs::to_string(journal.events[i].kind) << " id "
+        << journal.events[i].id;
+  }
 
   // arg 1 marks a checkpoint an ancestor's subsumes (§3.2). Nothing is
   // replayed from a durable log here, so the table records only journaled

@@ -1,10 +1,15 @@
 // Protocol-level tests: the §4.2 loop's edge behaviour observed through
 // small end-to-end simulations — freeze/unfreeze, unknown-packet tolerance,
-// detection broadcast, zone eligibility, and trace narratives.
+// detection broadcast, zone eligibility, trace narratives, and a crash at
+// every Fig. 6/7 residue state.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "recovery/recovery_oracle.h"
 #include "runtime/runtime.h"
 #include "test_util.h"
 
@@ -35,6 +40,67 @@ TEST(Protocol, ErrorDetectionBroadcastReachesEveryProcessor) {
     learned.insert(e.proc);
   }
   EXPECT_EQ(learned.size(), 7U);
+}
+
+// The Figs. 6/7 residue experiment (bench/fig67_residue_states) under the
+// oracle: the G -> P -> C chain pinned to processors 0, 1, 2 and a crash
+// fired by each protocol trigger, at the trigger's own instant and 40
+// ticks later. The victim is P's host, as in the bench, and also the host
+// of the task that fires the trigger. Every run must finish with the
+// reference answer and balance the oracle's ledgers: a task that finished
+// as its trigger killed the host counts as completed, not also as lost.
+TEST(Protocol, ResidueStatesRecoverFromEveryTriggeredCrash) {
+  const lang::Program chain = lang::programs::scripted_tree({
+      {"G", {"P"}, 800, 0},
+      {"P", {"C"}, 800, 1},
+      {"C", {}, 800, 2},
+  });
+  constexpr net::ProcId kPHost = 1;
+  struct Case {
+    const char* trigger;
+    net::ProcId firing_host;  // host of the task whose step fires it
+  };
+  const Case cases[] = {
+      {"spawn:P", 0},          // b: G sends P's packet
+      {"ack:P", 0},            // c: G records the pointer to P
+      {"exec:P", kPHost},      // d: P starts running
+      {"spawn:C", kPHost},     // d': P sends C's packet
+      {"ack:C", kPHost},       // e: P records the pointer to C
+      {"complete:C", 2},       // f: C returns to P
+      {"complete:P", kPHost},  // g: P returns to G
+  };
+  for (const RecoveryKind policy :
+       {RecoveryKind::kRollback, RecoveryKind::kSplice}) {
+    for (const Case& c : cases) {
+      std::vector<net::ProcId> victims = {kPHost};
+      if (c.firing_host != kPHost) victims.push_back(c.firing_host);
+      for (const net::ProcId victim : victims) {
+        for (const std::int64_t delay : {0, 40}) {
+          const std::string label =
+              std::string(core::to_string(policy)) + " " + c.trigger +
+              " victim=p" + std::to_string(victim) +
+              " delay=" + std::to_string(delay);
+          SystemConfig cfg;
+          cfg.processors = 4;
+          cfg.topology = net::TopologyKind::kComplete;
+          cfg.scheduler.kind = core::SchedulerKind::kPinned;
+          cfg.recovery.kind = policy;
+          cfg.heartbeat_interval = 500;
+          core::Simulation sim(cfg, chain);
+          net::FaultPlan plan;
+          plan.triggered.push_back({victim, c.trigger, sim::SimTime(delay)});
+          sim.set_fault_plan(plan);
+          const RunResult r = sim.run();
+          EXPECT_EQ(r.faults_injected, 1U) << label;
+          EXPECT_TRUE(r.completed && r.answer_correct)
+              << label << ": " << r.summary();
+          const recovery::OracleReport report =
+              recovery::RecoveryOracle::check(r);
+          EXPECT_TRUE(report.ok()) << label << ": " << report.to_string();
+        }
+      }
+    }
+  }
 }
 
 TEST(Protocol, DetectionWorksWithoutHeartbeatsIfTrafficFlows) {

@@ -263,8 +263,6 @@ TEST(TaskState, NamesAreStable) {
   EXPECT_EQ(to_string(TaskState::kQueued), "queued");
   EXPECT_EQ(to_string(TaskState::kRunning), "running");
   EXPECT_EQ(to_string(TaskState::kWaiting), "waiting");
-  EXPECT_EQ(to_string(TaskState::kCompleted), "completed");
-  EXPECT_EQ(to_string(TaskState::kAborted), "aborted");
 }
 
 TEST(TaskPacketTest, SizeUnitsCountStampArgsAncestors) {
