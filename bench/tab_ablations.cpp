@@ -127,10 +127,12 @@ int main(int argc, char** argv) {
            util::Table::num(
                bench::mean_of(reps,
                               [](const bench::Replicate& r) {
+                                constexpr auto kPacket = static_cast<
+                                    std::size_t>(net::MsgKind::kTaskPacket);
                                 return static_cast<double>(
-                                           r.result.net.total_units) /
+                                           r.result.net.units[kPacket]) /
                                        static_cast<double>(
-                                           r.result.net.total_sent());
+                                           r.result.net.sent[kPacket]);
                               }),
                2)});
     }

@@ -247,8 +247,9 @@ struct PayloadEncoder {
     w.u8(m.relayed ? 1 : 0);
   }
   void operator()(const ErrorMsg& m) const {
-    w.varint(m.dead);
-    w.varint(m.reporter);
+    // Detection order, not sorted: no delta run to exploit.
+    w.varint(m.dead.size());
+    for (const ProcId p : m.dead) w.varint(p);
   }
   void operator()(const HeartbeatMsg& m) const { w.varint(m.sequence); }
   void operator()(const RejoinMsg& m) const { w.varint(m.who); }
@@ -354,9 +355,17 @@ Payload decode_payload(MsgKind kind, Reader& r) {
       return m;
     }
     case MsgKind::kErrorDetection: {
+      // A notice names at least one death (senders drop an empty one), and
+      // each name takes at least a byte.
+      const std::uint64_t count = r.varint();
+      if (count == 0) throw CodecError("codec: empty error notice");
+      if (count > r.remaining() ||
+          count > decltype(ErrorMsg::dead)::kMaxSize) {
+        throw CodecError("codec: error notice overruns");
+      }
       ErrorMsg m;
-      m.dead = get_proc(r);
-      m.reporter = get_proc(r);
+      m.dead.reserve(count);
+      for (std::uint64_t i = 0; i < count; ++i) m.dead.push_back(get_proc(r));
       return m;
     }
     case MsgKind::kHeartbeat: {

@@ -55,6 +55,8 @@ void Network::send(Envelope envelope) {
   Lane& ln = lane();
   envelope.sent_at = now;
   ++ln.stats.sent[static_cast<std::size_t>(envelope.kind)];
+  ln.stats.units[static_cast<std::size_t>(envelope.kind)] +=
+      envelope.size_units;
   ln.stats.total_units += envelope.size_units;
 
   // A dead processor transmits nothing (fail-silent, §1). Sends attempted

@@ -74,6 +74,7 @@ struct LatencyModel {
 /// Per-kind message counters, kept by the network for the experiment tables.
 struct NetworkStats {
   std::uint64_t sent[kMsgKindCount] = {};
+  std::uint64_t units[kMsgKindCount] = {};  // size units sent, per kind
   std::uint64_t delivered[kMsgKindCount] = {};
   std::uint64_t dropped_dead_dest = 0;
   std::uint64_t dropped_dead_sender = 0;
@@ -106,6 +107,7 @@ struct NetworkStats {
   void merge(const NetworkStats& other) noexcept {
     for (std::size_t k = 0; k < kMsgKindCount; ++k) {
       sent[k] += other.sent[k];
+      units[k] += other.units[k];
       delivered[k] += other.delivered[k];
     }
     dropped_dead_dest += other.dropped_dead_dest;

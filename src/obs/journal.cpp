@@ -341,7 +341,13 @@ std::vector<std::uint8_t> serialize(const Journal& journal) {
   for (const Event& e : journal.events) {
     w.varint(e.id - prev_id);
     prev_id = e.id;
-    w.svarint(e.ticks - prev_ticks);
+    // Nondecreasing ticks may still span more than int64 can hold (a merge
+    // of dumps from either end of the range).
+    std::int64_t tick_delta = 0;
+    if (__builtin_sub_overflow(e.ticks, prev_ticks, &tick_delta)) {
+      throw std::runtime_error("journal: tick span out of range");
+    }
+    w.svarint(tick_delta);
     prev_ticks = e.ticks;
     w.u8(static_cast<std::uint8_t>(e.kind));
     w.varint(e.proc == net::kNoProc ? 0 : std::uint64_t{e.proc} + 1);

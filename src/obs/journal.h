@@ -135,6 +135,8 @@ struct Journal {
 /// The serialized journal's magic prefix ("SPLJ").
 inline constexpr char kJournalMagic[4] = {'S', 'P', 'L', 'J'};
 
+/// Throws std::runtime_error when two consecutive events' ticks differ by
+/// more than int64 can hold.
 [[nodiscard]] std::vector<std::uint8_t> serialize(const Journal& journal);
 /// Throws std::runtime_error on a malformed dump.
 [[nodiscard]] Journal deserialize(const std::uint8_t* data, std::size_t size);

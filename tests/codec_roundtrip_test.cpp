@@ -156,9 +156,15 @@ net::Payload fuzz_payload(MsgKind kind, Rng& rng, int box_depth) {
       return m;
     }
     case MsgKind::kErrorDetection: {
+      // 1..8 deaths: past the inline three, so the spilled list encodes
+      // identically to the inline one.
       runtime::ErrorMsg m;
-      m.dead = static_cast<net::ProcId>(pick(rng, 256));
-      m.reporter = static_cast<net::ProcId>(pick(rng, 256));
+      const std::size_t dead = 1 + pick(rng, 8);
+      for (std::size_t i = 0; i < dead; ++i) {
+        m.dead.push_back(pick(rng, 8) == 0
+                             ? static_cast<net::ProcId>(rng())
+                             : static_cast<net::ProcId>(pick(rng, 256)));
+      }
       return m;
     }
     case MsgKind::kHeartbeat: {
@@ -310,6 +316,15 @@ TEST(CodecRoundtrip, FieldFidelitySpotChecks) {
     EXPECT_EQ(n.lineage, m.lineage);
     EXPECT_EQ(n.relayed, m.relayed);
   }
+  for (int trial = 0; trial < 8; ++trial) {
+    const Envelope env = fuzz_envelope(MsgKind::kErrorDetection, rng);
+    const auto bytes = net::codec::encode_envelope(env);
+    const Envelope back =
+        net::codec::decode_envelope(bytes.data(), bytes.size());
+    // Detection order survives the wire.
+    EXPECT_EQ(std::get<runtime::ErrorMsg>(back.payload).dead,
+              std::get<runtime::ErrorMsg>(env.payload).dead);
+  }
   {
     Envelope env = fuzz_envelope(MsgKind::kCancel, rng);
     const auto& m = *std::get<net::Boxed<runtime::CancelMsg>>(env.payload);
@@ -398,6 +413,32 @@ TEST(CodecRoundtrip, TruncationAlwaysThrows) {
           << "kind=" << net::to_string(kind) << " cut=" << cut;
     }
   }
+}
+
+// An error-detection notice whose death count is zero, runs past the
+// buffer, or exceeds what the list can hold is malformed: each is a
+// CodecError, never a length_error from the list itself.
+TEST(CodecRoundtrip, CorruptErrorNoticeCountsThrow) {
+  const auto notice = [](std::uint64_t count, std::size_t names) {
+    std::vector<std::uint8_t> bytes;
+    net::codec::Writer w(bytes);
+    w.u8(static_cast<std::uint8_t>(MsgKind::kErrorDetection));
+    w.varint(0);  // from
+    w.varint(1);  // to
+    w.varint(1);  // size_units
+    w.svarint(0);  // sent_at
+    w.varint(count);
+    for (std::size_t i = 0; i < names; ++i) w.varint(2);
+    return bytes;
+  };
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    return net::codec::decode_envelope(bytes.data(), bytes.size());
+  };
+  EXPECT_NO_THROW((void)decodes(notice(2, 2)));
+  EXPECT_THROW((void)decodes(notice(0, 0)), CodecError);
+  EXPECT_THROW((void)decodes(notice(3, 2)), CodecError);
+  constexpr std::size_t kMax = decltype(runtime::ErrorMsg::dead)::kMaxSize;
+  EXPECT_THROW((void)decodes(notice(kMax + 1, kMax + 1)), CodecError);
 }
 
 TEST(CodecRoundtrip, MutationFuzzNeverCrashes) {

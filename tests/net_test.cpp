@@ -233,6 +233,8 @@ TEST(Network, StatsCountByKind) {
             1U);
   EXPECT_EQ(s.total_sent(), 3U);
   EXPECT_EQ(s.total_units, 5U);
+  EXPECT_EQ(s.units[static_cast<std::size_t>(MsgKind::kHeartbeat)], 2U);
+  EXPECT_EQ(s.units[static_cast<std::size_t>(MsgKind::kForwardResult)], 3U);
 }
 
 TEST(Network, AliveCountTracksKills) {
@@ -315,8 +317,9 @@ TEST(Boxed, MovedFromBoxIsSafeToDestroyAndReassign) {
   Envelope moved(std::move(env));
   EXPECT_FALSE(std::get<Boxed<runtime::CancelMsg>>(env.payload).has_value());
   EXPECT_TRUE(std::get<Boxed<runtime::CancelMsg>>(moved.payload).has_value());
-  env.payload = runtime::ErrorMsg{1, 2};  // and reuses the slot
-  EXPECT_EQ(std::get<runtime::ErrorMsg>(env.payload).dead, 1U);
+  env.payload = runtime::ErrorMsg{{1, 2}};  // and reuses the slot
+  EXPECT_EQ(std::get<runtime::ErrorMsg>(env.payload).dead.size(), 2U);
+  EXPECT_EQ(std::get<runtime::ErrorMsg>(env.payload).dead[1], 2U);
   // NOLINTEND(bugprone-use-after-move)
 }
 

@@ -287,6 +287,27 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
                std::runtime_error);
 }
 
+// Writing is bounded the same way: a journal whose consecutive ticks span
+// more than int64 holds (as a merge of dumps from either end of the range
+// yields) is refused instead of encoding a wrapped delta.
+TEST(Journal, SerializeRejectsATickSpanBeyondInt64) {
+  obs::Journal journal;
+  for (const std::int64_t ticks : {INT64_MIN, INT64_MAX}) {
+    obs::Event crash;
+    crash.id = journal.events.size() + 1;
+    crash.ticks = ticks;
+    crash.kind = obs::EventKind::kCrash;
+    crash.proc = 0;
+    journal.events.push_back(crash);
+  }
+  EXPECT_THROW((void)obs::serialize(journal), std::runtime_error);
+  journal.events.pop_back();  // one event at INT64_MIN is a delta from 0
+  const std::vector<std::uint8_t> bytes = obs::serialize(journal);
+  const obs::Journal loaded = obs::deserialize(bytes.data(), bytes.size());
+  ASSERT_EQ(loaded.events.size(), 1u);
+  EXPECT_EQ(loaded.events[0].ticks, INT64_MIN);
+}
+
 TEST(Journal, MergeRenumbersAndRemapsCausalEdges) {
   obs::Recorder r0;
   r0.configure(true, 64);

@@ -66,7 +66,13 @@ obs::Journal load_journal(const std::string& path) {
 }
 
 void save_journal(const obs::Journal& journal, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = obs::serialize(journal);
+  std::vector<std::uint8_t> bytes;
+  try {
+    bytes = obs::serialize(journal);
+  } catch (const std::exception& err) {
+    std::fprintf(stderr, "splice_trace: %s: %s\n", path.c_str(), err.what());
+    std::exit(1);
+  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.write(reinterpret_cast<const char*>(bytes.data()),
                  static_cast<std::streamsize>(bytes.size()))) {
