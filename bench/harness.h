@@ -17,7 +17,6 @@
 #include "core/simulation.h"
 #include "lang/programs.h"
 #include "obs/journal.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -74,9 +73,10 @@ inline std::vector<Replicate> run_replicates(
 /// Mean of a per-replicate metric.
 inline double mean_of(const std::vector<Replicate>& reps,
                       const std::function<double(const Replicate&)>& metric) {
-  util::Samples s;
-  for (const Replicate& r : reps) s.add(metric(r));
-  return s.mean();
+  if (reps.empty()) return 0.0;
+  double sum = 0.0;
+  for (const Replicate& r : reps) sum += metric(r);
+  return sum / static_cast<double>(reps.size());
 }
 
 inline int completed_count(const std::vector<Replicate>& reps) {

@@ -1,7 +1,5 @@
 #include "checkpoint/super_root.h"
 
-#include "util/logging.h"
-
 namespace splice::checkpoint {
 
 using runtime::ResultMsg;
@@ -73,8 +71,6 @@ void SuperRoot::respawn_replica(std::uint32_t replica) {
   roots_[replica].proc = env_.spawn(std::move(packet));
   roots_[replica].uid = runtime::kNoTask;
   roots_[replica].acked = false;
-  SPLICE_INFO() << "super-root: respawned root replica " << replica << " onto "
-                << roots_[replica].proc;
 }
 
 void SuperRoot::flush_orphans() {

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.h"
-
 namespace splice::core {
 
 Simulation::Simulation(SystemConfig config, lang::Program program)
@@ -134,12 +132,6 @@ RunResult Simulation::run() {
   result.nodes_revived = injector_->revives_executed();
   result.answer_checked = true;
   result.answer_correct = result.completed && result.answer == expected;
-  if (result.completed && !result.answer_correct) {
-    SPLICE_ERROR() << "determinacy violation: got "
-                   << result.answer.to_string() << " expected "
-                   << expected.to_string() << " [" << config_.describe()
-                   << "]";
-  }
   return result;
 }
 

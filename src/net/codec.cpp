@@ -13,7 +13,6 @@ using runtime::CancelMsg;
 using runtime::ErrorMsg;
 using runtime::HeartbeatMsg;
 using runtime::LevelStamp;
-using runtime::LoadMsg;
 using runtime::RejoinMsg;
 using runtime::ResultMsg;
 using runtime::TaskPacket;
@@ -253,10 +252,6 @@ struct PayloadEncoder {
   }
   void operator()(const HeartbeatMsg& m) const { w.varint(m.sequence); }
   void operator()(const RejoinMsg& m) const { w.varint(m.who); }
-  void operator()(const LoadMsg& m) const {
-    w.varint(m.pressure);
-    w.varint(m.proximity);
-  }
   void operator()(const runtime::ControlMsg& m) const {
     w.u8(static_cast<std::uint8_t>(m.kind));
   }
@@ -323,6 +318,7 @@ Payload decode_payload(MsgKind kind, Reader& r) {
     case MsgKind::kFetchData:
     case MsgKind::kDataReply:
     case MsgKind::kCheckpointXfer:
+    case MsgKind::kLoadUpdate:
       return std::monostate{};
     case MsgKind::kTaskPacket:
       return get_packet(r);
@@ -376,12 +372,6 @@ Payload decode_payload(MsgKind kind, Reader& r) {
     case MsgKind::kRejoinNotice: {
       RejoinMsg m;
       m.who = get_proc(r);
-      return m;
-    }
-    case MsgKind::kLoadUpdate: {
-      LoadMsg m;
-      m.pressure = get_u32(r, "pressure");
-      m.proximity = get_u32(r, "proximity");
       return m;
     }
     case MsgKind::kControl: {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace splice::net {
@@ -132,8 +131,6 @@ void FaultInjector::arm_link_faults() {
     model->add_partition(armed.side, armed.start, armed.heal);
     if (armed.heal != sim::SimTime::max()) {
       sim_.at(armed.heal, [this, side = armed.side] {
-        SPLICE_INFO() << "fault: partition around " << side.size()
-                      << " nodes healed at t=" << sim_.now().ticks();
         if (on_heal_) on_heal_(side);
       });
     }
@@ -170,8 +167,6 @@ void FaultInjector::fire_trigger(const std::string& name) {
 
 void FaultInjector::kill_now(ProcId target) {
   if (!network_.alive(target)) return;
-  SPLICE_INFO() << "fault: killing processor " << target << " at t="
-                << sim_.now().ticks();
   network_.kill(target);
   ++kills_;
   if (first_kill_ticks_ < 0) first_kill_ticks_ = sim_.now().ticks();
@@ -184,8 +179,6 @@ void FaultInjector::kill_now(ProcId target) {
 
 void FaultInjector::revive_now(ProcId target) {
   if (network_.alive(target)) return;
-  SPLICE_INFO() << "fault: processor " << target << " repaired at t="
-                << sim_.now().ticks();
   network_.revive(target);
   ++revives_;
   if (on_revive_) on_revive_(target);

@@ -4,7 +4,8 @@
 // forward-result, fetch-data, error-detection — plus the plumbing the paper
 // assumes implicitly: spawn acknowledgements (Fig. 6 states b/c), delivery-
 // failure notifications (best-effort send + timeout, §1), heartbeats, load
-// updates for the gradient scheduler, and checkpoint-transfer for the
+// updates for the gradient scheduler (modelled, never sent: the runtime
+// books their count at run end), and checkpoint-transfer for the
 // periodic-global baseline.
 //
 // Payloads are a *closed* variant over the concrete protocol message types,
@@ -12,7 +13,7 @@
 // kind without a payload alternative is a compile-time error at the
 // construction site instead of a bad_any_cast at delivery time. The variant
 // is sized for the small signals (error detection, heartbeats, rejoin,
-// load, control, state requests: at most 16 bytes, inline, zero
+// control, state requests: at most 16 bytes, inline, zero
 // allocations). The five large payloads — task packets, acks, results,
 // cancels and state chunks — live out of line behind Boxed<T>, one
 // allocation per send, so an envelope is 48 bytes (320 with them inline).
@@ -50,7 +51,7 @@ enum class MsgKind : std::uint8_t {
   kErrorDetection,   // "processors P... are faulty" notification (§4.2)
   kDeliveryFailure,  // network tells sender the destination is unreachable
   kHeartbeat,        // liveness probe (optional detector)
-  kLoadUpdate,       // gradient-model pressure exchange
+  kLoadUpdate,       // gradient-model pressure exchange (booked, not sent)
   kCheckpointXfer,   // periodic-global baseline state transfer
   kRejoinNotice,     // repaired processor announces it is back
   kStateRequest,     // warm rejoiner asks peers for state held against it
@@ -102,7 +103,6 @@ using Payload = std::variant<std::monostate,
                              runtime::ErrorMsg,              // kErrorDetection
                              runtime::HeartbeatMsg,          // kHeartbeat
                              runtime::RejoinMsg,             // kRejoinNotice
-                             runtime::LoadMsg,               // kLoadUpdate
                              runtime::ControlMsg,            // kControl
                              Boxed<runtime::CancelMsg>,      // kCancel
                              store::StateRequestMsg,         // kStateRequest
@@ -153,22 +153,22 @@ static_assert(sizeof(Envelope) <= 48);
     case MsgKind::kFetchData:       return 0;
     case MsgKind::kDataReply:       return 0;
     case MsgKind::kErrorDetection:  return 4;
-    case MsgKind::kDeliveryFailure: return 12;
+    case MsgKind::kDeliveryFailure: return 11;
     case MsgKind::kHeartbeat:       return 5;
-    case MsgKind::kLoadUpdate:      return 7;
+    case MsgKind::kLoadUpdate:      return 0;
     case MsgKind::kCheckpointXfer:  return 0;
     case MsgKind::kRejoinNotice:    return 6;
-    case MsgKind::kStateRequest:    return 10;
-    case MsgKind::kStateChunk:      return 11;
-    case MsgKind::kCancel:          return 9;
-    case MsgKind::kControl:         return 8;
+    case MsgKind::kStateRequest:    return 9;
+    case MsgKind::kStateChunk:      return 10;
+    case MsgKind::kCancel:          return 8;
+    case MsgKind::kControl:         return 7;
   }
   return 0;
 }
 
 // Pin the table to the variant layout: renumbering Payload without
 // updating payload_index_of is a compile error, not a wire corruption.
-static_assert(std::variant_size_v<Payload> == 13);
+static_assert(std::variant_size_v<Payload> == 12);
 static_assert(std::is_same_v<std::variant_alternative_t<1, Payload>,
                              Boxed<runtime::TaskPacket>>);
 static_assert(std::is_same_v<std::variant_alternative_t<2, Payload>,
@@ -182,16 +182,14 @@ static_assert(std::is_same_v<std::variant_alternative_t<5, Payload>,
 static_assert(std::is_same_v<std::variant_alternative_t<6, Payload>,
                              runtime::RejoinMsg>);
 static_assert(std::is_same_v<std::variant_alternative_t<7, Payload>,
-                             runtime::LoadMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<8, Payload>,
                              runtime::ControlMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<9, Payload>,
+static_assert(std::is_same_v<std::variant_alternative_t<8, Payload>,
                              Boxed<runtime::CancelMsg>>);
-static_assert(std::is_same_v<std::variant_alternative_t<10, Payload>,
+static_assert(std::is_same_v<std::variant_alternative_t<9, Payload>,
                              store::StateRequestMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<11, Payload>,
+static_assert(std::is_same_v<std::variant_alternative_t<10, Payload>,
                              Boxed<store::StateChunkMsg>>);
-static_assert(std::is_same_v<std::variant_alternative_t<12, Payload>,
+static_assert(std::is_same_v<std::variant_alternative_t<11, Payload>,
                              EnvelopeBox>);
 
 /// Does the envelope's payload alternative match its declared kind?

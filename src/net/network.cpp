@@ -6,8 +6,6 @@
 #include <utility>
 #include <variant>
 
-#include "util/logging.h"
-
 namespace splice::net {
 
 Network::Network(sim::Simulator& simulator, Topology topology,
@@ -193,8 +191,6 @@ void Network::kill(ProcId p) {
   assert(p < size());
   if (!alive_[p]) return;
   alive_[p] = false;
-  SPLICE_DEBUG() << "network: processor " << p << " killed at t="
-                 << net_now().ticks();
 }
 
 void Network::revive(ProcId p) {
@@ -202,8 +198,6 @@ void Network::revive(ProcId p) {
   if (alive_[p]) return;
   alive_[p] = true;
   ++lane().stats.revives;
-  SPLICE_DEBUG() << "network: processor " << p << " revived at t="
-                 << net_now().ticks();
 }
 
 std::uint32_t Network::alive_count() const noexcept {

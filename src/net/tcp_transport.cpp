@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "net/codec.h"
-#include "util/logging.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -85,9 +84,6 @@ class TcpTransport final : public Transport {
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
-  [[nodiscard]] TransportKind kind() const noexcept override {
-    return TransportKind::kTcp;
-  }
   [[nodiscard]] bool local(ProcId p) const noexcept override {
     return p == self_;
   }
@@ -229,8 +225,6 @@ class TcpTransport final : public Transport {
       in.fd = fd;
       in.rank = hello[1];
       inbound_.push_back(std::move(in));
-      SPLICE_DEBUG() << "tcp: rank " << self_ << " accepted link from rank "
-                     << hello[1];
     }
   }
 

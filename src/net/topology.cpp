@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 namespace splice::net {
@@ -241,16 +240,6 @@ std::vector<ProcId> Topology::neighborhood(ProcId center,
     if (hops(center, p) <= radius) out.push_back(p);
   }
   return out;
-}
-
-std::string Topology::describe() const {
-  std::ostringstream out;
-  out << to_string(kind_) << "(" << count_;
-  if (kind_ == TopologyKind::kMesh2D || kind_ == TopologyKind::kTorus2D) {
-    out << " = " << rows_ << "x" << cols_;
-  }
-  out << ", diameter " << diameter_ << ")";
-  return out.str();
 }
 
 }  // namespace splice::net

@@ -75,8 +75,6 @@ class Topology {
   [[nodiscard]] std::vector<ProcId> neighborhood(ProcId center,
                                                  std::uint32_t radius) const;
 
-  [[nodiscard]] std::string describe() const;
-
   /// Mesh/torus grid shape (rows, cols); (N,1) for non-grid kinds.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> grid() const noexcept {
     return {rows_, cols_};

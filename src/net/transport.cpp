@@ -63,10 +63,6 @@ class InProcessTransport final : public Transport {
  public:
   explicit InProcessTransport(sim::Simulator& sim) : sim_(sim) {}
 
-  [[nodiscard]] TransportKind kind() const noexcept override {
-    return TransportKind::kInProcess;
-  }
-
   void submit(Envelope&& env, sim::SimTime delay) override {
     const std::uint32_t slot = pool_acquire(std::move(env));
     sim_.after(delay, [this, slot] {
@@ -118,10 +114,6 @@ class ShmRingTransport final : public Transport {
     for (std::uint32_t p = 0; p < procs; ++p) {
       lanes_.push_back(std::make_unique<Lane>());
     }
-  }
-
-  [[nodiscard]] TransportKind kind() const noexcept override {
-    return TransportKind::kShmRing;
   }
 
   void submit(Envelope&& env, sim::SimTime delay) override {

@@ -61,8 +61,6 @@ class Transport {
 
   virtual ~Transport() = default;
 
-  [[nodiscard]] virtual TransportKind kind() const noexcept = 0;
-
   /// Does this OS process host rank `p`? Single-process backends host
   /// every rank; TCP hosts exactly its own.
   [[nodiscard]] virtual bool local(ProcId p) const noexcept {

@@ -2,7 +2,6 @@
 
 #include "runtime/processor.h"
 #include "runtime/runtime.h"
-#include "util/logging.h"
 
 namespace splice::recovery {
 

@@ -5,7 +5,6 @@
 #include <variant>
 
 #include "runtime/runtime.h"
-#include "util/logging.h"
 
 namespace splice::runtime {
 
@@ -90,7 +89,8 @@ void Processor::handle(Envelope&& env) {
 }
 
 void Processor::on_payload(Envelope&, std::monostate&&) {
-  // kFetchData / kDataReply / kCheckpointXfer carry no modelled payload:
+  // kFetchData / kDataReply / kLoadUpdate / kCheckpointXfer carry no
+  // modelled payload:
   // "if a processor receives a packet and cannot find a proper rule to
   // handle it, the processor simply ignores the received message."
 }
@@ -124,10 +124,6 @@ void Processor::on_payload(Envelope&, HeartbeatMsg&&) {
 }
 
 void Processor::on_payload(Envelope&, RejoinMsg&& msg) { learn_alive(msg.who); }
-
-void Processor::on_payload(Envelope&, LoadMsg&&) {
-  // Load gossip feeds the scheduler via Runtime, not the protocol loop.
-}
 
 void Processor::on_payload(Envelope&, ControlMsg&& msg) {
   // kShutdown ends a multi-process rank's driver loop; the other control

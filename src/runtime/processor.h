@@ -178,11 +178,6 @@ class Processor {
   /// True from a warm revive until the next crash: enables stamp-matched
   /// delivery of results addressed to this node's previous incarnation.
   [[nodiscard]] bool warm_rejoined() const noexcept { return warm_rejoined_; }
-  /// Crash count of this node — 0 for the first life, bumped per crash.
-  /// splice_noded tags its log lines with it.
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
   /// While warm catch-up is streaming, park a result whose consumer has not
   /// been re-hosted yet; it re-delivers as transfers land. Returns false
   /// once catch-up is over (the caller discards normally).
@@ -259,7 +254,6 @@ class Processor {
   void on_payload(net::Envelope& env, ErrorMsg&& msg);
   void on_payload(net::Envelope& env, HeartbeatMsg&& msg);
   void on_payload(net::Envelope& env, RejoinMsg&& msg);
-  void on_payload(net::Envelope& env, LoadMsg&& msg);
   void on_payload(net::Envelope& env, ControlMsg&& msg);
   void on_payload(net::Envelope& env, CancelMsg&& msg);
   void on_payload(net::Envelope& env, store::StateRequestMsg&& msg);

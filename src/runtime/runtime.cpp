@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "recovery/rollback.h"
-#include "util/logging.h"
 
 namespace splice::runtime {
 

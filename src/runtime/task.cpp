@@ -143,13 +143,6 @@ CallSlot* Task::find_slot(lang::ExprId site) {
   return nullptr;
 }
 
-const CallSlot* Task::find_slot(lang::ExprId site) const {
-  for (const CallSlot& s : slots_) {
-    if (s.site == site) return &s;
-  }
-  return nullptr;
-}
-
 CallSlot& Task::slot(lang::ExprId site) {
   if (CallSlot* existing = find_slot(site)) return *existing;
   slots_.push_back(CallSlot{});

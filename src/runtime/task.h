@@ -155,7 +155,6 @@ class Task {
   void prefill(lang::ExprId site, const lang::Value& value);
 
   [[nodiscard]] CallSlot* find_slot(lang::ExprId site);
-  [[nodiscard]] const CallSlot* find_slot(lang::ExprId site) const;
   CallSlot& slot(lang::ExprId site);
   /// Slots in creation (body scan) order; each carries its own `site`.
   /// Out of line: a CallSlot is 416 bytes, and leaves and tasks not yet

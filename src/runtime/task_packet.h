@@ -184,12 +184,6 @@ struct RejoinMsg {
   net::ProcId who = net::kNoProc;
 };
 
-/// kLoadUpdate payload for the gradient-model scheduler.
-struct LoadMsg {
-  std::uint32_t pressure = 0;
-  std::uint32_t proximity = 0;
-};
-
 /// kControl payload kinds used by the runtime.
 enum class ControlKind : std::uint8_t {
   kStartRoot,        // super-root injects the root task

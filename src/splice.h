@@ -40,5 +40,4 @@
 #include "store/durable_store.h"
 #include "store/persistency.h"
 #include "store/state_transfer.h"
-#include "util/stats.h"
 #include "util/table.h"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iomanip>
-#include <ostream>
 #include <sstream>
 
 namespace splice::util {
@@ -77,7 +76,5 @@ std::string Table::to_csv() const {
   for (const auto& row : rows_) emit(row);
   return out.str();
 }
-
-void Table::print(std::ostream& out) const { out << to_ascii(); }
 
 }  // namespace splice::util

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@ class Table {
 
   [[nodiscard]] std::string to_ascii() const;
   [[nodiscard]] std::string to_csv() const;
-  void print(std::ostream& out) const;
 
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
 

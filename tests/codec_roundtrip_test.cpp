@@ -127,6 +127,7 @@ net::Payload fuzz_payload(MsgKind kind, Rng& rng, int box_depth) {
     case MsgKind::kFetchData:
     case MsgKind::kDataReply:
     case MsgKind::kCheckpointXfer:
+    case MsgKind::kLoadUpdate:
       return std::monostate{};
     case MsgKind::kTaskPacket:
       return fuzz_packet(rng);
@@ -175,12 +176,6 @@ net::Payload fuzz_payload(MsgKind kind, Rng& rng, int box_depth) {
     case MsgKind::kRejoinNotice: {
       runtime::RejoinMsg m;
       m.who = static_cast<net::ProcId>(pick(rng, 256));
-      return m;
-    }
-    case MsgKind::kLoadUpdate: {
-      runtime::LoadMsg m;
-      m.pressure = static_cast<std::uint32_t>(rng());
-      m.proximity = static_cast<std::uint32_t>(pick(rng, 64));
       return m;
     }
     case MsgKind::kControl: {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <variant>
 #include <vector>
@@ -235,6 +236,22 @@ TEST(Network, StatsCountByKind) {
   EXPECT_EQ(s.total_units, 5U);
   EXPECT_EQ(s.units[static_cast<std::size_t>(MsgKind::kHeartbeat)], 2U);
   EXPECT_EQ(s.units[static_cast<std::size_t>(MsgKind::kForwardResult)], 3U);
+}
+
+// perfbench names its `net.sent.<kind>` keys with these strings, and
+// BENCHMARK.json lists those keys: renaming a kind must fail here instead of
+// silently changing what the benchmark reports.
+TEST(Network, MsgKindNamesArePinnedInEnumOrder) {
+  constexpr std::string_view kNames[kMsgKindCount] = {
+      "task-packet",      "spawn-ack",     "forward-result",
+      "fetch-data",       "data-reply",    "error-detection",
+      "delivery-failure", "heartbeat",     "load-update",
+      "checkpoint-xfer",  "rejoin-notice", "state-request",
+      "state-chunk",      "cancel",        "control",
+  };
+  for (std::size_t k = 0; k < kMsgKindCount; ++k) {
+    EXPECT_EQ(to_string(static_cast<MsgKind>(k)), kNames[k]) << "kind " << k;
+  }
 }
 
 TEST(Network, AliveCountTracksKills) {

@@ -477,6 +477,42 @@ TEST(FlightRecorder, ChaosRunJournalsTheRecoveryStory) {
   obs::write_series_csv(series, csv);
   EXPECT_EQ(csv.str().rfind("window_start,", 0), 0u);
 
+  // The JSON export carries the CSV's windows: one object per row, keyed by
+  // the header's columns in order, with the same values.
+  std::ostringstream json;
+  obs::write_series_json(series, json);
+  std::istringstream csv_in(csv.str());
+  std::istringstream json_in(json.str());
+  const auto fields = [](const std::string& row) {
+    std::vector<std::string> out;
+    std::istringstream in(row);
+    for (std::string field; std::getline(in, field, ',');) {
+      out.push_back(field);
+    }
+    return out;
+  };
+  std::string line;
+  std::getline(csv_in, line);
+  const std::vector<std::string> columns = fields(line);
+  ASSERT_TRUE(std::getline(json_in, line));
+  EXPECT_EQ(line, "[");
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    ASSERT_TRUE(std::getline(csv_in, line));
+    const std::vector<std::string> values = fields(line);
+    ASSERT_EQ(values.size(), columns.size());
+    std::string expected = "  {";
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      if (c > 0) expected += ',';
+      expected += '"' + columns[c] + "\":" + values[c];
+    }
+    expected += i + 1 < series.size() ? "}," : "}";
+    ASSERT_TRUE(std::getline(json_in, line));
+    EXPECT_EQ(line, expected) << "window " << i;
+  }
+  ASSERT_TRUE(std::getline(json_in, line));
+  EXPECT_EQ(line, "]");
+  EXPECT_FALSE(std::getline(json_in, line));
+
   // summary() now carries the PR5/PR7 counters when the run exercised
   // them.
   const std::string summary = result.summary();

@@ -314,9 +314,17 @@ struct CutMachine {
         rt(simulator, network, cfg, program),
         side(std::move(cut_side)) {
     auto faults = std::make_unique<net::LinkFaultModel>(cfg.seed, procs);
-    faults->add_partition(side, sim::SimTime(0), sim::SimTime(kHeal));
+    cuts = faults.get();
     network.set_link_faults(std::move(faults));
-    simulator.at(sim::SimTime(kHeal), [this] { rt.on_partition_heal(side); });
+    add_cut(side, kHeal);
+  }
+
+  /// Cut `cut_side` off from t = 0 until `heal`, then reconcile it.
+  void add_cut(std::vector<net::ProcId> cut_side, std::int64_t heal) {
+    cuts->add_partition(cut_side, sim::SimTime(0), sim::SimTime(heal));
+    simulator.at(sim::SimTime(heal), [this, cut_side = std::move(cut_side)] {
+      rt.on_partition_heal(cut_side);
+    });
   }
 
   void send(net::MsgKind kind, net::ProcId from, net::ProcId to,
@@ -348,6 +356,7 @@ struct CutMachine {
   net::Network network;
   runtime::Runtime rt;
   std::vector<net::ProcId> side;
+  net::LinkFaultModel* cuts = nullptr;  // owned by `network`
 };
 
 // §1: an unreachable node is considered faulty, and re-sending into the cut
@@ -385,6 +394,33 @@ TEST(RuntimeBasic, MessageBouncedByACutIsHeldUntilTheHeal) {
   EXPECT_EQ(m.delivered(net::MsgKind::kCancel), 1U);
   EXPECT_EQ(m.delivered(net::MsgKind::kControl), 1U);
   EXPECT_EQ(m.network.stats().partition_cut, 2U);
+}
+
+// Two cuts overlap: {1, 2} heals first, {2} later. At the first heal the
+// message held for P1 goes out, while the one held for P2 stays held because
+// the second cut still separates P0 from P2; it goes out once at that heal.
+TEST(RuntimeBasic, HeldMessageWaitsForTheLastCutBetweenItsEnds) {
+  CutMachine m(3, {1, 2});
+  m.add_cut({2}, 2 * CutMachine::kHeal);
+  runtime::Processor& sender = m.rt.processor(0);
+  for (const net::ProcId to : {1U, 2U}) {
+    m.send(net::MsgKind::kControl, 0, to,
+           runtime::ControlMsg{runtime::ControlKind::kStartRoot});
+  }
+  m.simulator.run_until(sim::SimTime(CutMachine::kHeal - 1));
+  EXPECT_EQ(m.sent(net::MsgKind::kControl), 2U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kControl), 0U);
+
+  m.simulator.run_until(sim::SimTime(2 * CutMachine::kHeal - 1));
+  EXPECT_EQ(m.sent(net::MsgKind::kControl), 3U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kControl), 1U);
+  // Still held for P2: the control and P0's first notice to P2.
+  EXPECT_EQ(sender.held_messages(), 2U);
+
+  m.simulator.run_until(sim::SimTime(3 * CutMachine::kHeal));
+  EXPECT_EQ(m.sent(net::MsgKind::kControl), 4U);
+  EXPECT_EQ(m.delivered(net::MsgKind::kControl), 2U);
+  EXPECT_EQ(sender.held_messages(), 0U);
 }
 
 TEST(RuntimeBasic, HeldMessageToAPeerThatCrashedIsDropped) {

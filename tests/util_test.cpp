@@ -12,7 +12,6 @@
 
 #include "util/rng.h"
 #include "util/small_vec.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -250,66 +249,6 @@ TEST(Xoshiro256, SplitProducesIndependentStream) {
 TEST(HashCombine, OrderSensitive) {
   EXPECT_NE(hash_combine(1, 2), hash_combine(2, 1));
   EXPECT_EQ(hash_combine(1, 2), hash_combine(1, 2));
-}
-
-TEST(Accumulator, BasicMoments) {
-  Accumulator acc;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 8U);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 0.001);
-  EXPECT_EQ(acc.min(), 2.0);
-  EXPECT_EQ(acc.max(), 9.0);
-}
-
-TEST(Accumulator, MergeMatchesCombinedStream) {
-  Accumulator all, left, right;
-  Xoshiro256 rng(23);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.next_double() * 10;
-    all.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-}
-
-TEST(Accumulator, CovZeroWhenEmptyOrZeroMean) {
-  Accumulator acc;
-  EXPECT_EQ(acc.cov(), 0.0);
-  acc.add(-1);
-  acc.add(1);
-  EXPECT_EQ(acc.cov(), 0.0);
-}
-
-TEST(Samples, PercentilesExact) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 0.2);
-}
-
-TEST(Samples, EmptyIsSafe) {
-  Samples s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.percentile(50), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0, 10, 5);
-  h.add(-100);  // clamps to first bucket
-  h.add(0.5);
-  h.add(9.5);
-  h.add(100);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_EQ(h.bucket(0), 2U);
-  EXPECT_EQ(h.bucket(4), 2U);
-  EXPECT_FALSE(h.render().empty());
 }
 
 TEST(Table, AsciiAlignmentAndCsvEscaping) {

@@ -4,12 +4,17 @@
 // deterministically, and safely across re-crashes mid-transfer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/config.h"
 #include "core/simulation.h"
 #include "lang/programs.h"
 #include "net/fault_plan.h"
+#include "net/network.h"
+#include "recovery/recovery_oracle.h"
+#include "runtime/processor.h"
+#include "runtime/runtime.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -106,6 +111,87 @@ TEST(WarmRejoin, CatchUpCompletesAndIsTraced) {
   EXPECT_TRUE(has_event(sim, EventKind::kCatchUp, on_p2));
   EXPECT_GT(r.counters.catch_up_ticks, 0);
   EXPECT_GT(r.counters.state_units_transferred, 0U);
+}
+
+// A warm rejoiner with no live peer has nobody to stream state from: its
+// catch-up completes at the revive itself, with no state request sent.
+TEST(WarmRejoin, NoLivePeerCompletesCatchUpAtOnce) {
+  core::SystemConfig cfg =
+      base_config(core::RecoveryKind::kSplice, store::Persistency::kLocal);
+  cfg.processors = 2;
+  sim::Simulator simulator;
+  net::Network network(simulator, net::Topology(cfg.topology, cfg.processors),
+                       cfg.latency);
+  runtime::Runtime rt(simulator, network, cfg, lang::programs::fib(3));
+  rt.set_warm_rejoin(true);
+  rt.recorder().configure(true, 1024);
+  for (const net::ProcId p : {1U, 0U}) {
+    network.kill(p);
+    rt.on_kill(p);
+  }
+  constexpr std::int64_t kRevive = 1000;
+  runtime::Processor& rejoiner = rt.processor(0);
+  simulator.at(sim::SimTime(kRevive), [&] {
+    network.revive(0);
+    rejoiner.revive();
+  });
+  simulator.run_until(sim::SimTime(kRevive));
+
+  EXPECT_TRUE(rejoiner.warm_rejoined());
+  EXPECT_EQ(network.stats().sent[static_cast<std::size_t>(
+                net::MsgKind::kStateRequest)],
+            0U);
+  EXPECT_EQ(rejoiner.counters().catch_up_ticks, 0);
+  std::vector<obs::Event> catch_ups;
+  rt.recorder().for_each([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kCatchUp) catch_ups.push_back(e);
+  });
+  ASSERT_EQ(catch_ups.size(), 1U);
+  EXPECT_EQ(catch_ups[0].proc, 0U);
+  EXPECT_EQ(catch_ups[0].ticks, kRevive);
+  // The completed catch-up armed the pre-link guard, which ends the warm
+  // window after its grace.
+  simulator.run_until(sim::SimTime(kRevive + cfg.store.prelink_grace + 1));
+  EXPECT_FALSE(rejoiner.warm_rejoined());
+}
+
+// perfbench's crash-rejoin workload (perfbench/src/workloads.cpp) at run
+// seed 1264939189, over the in-process transport with the recorder off. It
+// is the one known run that regrows a branch from a replayed checkpoint
+// record whose owner was never re-hosted (Processor::respawn_from_record,
+// three times near t=33500): clean makespan 26220, 24 crashes, makespan
+// 34110. The CI coverage job fails if that path stops running.
+TEST(WarmRejoin, ChurnRegrowsABranchFromAReplayedRecord) {
+  constexpr std::uint64_t kRunSeed = 1264939189;
+  const auto program = lang::programs::tree_sum(12, 2, 400, 30);
+  core::SystemConfig cfg;
+  cfg.processors = 128;
+  cfg.topology = net::TopologyKind::kTorus2D;
+  cfg.scheduler.kind = core::SchedulerKind::kRandom;
+  cfg.recovery.kind = core::RecoveryKind::kSplice;
+  cfg.seed = kRunSeed;
+  cfg.store.model = store::Persistency::kLocal;
+  const std::int64_t makespan =
+      core::Simulation::fault_free_makespan(cfg, program);
+  net::RecurringFault arrivals;
+  arrivals.start = sim::SimTime(makespan / 6);
+  arrivals.mean_interval = static_cast<double>(makespan) / 16;
+  arrivals.max_faults = 24;
+  net::LinkQuality lossy;
+  lossy.drop_p = 0.01;
+  lossy.reorder_p = 0.02;
+  lossy.jitter = 10;
+  net::FaultPlan plan = net::FaultPlan::poisson(arrivals);
+  plan.merge(net::FaultPlan::link(lossy));
+  plan.with_rejoin(sim::SimTime(makespan / 10), net::RejoinMode::kWarm);
+  plan.with_seed(kRunSeed * 31 + 7);
+
+  const core::RunResult r = core::run_once(cfg, program, plan);
+  ASSERT_TRUE(r.completed) << r.summary();
+  EXPECT_TRUE(r.answer_correct);
+  EXPECT_EQ(r.faults_injected, 24U);
+  const recovery::OracleReport report = recovery::RecoveryOracle::check(r);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(WarmRejoin, SeededRunsAreBitIdentical) {

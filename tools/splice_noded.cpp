@@ -30,9 +30,7 @@
 // With --journal FILE the per-rank flight recorder is on: the journal dumps
 // to FILE on exit and on SIGUSR1 (live inspection of a running group), a
 // periodic STATS line reports recorder counters, and `splice_trace merge`
-// stitches the per-rank dumps into one timeline. Log lines are prefixed
-// with `[rank R inc I]` so interleaved stderr from the group stays
-// attributable.
+// stitches the per-rank dumps into one timeline.
 #include <csignal>
 #include <chrono>
 #include <cstdint>
@@ -47,7 +45,6 @@
 #include "core/config.h"
 #include "lang/programs.h"
 #include "obs/journal.h"
-#include "util/logging.h"
 #include "net/tcp_transport.h"
 #include "runtime/runtime.h"
 
@@ -67,7 +64,6 @@ struct Options {
   bool rejoin = false;
   bool warm = false;
   std::uint64_t seed = 1;
-  std::string log_level;
   std::string journal;               // empty: recorder off
   std::int64_t stats_ticks = 2'000'000;  // STATS cadence (with --journal)
 };
@@ -104,8 +100,6 @@ Options parse_args(int argc, char** argv) {
       opt.deadline_ticks = std::atoll(value());
     } else if (arg == "--seed") {
       opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
-    } else if (arg == "--log") {
-      opt.log_level = value();
     } else if (arg == "--journal") {
       opt.journal = value();
     } else if (arg == "--stats-ticks") {
@@ -148,9 +142,6 @@ int main(int argc, char** argv) {
   using namespace splice;
   using Clock = std::chrono::steady_clock;
   const Options opt = parse_args(argc, argv);
-  if (!opt.log_level.empty()) {
-    util::Logger::instance().set_level(util::parse_log_level(opt.log_level));
-  }
 
   core::SystemConfig cfg;
   cfg.processors = opt.ranks;
@@ -182,17 +173,6 @@ int main(int argc, char** argv) {
   runtime::Runtime rt(sim, network, cfg, program);
   rt.set_warm_rejoin(opt.warm);
   rt.recorder().set_rank(opt.rank);
-  // Interleaved stderr from N ranks must stay attributable: prefix every
-  // log line with the rank and the local node's incarnation (bumps when
-  // this rank's processor is crashed, e.g. a --rejoin arrival).
-  util::Logger::instance().set_sink(
-      [&rt, rank = opt.rank](util::LogLevel level, std::string_view message) {
-        std::fprintf(stderr, "[rank %u inc %llu] [%s] %.*s\n", rank,
-                     static_cast<unsigned long long>(
-                         rt.processor(rank).incarnation()),
-                     util::to_string(level).data(),
-                     static_cast<int>(message.size()), message.data());
-      });
   const auto dump_journal = [&](const char* why) {
     if (opt.journal.empty()) return;
     const obs::Journal journal = rt.recorder().snapshot();
