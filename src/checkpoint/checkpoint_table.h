@@ -10,12 +10,15 @@
 // level-stamp ancestry order — no record subsumes another.
 //
 // Layout: one entry per destination processor, and each record is an index
-// entry for the call slot that retains the packet — §2.1's "this retained
-// copy is all that the parent needs to regenerate the child task", kept
-// once. Every release names the destination its slot filed the record
-// under (the slot's sent_to[0]), so finding a record costs a scan of one
-// entry. Record/unit totals are maintained incrementally (the peak-tracking
-// used to recount every record on every mutation).
+// entry for the owner's call slot. §2.1's "this retained copy is all that
+// the parent needs to regenerate the child task" is kept once, and only in
+// part: the slot keeps the callee, the arguments and the spawn lineage, and
+// the owner rebuilds the rest of the packet from its own stamp, ancestor
+// chain and zone (runtime::Task::child_packet). Every release names the
+// destination its slot filed the record under (the slot's sent_to[0]), so
+// finding a record costs a scan of one entry. Record/unit totals are
+// maintained incrementally (the peak-tracking used to recount every record
+// on every mutation).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +34,8 @@
 namespace splice::checkpoint {
 
 /// One retained checkpoint: where the owner slot's packet went, and enough
-/// to route its eventual result back into that slot. The packet itself
-/// stays in the slot (CallSlot::retained).
+/// to route its eventual result back into that slot. The owner rebuilds
+/// the packet from the slot (Task::child_packet).
 struct CheckpointRecord {
   runtime::TaskUid owner = runtime::kNoTask;  // local parent task
   runtime::LevelStamp stamp;                  // the retained child's stamp

@@ -108,7 +108,8 @@ void PeriodicGlobalPolicy::restore() {
     for (Task& task : snapshot_[home]) {
       Task copy = task;
       for (auto& slot : copy.slots_mut()) {
-        if (slot.outstanding() && !present.contains(slot.retained.stamp)) {
+        if (slot.outstanding() &&
+            !present.contains(task.stamp().child(slot.site))) {
           slot.spawned = false;
           slot.sent_to.clear();
           slot.child_procs.clear();

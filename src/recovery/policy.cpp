@@ -32,7 +32,7 @@ void RecoveryPolicy::on_spawn_undeliverable(Processor& proc,
   if (owner == nullptr) return;
   CallSlot* slot = owner->find_slot(packet.call_site);
   if (slot == nullptr || slot->resolved() || !slot->spawned) return;
-  if (packet.lineage < slot->retained.lineage) {
+  if (packet.lineage < slot->lineage) {
     // Late bounce of a superseded spawn generation: the slot was respawned
     // after this packet left (a death-path reissue, or an earlier bounce)
     // and the current generation is unaffected. Reacting would cancel a

@@ -34,13 +34,15 @@ bool all_destinations_dead(Processor& proc, const CallSlot& slot) {
 /// the owning task must not be doomed out from under it. (The eager-splice
 /// variant must NOT use this: splice never takes records, so a record's
 /// presence there says nothing about a pending reissue.)
-bool slot_still_checkpointed(Processor& proc, const CallSlot& slot) {
+bool slot_still_checkpointed(Processor& proc, const Task& owner,
+                             const CallSlot& slot) {
+  const runtime::LevelStamp stamp = owner.stamp().child(slot.site);
   for (std::size_t i = 0; i < slot.sent_to.size(); ++i) {
     net::ProcId where = slot.sent_to[i];
     if (i < slot.child_procs.size() && slot.child_procs[i] != net::kNoProc) {
       where = slot.child_procs[i];
     }
-    if (proc.table().contains(where, slot.retained.stamp)) return true;
+    if (proc.table().contains(where, stamp)) return true;
   }
   return false;
 }
@@ -67,8 +69,8 @@ std::pair<Task*, CallSlot*> resolve_record_owner(
     // reached this call site yet; re-link the slot from the replayed
     // record's packet. (A live record's slot spawned when it was made.)
     assert(record.restored());
-    owner->note_spawned(record.site, *record.packet);
-    slot = owner->find_slot(record.site);
+    slot = &owner->note_spawned(record.site, record.packet->fn,
+                                record.packet->args, record.packet->lineage);
   }
   return {owner, slot};
 }
@@ -129,7 +131,7 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
   proc.reclaim_tasks_if([&](const Task& task) {
     for (const auto& slot : task.slots()) {
       if (slot.outstanding() && all_destinations_dead(proc, slot) &&
-          !slot_still_checkpointed(proc, slot)) {
+          !slot_still_checkpointed(proc, task, slot)) {
         return true;
       }
     }

@@ -304,31 +304,19 @@ void Processor::spawn_child(Task& owner, SpawnRequest request) {
     // is awaited — spawning again would duplicate the whole subtree.
     return;
   }
-  TaskPacket packet;
-  packet.stamp = owner.stamp().child(request.site);
-  packet.fn = request.fn;
-  packet.args = std::move(request.args);
-  packet.call_site = request.site;
-  // Ancestor chain: self as parent, then the owner's own chain, truncated
-  // to the configured resilience depth (>= 1).
-  packet.ancestors.push_back(TaskRef{id_, owner.uid()});
-  const auto depth =
-      std::max<std::uint32_t>(1, rt_.config().recovery.ancestor_depth);
-  for (const TaskRef& ref : owner.packet().ancestors) {
-    if (packet.ancestors.size() >= depth) break;
-    packet.ancestors.push_back(ref);
-  }
-  packet.zone = owner.packet().zone;  // lane confinement is inherited
-  owner.note_spawned(request.site, std::move(packet));
-  send_packet(owner, owner.slot(request.site));
+  // The slot keeps the callee and arguments; the owner supplies the stamp,
+  // the ancestor chain and the zone (Task::child_packet).
+  send_packet(owner, owner.note_spawned(request.site, request.fn,
+                                        std::move(request.args)));
 }
 
 void Processor::send_packet(Task& owner, CallSlot& slot) {
   // Stamp the slot's current spawn generation into the packet: acks echo it
   // (stale-lineage acks are dropped) and a superseded instance can be told
   // apart from its replacement wherever both land.
-  slot.retained.lineage = slot.respawns;
-  const TaskPacket& packet = slot.retained;
+  slot.lineage = slot.respawns;
+  const TaskPacket packet =
+      owner.child_packet(slot, id_, rt_.config().recovery.ancestor_depth);
   const std::uint32_t replicas =
       rt_.replication_for(packet.stamp.depth());
   const bool zoned = rt_.config().replication.enabled() &&
@@ -359,7 +347,7 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
   slot.prelink_prev_owner = kNoTask;
   if (rt_.has_triggers()) {
     rt_.fire_trigger("spawn:" + rt_.program().function(packet.fn).name);
-    if (dead_) return;  // trigger killed this node; owner/slot/packet freed
+    if (dead_) return;  // trigger killed this node; owner/slot freed
   }
   for (std::uint32_t r = 0; r < dests.size(); ++r) {
     TaskPacket copy = packet;
@@ -523,11 +511,10 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
         {.proc = id_, .uid = task.uid(), .stamp = &msg.stamp});
   }
   // An unspawned slot can be pre-filled here (twin not yet scanned, or a
-  // stamp-matched delivery into a re-hosted task); its default-constructed
-  // retained packet names no real function, so no trigger fires for it.
+  // stamp-matched delivery into a re-hosted task); it names no callee, so
+  // no trigger fires for it.
   if (rt_.has_triggers() && slot.spawned) {
-    rt_.fire_trigger("result:" +
-                     rt_.program().function(slot.retained.fn).name);
+    rt_.fire_trigger("result:" + rt_.program().function(slot.fn).name);
     if (dead_) return;  // trigger killed this node; task/slot are freed
   }
   // The slot resolved on a lineage that was recovered at least once (a
@@ -543,7 +530,7 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
   // twin_active.
   if (msg.relayed || slot.twin_active) {
     std::optional<std::uint32_t> producer;
-    if (!msg.relayed && msg.lineage == slot.retained.lineage) {
+    if (!msg.relayed && msg.lineage == slot.lineage) {
       producer = msg.replica;
     }
     cancel_slot_instances(task, slot, producer);  // async: nothing dies here
@@ -558,8 +545,8 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
       table_.release_anywhere(msg.stamp);
     }
   }
-  slot.retained.args.clear();
-  slot.retained.args.shrink_to_fit();
+  slot.args.clear();
+  slot.args.shrink_to_fit();
   resume_after_fill(task);
 }
 
@@ -624,9 +611,9 @@ void Processor::handle_ack(AckMsg msg) {
     return;
   }
   if (rt_.has_triggers()) {
-    rt_.fire_trigger("ack:" + rt_.program().function(
-                                  task->slot(msg.call_site).retained.fn)
-                                  .name);
+    rt_.fire_trigger(
+        "ack:" +
+        rt_.program().function(task->slot(msg.call_site).fn).name);
     if (dead_) return;  // trigger killed this node; `task` is freed
   }
   // Grandparent transport role: flush orphan results buffered for the twin.
@@ -913,10 +900,11 @@ void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin) {
     slot.twin_active = true;
     ++counters_.twins_created;
   }
+  const LevelStamp stamp = owner.stamp().child(slot.site);
   rt_.recorder().record(
       rt_.sim().now(),
       as_twin ? obs::EventKind::kTwin : obs::EventKind::kReissue,
-      {.proc = id_, .stamp = &slot.retained.stamp});
+      {.proc = id_, .stamp = &stamp});
   send_packet(owner, slot);
 }
 
@@ -951,10 +939,10 @@ void Processor::send_cancel(const LevelStamp& stamp, std::uint32_t replica,
 void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot,
                                       std::optional<std::uint32_t> spared) {
   if (!rt_.config().reclaim.cancellation) return;
-  const LevelStamp& stamp = slot.retained.stamp;
-  // Roots belong to the super-root; replicated depths keep every copy by
-  // design (§5.3 — the redundancy IS the copies).
-  if (stamp.is_root() || rt_.replication_for(stamp.depth()) > 1) return;
+  const LevelStamp stamp = owner.stamp().child(slot.site);
+  // Replicated depths keep every copy by design (§5.3 — the redundancy IS
+  // the copies).
+  if (rt_.replication_for(stamp.depth()) > 1) return;
   // Stamp-addressed cancels revoke a specific parent instance's spawn: for
   // a pre-linked slot the awaited original carries the *previous
   // incarnation's* owner uid; every other never-acked instance carries the
@@ -1014,7 +1002,7 @@ void Processor::cancel_task(TaskUid uid) {
   for (const CallSlot& slot : task->slots()) {
     if (!slot.spawned || slot.resolved()) continue;
     if (rt_.policy().functional_checkpointing() && !slot.sent_to.empty()) {
-      table_.release(slot.sent_to[0], slot.retained.stamp);
+      table_.release(slot.sent_to[0], task->stamp().child(slot.site));
     }
     cancel_slot_instances(*task, slot);
   }
@@ -1099,7 +1087,10 @@ std::vector<TaskPacket> Processor::packets_against(net::ProcId rejoiner) {
     Task* owner = find_task(record.owner);
     const CallSlot* slot =
         owner == nullptr ? nullptr : owner->find_slot(record.site);
-    if (slot != nullptr) packets.push_back(slot->retained);
+    if (slot != nullptr) {
+      packets.push_back(owner->child_packet(
+          *slot, id_, rt_.config().recovery.ancestor_depth));
+    }
   }
   return packets;
 }
@@ -1276,8 +1267,9 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
       record->packet->ancestors[0] = TaskRef{id_, uid};
     }
     if (!prelink) continue;
-    task->note_spawned(record->site, *record->packet);
-    CallSlot& slot = task->slot(record->site);
+    CallSlot& slot =
+        task->note_spawned(record->site, record->packet->fn,
+                           record->packet->args, record->packet->lineage);
     slot.sent_to = {dest};
     slot.prelinked = true;
     // The awaited original out there still carries the previous
@@ -1400,7 +1392,8 @@ void Processor::adopt_tasks(std::vector<Task> tasks) {
 
 std::uint64_t Processor::state_units() const {
   std::uint64_t units = 0;
-  for (const auto& [uid, task] : tasks_) units += task->state_units();
+  const std::uint32_t depth = rt_.config().recovery.ancestor_depth;
+  for (const auto& [uid, task] : tasks_) units += task->state_units(depth);
   return units;
 }
 

@@ -99,10 +99,32 @@ std::optional<lang::Value> Task::eval(const lang::Program& program,
   return std::nullopt;
 }
 
-void Task::note_spawned(lang::ExprId site, TaskPacket retained) {
+CallSlot& Task::note_spawned(lang::ExprId site, lang::FuncId fn,
+                             TaskPacket::Args args, std::uint32_t lineage) {
   CallSlot& s = slot(site);
   s.spawned = true;
-  s.retained = std::move(retained);
+  s.fn = fn;
+  s.args = std::move(args);
+  s.lineage = lineage;
+  return s;
+}
+
+TaskPacket Task::child_packet(const CallSlot& slot, net::ProcId host,
+                              std::uint32_t ancestor_depth) const {
+  TaskPacket packet;
+  packet.stamp = stamp().child(slot.site);
+  packet.fn = slot.fn;
+  packet.args = slot.args;
+  packet.call_site = slot.site;
+  packet.ancestors.push_back(TaskRef{host, uid_});
+  const auto depth = std::max<std::uint32_t>(1, ancestor_depth);
+  for (const TaskRef& ref : packet_.ancestors) {
+    if (packet.ancestors.size() >= depth) break;
+    packet.ancestors.push_back(ref);
+  }
+  packet.lineage = slot.lineage;
+  packet.zone = packet_.zone;
+  return packet;
 }
 
 bool Task::note_ack(lang::ExprId site, TaskRef child, std::uint32_t replica,
@@ -158,12 +180,14 @@ std::uint32_t Task::outstanding_children() const noexcept {
   return n;
 }
 
-std::uint32_t Task::state_units() const noexcept {
+std::uint32_t Task::state_units(std::uint32_t ancestor_depth) const {
   std::uint32_t units = packet_.size_units();
   for (const CallSlot& s : slots_) {
     units += 1;
     if (s.result.has_value()) units += s.result->size_units();
-    if (s.spawned) units += s.retained.size_units();
+    if (s.spawned) {
+      units += child_packet(s, net::kNoProc, ancestor_depth).size_units();
+    }
   }
   return units;
 }

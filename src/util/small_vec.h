@@ -161,7 +161,7 @@ class SmallVec {
   }
 
   /// Give back the heap cell if the contents fit inline again (mirrors the
-  /// retained-packet trimming in the runtime).
+  /// argument trimming of a resolved call slot in the runtime).
   void shrink_to_fit() noexcept {
     if (!spilled() || size_ > N) return;
     T* cell = heap();  // read before the elements overwrite the pointer

@@ -415,16 +415,15 @@ struct HandMachine {
   }
 
   /// File `owner`'s spawn of the child at `site` onto `dest` the way a
-  /// send does: the slot retains the packet, the table indexes the slot.
+  /// send does: the slot keeps the callee and arguments, the owner rebuilds
+  /// the packet, the table indexes the slot.
   runtime::TaskPacket spawn(runtime::Task& owner, runtime::StampDigit site,
                             net::ProcId dest) {
-    runtime::TaskPacket child;
-    child.stamp = owner.stamp().child(site);
-    child.call_site = site;
-    child.args.push_back(lang::Value::integer(site));
-    child.ancestors.push_back(runtime::TaskRef{0, owner.uid()});
-    owner.note_spawned(site, child);
-    owner.slot(site).sent_to = {dest};
+    runtime::CallSlot& slot =
+        owner.note_spawned(site, /*fn=*/0, {lang::Value::integer(site)});
+    slot.sent_to = {dest};
+    const runtime::TaskPacket child =
+        owner.child_packet(slot, 0, cfg.recovery.ancestor_depth);
     checkpoint::CheckpointRecord record;
     record.owner = owner.uid();
     record.site = site;
@@ -490,7 +489,7 @@ TEST(CancelProtocol, DirectReturnSparesItsProducer) {
     runtime::CallSlot& slot = owner.slot(3);
     m.proc().respawn_slot(owner, slot, /*as_twin=*/true);
     ASSERT_TRUE(slot.twin_active);
-    ASSERT_EQ(slot.retained.lineage, 1U);
+    ASSERT_EQ(slot.lineage, 1U);
     ASSERT_EQ(slot.sent_to.size(), 1U);
     const std::uint64_t before = m.proc().counters().cancels_sent;
 
@@ -499,7 +498,7 @@ TEST(CancelProtocol, DirectReturnSparesItsProducer) {
     result.call_site = 3;
     result.value = lang::Value::integer(2);
     result.target = runtime::TaskRef{0, owner.uid()};
-    result.lineage = twin_first ? slot.retained.lineage : original.lineage;
+    result.lineage = twin_first ? slot.lineage : original.lineage;
     m.proc().deliver_parent_result(owner, result);
 
     EXPECT_TRUE(slot.resolved());

@@ -4,13 +4,17 @@
 // every Fig. 6/7 residue state.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "net/network.h"
 #include "recovery/recovery_oracle.h"
+#include "runtime/processor.h"
 #include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "test_util.h"
 
 namespace splice {
@@ -211,6 +215,108 @@ TEST(Protocol, TraceDisabledCollectsNothing) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(sim.recorder().total_recorded(), 0U);
   EXPECT_TRUE(sim.recorder().snapshot().events.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The rebuilt child packet: a call slot keeps the callee, the arguments and
+// the lineage, and its owner rebuilds the rest (Task::child_packet)
+// ---------------------------------------------------------------------------
+
+/// A run stepped by hand, `victim` killed at `kill_at` when one is given.
+/// At every step each live child whose spawning slot is still current is
+/// checked: the packet it arrived with, and the one its owner rebuilds now,
+/// both equal the packet built by the reference rule
+/// (testing::reference_child_packet), and the owner's state units are the
+/// reference count.
+struct PacketCheck {
+  std::uint64_t checked = 0;      // children compared
+  std::uint64_t respawned = 0;    // of which from a respawned slot
+  std::uint64_t replicas = 0;     // of which a replica other than 0
+};
+
+PacketCheck check_packets_while_running(
+    const SystemConfig& cfg, const lang::Program& program,
+    std::optional<net::ProcId> victim = {}, std::int64_t kill_at = 0) {
+  sim::Simulator simulator;
+  net::Network network(simulator, net::Topology(cfg.topology, cfg.processors),
+                       cfg.latency);
+  runtime::Runtime rt(simulator, network, cfg, program);
+  const std::uint32_t depth = cfg.recovery.ancestor_depth;
+  if (victim.has_value()) {
+    simulator.at(sim::SimTime(kill_at), [&] {
+      network.kill(*victim);
+      rt.on_kill(*victim);
+    });
+  }
+  rt.start();
+  PacketCheck out;
+  for (std::int64_t t = 50; !rt.done() && t < 400000; t += 50) {
+    simulator.run_until(sim::SimTime(t));
+    for (net::ProcId p = 0; p < cfg.processors; ++p) {
+      if (rt.processor(p).crashed()) continue;
+      rt.processor(p).for_each_task([&](runtime::Task& child) {
+        const runtime::TaskRef parent = child.packet().parent();
+        if (parent.proc >= cfg.processors ||
+            rt.processor(parent.proc).crashed()) {
+          return;
+        }
+        runtime::Task* owner = rt.processor(parent.proc).find_task(parent.uid);
+        const runtime::CallSlot* slot =
+            owner == nullptr ? nullptr
+                             : owner->find_slot(child.packet().call_site);
+        if (slot == nullptr || !slot->spawned || slot->resolved() ||
+            slot->lineage != child.packet().lineage) {
+          return;  // a superseded instance, or its slot already resolved
+        }
+        const std::uint32_t replica = child.packet().replica;
+        const bool zoned = cfg.replication.enabled() &&
+                           cfg.replication.zoned &&
+                           rt.replication_for(child.stamp().depth()) > 1;
+        const runtime::TaskPacket want = testing::reference_child_packet(
+            *owner, *slot, parent.proc, depth, replica, zoned);
+        testing::expect_same_packet(want, child.packet());
+        runtime::TaskPacket rebuilt =
+            owner->child_packet(*slot, parent.proc, depth);
+        rebuilt.replica = replica;
+        if (zoned) rebuilt.zone = static_cast<std::int32_t>(replica);
+        testing::expect_same_packet(want, rebuilt);
+        EXPECT_EQ(owner->state_units(depth),
+                  testing::reference_state_units(*owner, parent.proc, depth));
+        ++out.checked;
+        if (slot->respawns > 0) ++out.respawned;
+        if (replica > 0) ++out.replicas;
+      });
+    }
+  }
+  EXPECT_TRUE(rt.done());
+  return out;
+}
+
+TEST(Protocol, RebuiltChildPacketMatchesTheSentOneAtEveryDepth) {
+  const auto program = lang::programs::fib(11);
+  for (const std::uint32_t depth : {1U, 2U, 4U}) {
+    SCOPED_TRACE("ancestor_depth=" + std::to_string(depth));
+    SystemConfig cfg = base_config(8, 5);
+    cfg.recovery.ancestor_depth = depth;
+    const std::int64_t makespan =
+        core::Simulation::fault_free_makespan(cfg, program);
+    const PacketCheck c =
+        check_packets_while_running(cfg, program, 3, makespan / 2);
+    EXPECT_GT(c.checked, 100U);
+    EXPECT_GT(c.respawned, 0U);  // the crash's twins were checked too
+  }
+}
+
+TEST(Protocol, RebuiltChildPacketMatchesZonedReplicas) {
+  SystemConfig cfg = base_config(9, 11);
+  cfg.topology = net::TopologyKind::kComplete;
+  cfg.recovery.kind = RecoveryKind::kNone;
+  cfg.replication.factor = 3;
+  cfg.replication.max_depth = 3;
+  cfg.replication.zoned = true;
+  const auto program = lang::programs::tree_sum(4, 2, 200, 20);
+  const PacketCheck c = check_packets_while_running(cfg, program);
+  EXPECT_GT(c.replicas, 0U);
 }
 
 TEST(Protocol, ConfigDescribeMentionsEveryAxis) {

@@ -77,12 +77,7 @@ TEST(TaskScan, RescanDoesNotRedemandSpawnedSlots) {
   Task task(12, packet_for(p), sim::SimTime(0));
   ScanOutcome first = task.scan(p);
   for (const SpawnRequest& req : first.spawns) {
-    TaskPacket child;
-    child.stamp = task.stamp().child(req.site);
-    child.fn = req.fn;
-    child.args = req.args;
-    child.call_site = req.site;
-    task.note_spawned(req.site, child);
+    task.note_spawned(req.site, req.fn, req.args);
   }
   const ScanOutcome second = task.scan(p);
   EXPECT_TRUE(second.spawns.empty());
@@ -95,9 +90,7 @@ TEST(TaskScan, CompletesWhenAllSlotsResolve) {
   Task task(13, packet_for(p), sim::SimTime(0));
   ScanOutcome first = task.scan(p);
   for (const SpawnRequest& req : first.spawns) {
-    TaskPacket child;
-    child.call_site = req.site;
-    task.note_spawned(req.site, child);
+    task.note_spawned(req.site, req.fn, req.args);
     EXPECT_TRUE(
         task.deliver_result(req.site, Value::integer(50), /*quorum=*/1));
   }
@@ -150,9 +143,7 @@ TEST(TaskScan, NestedCallsSpawnInDependencyOrder) {
   ScanOutcome first = task.scan(p);
   ASSERT_EQ(first.spawns.size(), 1U);  // only the inner call is ready
   const auto inner_site = first.spawns[0].site;
-  TaskPacket child;
-  child.call_site = inner_site;
-  task.note_spawned(inner_site, child);
+  task.note_spawned(inner_site, first.spawns[0].fn, first.spawns[0].args);
   EXPECT_TRUE(task.deliver_result(inner_site, Value::integer(7), 1));
 
   ScanOutcome second = task.scan(p);
@@ -168,9 +159,7 @@ TEST(TaskScan, NestedCallsSpawnInDependencyOrder) {
 TEST(TaskSlots, QuorumVoting) {
   const Program p = two_call_program();
   Task task(17, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 3;
-  task.note_spawned(3, child);
+  task.note_spawned(3, /*fn=*/0, {});
   // Majority of 3: two identical votes required (§5.3).
   EXPECT_FALSE(task.deliver_result(3, Value::integer(9), /*quorum=*/2));
   EXPECT_FALSE(task.slot(3).resolved());
@@ -183,9 +172,7 @@ TEST(TaskSlots, QuorumVoting) {
 TEST(TaskSlots, DuplicateResultIgnored) {
   const Program p = two_call_program();
   Task task(18, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 5;
-  task.note_spawned(5, child);
+  task.note_spawned(5, /*fn=*/0, {});
   EXPECT_TRUE(task.deliver_result(5, Value::integer(1), 1));
   EXPECT_FALSE(task.deliver_result(5, Value::integer(1), 1));  // case 6/7
 }
@@ -219,9 +206,7 @@ TEST(TaskSlots, PrefillDoesNotOverwrite) {
 TEST(TaskSlots, AckRecordsChildPointerPerReplica) {
   const Program p = two_call_program();
   Task task(22, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 6;
-  task.note_spawned(6, child);
+  task.note_spawned(6, /*fn=*/0, {});
   EXPECT_TRUE(task.note_ack(6, TaskRef{3, 77}, /*replica=*/0, /*lineage=*/0));
   EXPECT_TRUE(task.note_ack(6, TaskRef{5, 78}, /*replica=*/2, /*lineage=*/0));
   const CallSlot& slot = task.slot(6);
@@ -235,9 +220,7 @@ TEST(TaskSlots, AckRecordsChildPointerPerReplica) {
 TEST(TaskSlots, StaleLineageAckIsDropped) {
   const Program p = two_call_program();
   Task task(24, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 6;
-  task.note_spawned(6, child);
+  task.note_spawned(6, /*fn=*/0, {});
   // The slot was respawned once: generation-0 acks are from the superseded
   // (cancelled) instance and must not overwrite the twin's pointer.
   task.slot(6).respawns = 1;
@@ -251,12 +234,10 @@ TEST(TaskSlots, StaleLineageAckIsDropped) {
 TEST(TaskSlots, StateUnitsGrowWithRetainedState) {
   const Program p = two_call_program();
   Task task(23, packet_for(p), sim::SimTime(0));
-  const auto before = task.state_units();
-  TaskPacket retained;
-  retained.args = {Value::list(std::vector<std::int64_t>(100, 1))};
-  retained.call_site = 2;
-  task.note_spawned(2, retained);
-  EXPECT_GT(task.state_units(), before);
+  const auto before = task.state_units(/*ancestor_depth=*/2);
+  task.note_spawned(2, /*fn=*/0,
+                    {Value::list(std::vector<std::int64_t>(100, 1))});
+  EXPECT_GT(task.state_units(2), before);
 }
 
 TEST(TaskState, NamesAreStable) {

@@ -155,6 +155,60 @@ TEST(WarmRejoin, NoLivePeerCompletesCatchUpAtOnce) {
   EXPECT_FALSE(rejoiner.warm_rejoined());
 }
 
+// A warm rejoiner re-hosts a parent from a survivor's state chunk and
+// pre-links its slots from the replayed child records (rebinding each
+// record to the re-hosted owner). A pre-linked slot keeps the record's
+// callee, arguments and lineage; the packet the owner rebuilds from it is
+// the record's packet, field by field.
+TEST(WarmRejoin, PreLinkedSlotRebuildsItsRecordsPacket) {
+  const auto program = lang::programs::tree_sum(5, 3, 300, 40);
+  core::SystemConfig cfg =
+      base_config(core::RecoveryKind::kSplice, store::Persistency::kLocal);
+  const std::int64_t makespan =
+      core::Simulation::fault_free_makespan(cfg, program);
+  cfg.store.warm_grace = makespan;  // the repair always beats the grace
+  sim::Simulator simulator;
+  net::Network network(simulator, net::Topology(cfg.topology, cfg.processors),
+                       cfg.latency);
+  runtime::Runtime rt(simulator, network, cfg, program);
+  rt.set_warm_rejoin(true);
+  constexpr net::ProcId kVictim = 3;
+  const std::int64_t revive_at = makespan / 2 + makespan / 8;
+  simulator.at(sim::SimTime(makespan / 2), [&] {
+    network.kill(kVictim);
+    rt.on_kill(kVictim);
+  });
+  simulator.at(sim::SimTime(revive_at), [&] {
+    network.revive(kVictim);
+    rt.on_revive(kVictim);
+  });
+  rt.start();
+  runtime::Processor& rejoiner = rt.processor(kVictim);
+  std::uint64_t checked = 0;
+  for (std::int64_t t = revive_at; !rt.done() && t < 20 * makespan; t += 10) {
+    simulator.run_until(sim::SimTime(t));
+    if (rejoiner.crashed()) continue;
+    rejoiner.for_each_task([&](runtime::Task& owner) {
+      const auto records = rejoiner.table().restored_children_of(owner.stamp());
+      for (const runtime::CallSlot& slot : owner.slots()) {
+        if (!slot.prelinked || slot.resolved()) continue;
+        for (const auto& [dest, record] : records) {
+          if (record->site != slot.site || record->owner != owner.uid()) {
+            continue;
+          }
+          testing::expect_same_packet(
+              *record->packet,
+              owner.child_packet(slot, kVictim, cfg.recovery.ancestor_depth));
+          ++checked;
+        }
+      }
+    });
+  }
+  EXPECT_TRUE(rt.done());
+  EXPECT_GT(rejoiner.counters().reissues_avoided, 0U);
+  EXPECT_GT(checked, 0U);
+}
+
 // perfbench's crash-rejoin workload (perfbench/src/workloads.cpp) at run
 // seed 1264939189, over the in-process transport with the recorder off. It
 // is the one known run that regrows a branch from a replayed checkpoint
