@@ -225,8 +225,10 @@ class Runtime {
   /// rejoin notice will ever clear, because the "dead" nodes never died.
   /// Reconcile the mutual suspicion: every survivor that believes a live
   /// node across the healed cut is dead relearns it alive, exactly as a
-  /// rejoin notice would have taught it. Then every live processor
-  /// releases the messages it held at the cut (Processor::release_held).
+  /// rejoin notice would have taught it — unless another active cut still
+  /// separates the pair. A node's failure detection is re-armed once no
+  /// live peer suspects it any more. Then every live processor releases the
+  /// messages it held at the cut (Processor::release_held).
   void on_partition_heal(const std::vector<net::ProcId>& side);
 
   // ---- fault triggers ------------------------------------------------------
