@@ -46,9 +46,7 @@ PdesEngine::PdesEngine(Runtime& runtime, net::Network& network,
       sim_(runtime.coordinator_sim()),
       procs_(config.processors),
       lookahead_(config.latency.base),
-      shard_of_(config.processors),
-      shards_(std::min(std::max(config.parallel.shards, 1u),
-                       config.processors)),
+      shards_(runtime::shard_count(config)),
       link_seq_(static_cast<std::size_t>(config.processors) *
                     config.processors * 3,
                 0),
@@ -57,7 +55,6 @@ PdesEngine::PdesEngine(Runtime& runtime, net::Network& network,
       loads_(config.processors, 0) {
   validate(config);
   const auto nshards = static_cast<std::uint32_t>(shards_.size());
-  for (net::ProcId p = 0; p < procs_; ++p) shard_of_[p] = p % nshards;
   for (std::uint32_t s = 0; s < nshards; ++s) {
     shards_[s].index = s;
     shards_[s].inbox.resize(nshards + 1);
@@ -134,7 +131,7 @@ void PdesEngine::route(net::Envelope&& envelope, sim::SimTime when) {
   op.stream = stream;
   op.seq = link_seq_[stream]++;
   op.envelope = std::move(envelope);
-  Shard& dest = shards_[shard_of_[op.envelope.to]];
+  Shard& dest = shards_[shard_of(op.envelope.to)];
   const std::uint32_t slot = posting_slot();
   if (slot == dest.index) {
     push_op(dest, std::move(op));
@@ -152,7 +149,7 @@ void PdesEngine::post_host(net::ProcId acting, std::function<void()> fn) {
     fn();
     return;
   }
-  assert(shard_of_[acting] == sim::ctx_shard() &&
+  assert(shard_of(acting) == sim::ctx_shard() &&
          "host ops must be posted from the acting processor's shard");
   HostOp op;
   op.when = sim::ctx(sim_).now();
@@ -172,7 +169,7 @@ void PdesEngine::post_shard(net::ProcId target, std::function<void()> fn) {
   op.stream = 0;
   op.seq = coordinator_seq_++;
   op.fn = std::move(fn);
-  Shard& dest = shards_[shard_of_[target]];
+  Shard& dest = shards_[shard_of(target)];
   const auto slot = static_cast<std::uint32_t>(shards_.size());
   dest.inbox[slot][posting_parity(slot)].push_back(std::move(op));
 }
@@ -180,7 +177,7 @@ void PdesEngine::post_shard(net::ProcId target, std::function<void()> fn) {
 SPLICE_SHARD_ENTRY
 void PdesEngine::with_shard_of(net::ProcId p,
                                const std::function<void()>& fn) {
-  Shard& shard = shards_[shard_of_[p]];
+  Shard& shard = shards_[shard_of(p)];
   sim::ScopedContext ctx(&shard.sim, shard.index);
   obs::ScopedRecorder rec(shard.recorder.enabled() ? &shard.recorder
                                                    : nullptr);

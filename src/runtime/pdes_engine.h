@@ -1,11 +1,12 @@
 // Parallel sharded simulation core: a conservative time-window PDES driver.
 //
 // The classic path runs the whole machine on one Simulator. The engine
-// partitions processors across `shards` worker threads (shard_of(p) =
-// p % shards), each owning a private Simulator + op heap + journal ring, and
-// runs events window by window on a fixed grid W_k = k * L, where the
-// lookahead L is the latency model's base cost — the minimum cross-processor
-// message delay. Because every cross-processor send posted inside window k
+// partitions processors across `shards` worker threads (runtime::shard_of:
+// p % shards, the mapping that also picks each processor's task pool), each
+// owning a private Simulator + op heap + journal ring, and runs events
+// window by window on a fixed grid W_k = k * L, where the lookahead L is
+// the latency model's base cost — the minimum cross-processor message
+// delay. Because every cross-processor send posted inside window k
 // (at time >= W_k) delivers at >= W_k + L = W_{k+1}, a delivery staged into
 // the destination shard's inbox during window k is always drained in time
 // for window k+1: no shard ever receives an op for its past. Loopback
@@ -89,7 +90,7 @@ class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
     return static_cast<std::uint32_t>(shards_.size());
   }
   [[nodiscard]] std::uint32_t shard_of(net::ProcId p) const noexcept {
-    return shard_of_[p];
+    return runtime::shard_of(p, shard_count());
   }
   /// Window barriers crossed (scaling diagnostics).
   [[nodiscard]] std::uint64_t windows_run() const noexcept {
@@ -181,7 +182,6 @@ class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
   const net::ProcId procs_;
   const std::int64_t lookahead_;
 
-  std::vector<std::uint32_t> shard_of_;
   std::vector<Shard> shards_;
 
   /// Per-(directed link, lane) delivery sequence counters, indexed

@@ -15,7 +15,7 @@
 // The task state machine mirrors Fig. 6 (states a-g) from the task's own
 // viewpoint; transient states b/d of the figure live in the network as
 // unacknowledged packets. A finished task — reduced to a value, cancelled
-// or aborted — leaves its processor's task map at once (§4.2 reduces it out
+// or aborted — leaves its processor's task index at once (§4.2 reduces it out
 // of the evaluation structure), so a resident task is live and no state
 // records an ending.
 #pragma once
