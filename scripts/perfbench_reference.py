@@ -5,7 +5,7 @@ perfbench's simulated metrics are a pure function of the workload seed, so
 a guard on them needs no statistics. For `one-crash`, `warm-rejoin` and
 `partition-heal` at seeds 71 and 1986 this script runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0|1
+    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0|1
 
 and compares, exactly, `makespan_ticks_mean`, `slowdown_mean` and
 `msgs_per_call` from `--trace 0` and every per-layer metric from `--trace 1`
@@ -21,10 +21,14 @@ old and new value, in CHANGES.md. A change meant only for speed or memory
 leaves the file as it is.
 
 Exit codes: 0 every metric matches; 1 a metric differs, is missing or
-new, or a perfbench run failed; 2 usage errors.
+new, or a perfbench run failed (a wrong answer, an oracle violation, or a
+simulated count that drifted between repeats of one seed); 2 usage errors.
 
 Usage, from anywhere in a checkout:
-  scripts/perfbench_reference.py [--update]
+  scripts/perfbench_reference.py [--seconds N] [--update]
+
+`--seconds N` (default 1) is each run's timed loop; a longer loop repeats
+each seed more often, so a drifting count has more chances to show.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ def pinned(name: str) -> bool:
                 or name.startswith(("span.", "trace.")))
 
 
-def run(workload: str, seed: int, trace: int) -> dict[str, float]:
+def run(workload: str, seed: int, trace: int,
+        seconds: float) -> dict[str, float]:
     cmd = [sys.executable, str(REPO / "perfbench" / "run.py"),
-           "--workload", workload, "--seed", str(seed), "--seconds", "1",
-           "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--seconds",
+           str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = done.stdout.strip().splitlines()
@@ -63,13 +68,14 @@ def run(workload: str, seed: int, trace: int) -> dict[str, float]:
             for name, metric in json.loads(lines[-1])["metrics"].items()}
 
 
-def measure() -> dict[str, dict[str, float]]:
+def measure(seconds: float) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     for workload in WORKLOADS:
         for seed in SEEDS:
-            row = {k: v for k, v in run(workload, seed, 0).items()
+            row = {k: v for k, v in run(workload, seed, 0, seconds).items()
                    if k in END_TO_END}
-            row.update((k, v) for k, v in run(workload, seed, 1).items()
+            row.update((k, v)
+                       for k, v in run(workload, seed, 1, seconds).items()
                        if pinned(k))
             out[f"{workload}@{seed}"] = row
     return out
@@ -90,9 +96,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
                         help="re-pin the reference from this checkout")
+    parser.add_argument("--seconds", type=float, default=1,
+                        help="timed loop of each perfbench run")
     args = parser.parse_args()
     try:
-        got = measure()
+        got = measure(args.seconds)
     except RuntimeError as err:
         print(f"perfbench_reference: {err}", file=sys.stderr)
         return 1
