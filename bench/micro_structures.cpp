@@ -1,6 +1,9 @@
 // E12 — google-benchmark micro-benchmarks of the core data structures:
 // level-stamp algebra, checkpoint-table operations, the event queue, the
-// gradient proximity relaxation, and whole-simulation throughput.
+// gradient proximity relaxation, and whole-simulation throughput. They
+// explain a layer's cost; they gate nothing (ctest's
+// bench_smoke_micro_structures only checks that they run). The regression
+// gate is perfbench's pinned reference (scripts/perfbench_reference.py).
 #include <benchmark/benchmark.h>
 
 #include "checkpoint/checkpoint_table.h"
@@ -225,7 +228,7 @@ std::vector<net::Envelope> sample_wire_mix() {
 
 // Serialization cost per message: items/sec over the representative mix is
 // messages/sec (ns/msg = 1e9 / items_per_second); bytes/sec reflects the
-// encoded density. bench_json.py records both into BENCH_PR9.json.
+// encoded density.
 void BM_CodecEncode(benchmark::State& state) {
   const std::vector<net::Envelope> mix = sample_wire_mix();
   std::vector<std::uint8_t> buf;
@@ -271,7 +274,7 @@ BENCHMARK(BM_CodecDecode);
 // End-to-end wire density: a full seeded run over the shared-memory ring
 // backend (every protocol message serialized through the codec) reporting
 // encoded bytes per simulated event and per message, plus the measured
-// encode/decode ns per message. These counters land in BENCH_PR9.json.
+// encode/decode ns per message.
 void BM_WireBytesPerEvent(benchmark::State& state) {
   const lang::Program program = lang::programs::tree_sum(8, 2, 60, 10);
   core::SystemConfig cfg;
@@ -311,9 +314,7 @@ void BM_WireBytesPerEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_WireBytesPerEvent)->Unit(benchmark::kMillisecond);
 
-// Whole-simulator throughput gate (bench_json.py records items/sec =
-// simulated events/sec into BENCH_PR9.json alongside the tab_scalability
-// sweep).
+// Whole-simulator throughput: items/sec = simulated events/sec.
 void BM_SimThroughput(benchmark::State& state) {
   const auto procs = static_cast<std::uint32_t>(state.range(0));
   const lang::Program program = lang::programs::tree_sum(10, 2, 60, 10);
@@ -341,9 +342,9 @@ BENCHMARK(BM_SimThroughput)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 // Per-shard journal rings: in engine mode each worker records into its own
 // ring during the window and merge_journals() splices them into the
 // canonical journal afterwards, so journaling a sharded run must cost about
-// what the single-ring recorder does (~12% over recorder-off is the gate
-// bench_json.py tracks). Arg = shard count; 0 is the classic single-queue
-// path with the recorder on, the baseline the sharded rings are held to.
+// what the single-ring recorder does (~12% over recorder-off when last
+// recorded). Arg = shard count; 0 is the classic single-queue path with the
+// recorder on, the baseline the sharded rings are compared with.
 void BM_JournalRecordSharded(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   const lang::Program program = lang::programs::tree_sum(8, 2, 60, 10);

@@ -1,5 +1,5 @@
 // E11 — scalability: processors 2..256 across topologies.
-// E16 — simulator throughput: the recorded perf trajectory.
+// E16 — simulator throughput per machine size.
 // E17 — duplicate reclaim: the cancel protocol vs. no reclaim at all.
 // E19 — goodput + reclaim latency under link-level chaos (partition-and-heal
 //       and gray-failure churn) at 128/256 processors.
@@ -17,9 +17,9 @@
 // repair, the regime large fleets actually live in. Table 3 (E16): wall-
 // clock throughput of the simulator itself — events/sec, heap allocations
 // per event and the row's peak live heap (global counting allocator in this
-// binary) — at 32/64/128/256 processors. `--perf-json PATH` dumps table 3 as
-// JSON; scripts/bench_json.py wraps it into BENCH_PR9.json and enforces the
-// regression guard.
+// binary) — at 32/64/128/256 processors. These tables describe; they gate
+// nothing. The regression gate is perfbench's pinned reference
+// (scripts/perfbench_reference.py).
 #include <malloc.h>
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
@@ -111,25 +110,6 @@ using namespace splice;
 
 namespace {
 
-/// Machine-speed calibration: a fixed, pure-CPU integer loop whose rate
-/// scales with single-core speed. The perf JSON stores events/sec both raw
-/// and divided by this, so the regression guard compares machines fairly.
-double calibration_mops() {
-  volatile std::uint64_t sink = 0;
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  const auto t0 = std::chrono::steady_clock::now();
-  constexpr std::uint64_t kIters = 60'000'000;
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    sink = sink + x;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return static_cast<double>(kIters) /
-         std::chrono::duration<double>(t1 - t0).count() / 1e6;
-}
-
 struct ThroughputRow {
   std::uint32_t procs = 0;
   double events_per_sec = 0;
@@ -145,12 +125,6 @@ struct ThroughputRow {
 
 int main(int argc, char** argv) {
   const bench::Options opt = bench::Options::parse(argc, argv);
-  const char* perf_json = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-json") == 0 && i + 1 < argc) {
-      perf_json = argv[i + 1];
-    }
-  }
 
   const lang::Program program = lang::programs::tree_sum(6, 2, 400, 30);
 
@@ -336,7 +310,6 @@ int main(int argc, char** argv) {
     int correct = 0;
     int runs = 0;
   };
-  std::vector<E17Row> e17_rows;
   // Deeper trees than the scalability workload: duplicate races need
   // enough concurrent subtrees per processor for a fault to actually
   // collide, so the tree grows with the machine (~8+ tasks/processor).
@@ -407,7 +380,6 @@ int main(int argc, char** argv) {
       });
       row.correct = bench::correct_count(reps);
       row.runs = static_cast<int>(reps.size());
-      e17_rows.push_back(row);
       reclaim.add_row(
           {util::Table::num(static_cast<std::uint64_t>(procs)),
            std::string(row.mode),
@@ -443,7 +415,6 @@ int main(int argc, char** argv) {
     double msgs_lost = 0;  // partition_cut + link_dropped + gray_dropped
     double cancel_msgs = 0;
   };
-  std::vector<E19Row> e19_rows;
   util::Table chaos({"procs", "scenario", "correct", "goodput/ktick",
                      "slowdown", "reclaimed", "reclaim latency", "msgs lost",
                      "cancel msgs"});
@@ -523,7 +494,6 @@ int main(int argc, char** argv) {
         return static_cast<double>(r.result.net.sent[static_cast<std::size_t>(
             net::MsgKind::kCancel)]);
       });
-      e19_rows.push_back(row);
       chaos.add_row(
           {util::Table::num(static_cast<std::uint64_t>(procs)),
            std::string(row.scenario),
@@ -575,7 +545,7 @@ int main(int argc, char** argv) {
       "E20 partition-heal at 128 procs, recorder on — per-window goodput "
       "and spawn->complete latency quantiles (cut at makespan/4, heal "
       "+makespan/3)");
-  // The table strides to ~16 rows; the perf JSON carries every window.
+  // The table strides to ~16 rows.
   const std::size_t stride = std::max<std::size_t>(1, e20_series.size() / 16);
   for (std::size_t i = 0; i < e20_series.size(); i += stride) {
     const obs::TimePoint& w = e20_series[i];
@@ -660,7 +630,7 @@ int main(int argc, char** argv) {
         ov_batches);
   }
 
-  // ---- E16: simulator throughput (the recorded perf trajectory) -----------
+  // ---- E16: simulator throughput ------------------------------------------
   // Sequential, wall-clock timed, with one mid-run fault so recovery code is
   // on the measured path. The workload (8191-task balanced tree) is sized to
   // keep even the 256-processor machine busy.
@@ -670,7 +640,6 @@ int main(int argc, char** argv) {
                     "peak heap (KB)", "ckpt peak", "EventFn spills"});
   perf.set_title(
       "simulator throughput — tree_sum(12,2) + one fault, sequential runs");
-  std::vector<ThroughputRow> rows;
   for (std::uint32_t procs : {32U, 64U, 128U, 256U}) {
     const long long heap_at_start = reset_peak_heap();
     core::SystemConfig cfg =
@@ -685,7 +654,7 @@ int main(int argc, char** argv) {
     const std::uint64_t spills0 = sim::EventFn::heap_fallbacks();
     const unsigned long long allocs0 = g_allocs.load();
     // Best of three timed batches: a short batch is one scheduler hiccup
-    // away from a 25% misreading, and the trajectory guard needs stability.
+    // away from a 25% misreading.
     double best_events_per_sec = 0;
     for (int batch = 0; batch < 3; ++batch) {
       std::uint64_t batch_events = 0;
@@ -718,7 +687,6 @@ int main(int argc, char** argv) {
     row.peak_heap_kb =
         (g_peak_bytes.load(std::memory_order_relaxed) - heap_at_start) / 1024;
     row.eventfn_heap_fallbacks = sim::EventFn::heap_fallbacks() - spills0;
-    rows.push_back(row);
     perf.add_row({util::Table::num(static_cast<std::uint64_t>(procs)),
                   util::Table::num(row.events_per_sec, 0),
                   util::Table::num(row.allocs_per_event, 2),
@@ -735,8 +703,7 @@ int main(int argc, char** argv) {
   // so this sweep is pure wall-clock: events/sec at 1/2/4/8 worker threads
   // (the scaling curve), and the E16 workload matrix re-run across
   // schedulers at 1 and 8 shards (the "does any scheduler break the
-  // parallel path" gate — every cell must stay answer-correct, and the
-  // events/sec/thread aggregate feeds the bench_json.py regression guard).
+  // parallel path" check — every cell must stay answer-correct).
   // On a single-core host the curve is honest overhead measurement: shards
   // > 1 pay barrier + context-switch cost with no parallel speedup.
   struct E21Row {
@@ -836,120 +803,6 @@ int main(int argc, char** argv) {
                        std::to_string(r.runs)});
     }
     bench::emit(e21, opt);
-  }
-
-  if (perf_json != nullptr) {
-    const double calib = calibration_mops();
-    std::FILE* out = std::fopen(perf_json, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", perf_json);
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"schema_version\": 1,\n");
-    std::fprintf(out,
-                 "  \"workload\": \"tree_sum(12,2,60,10) torus2d splice, one "
-                 "mid-run fault, %d sequential runs\",\n",
-                 perf_reps);
-    std::fprintf(out, "  \"calibration_mops\": %.1f,\n", calib);
-    std::fprintf(out, "  \"throughput\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const ThroughputRow& r = rows[i];
-      std::fprintf(out,
-                   "    {\"procs\": %u, \"events_per_sec\": %.0f, "
-                   "\"normalized_events_per_mop\": %.1f, "
-                   "\"allocs_per_event\": %.2f, \"events_per_run\": %llu, "
-                   "\"peak_heap_kb\": %lld, \"checkpoint_peak_records\": %llu, "
-                   "\"eventfn_heap_fallbacks\": %llu}%s\n",
-                   r.procs, r.events_per_sec,
-                   r.events_per_sec / calib,
-                   r.allocs_per_event,
-                   static_cast<unsigned long long>(r.events), r.peak_heap_kb,
-                   static_cast<unsigned long long>(r.checkpoint_peak),
-                   static_cast<unsigned long long>(r.eventfn_heap_fallbacks),
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"e17_reclaim\": [\n");
-    for (std::size_t i = 0; i < e17_rows.size(); ++i) {
-      const E17Row& r = e17_rows[i];
-      std::fprintf(out,
-                   "    {\"procs\": %u, \"mode\": \"%s\", "
-                   "\"correct\": %d, \"runs\": %d, "
-                   "\"reclaimed_mean\": %.1f, "
-                   "\"reclaim_latency_ticks_mean\": %.0f, "
-                   "\"cancel_msgs_mean\": %.1f, \"total_msgs_mean\": %.0f, "
-                   "\"slowdown_mean\": %.2f}%s\n",
-                   r.procs, r.mode, r.correct, r.runs, r.reclaimed, r.latency,
-                   r.cancel_msgs, r.total_msgs, r.slowdown,
-                   i + 1 < e17_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"e19_chaos\": [\n");
-    for (std::size_t i = 0; i < e19_rows.size(); ++i) {
-      const E19Row& r = e19_rows[i];
-      std::fprintf(out,
-                   "    {\"procs\": %u, \"scenario\": \"%s\", "
-                   "\"correct\": %d, \"runs\": %d, "
-                   "\"goodput_tasks_per_ktick_mean\": %.2f, "
-                   "\"slowdown_mean\": %.2f, \"reclaimed_mean\": %.1f, "
-                   "\"reclaim_latency_ticks_mean\": %.0f, "
-                   "\"msgs_lost_mean\": %.0f, \"cancel_msgs_mean\": %.1f}%s\n",
-                   r.procs, r.scenario, r.correct, r.runs, r.goodput,
-                   r.slowdown, r.reclaimed, r.latency, r.msgs_lost,
-                   r.cancel_msgs, i + 1 < e19_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"e21_pdes\": [\n");
-    for (std::size_t i = 0; i < e21_rows.size(); ++i) {
-      const E21Row& r = e21_rows[i];
-      std::fprintf(out,
-                   "    {\"workload\": \"%s\", \"scheduler\": \"%s\", "
-                   "\"shards\": %u, \"events_per_sec\": %.0f, "
-                   "\"normalized_events_per_mop\": %.1f, "
-                   "\"events_per_sec_per_thread\": %.0f, "
-                   "\"events_per_run\": %llu, \"correct\": %d, "
-                   "\"runs\": %d}%s\n",
-                   r.workload, r.scheduler, r.shards, r.events_per_sec,
-                   r.events_per_sec / calib,
-                   r.events_per_sec / r.shards,
-                   static_cast<unsigned long long>(r.events), r.correct,
-                   r.runs, i + 1 < e21_rows.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"recorder_overhead\": {\"procs\": 128, "
-                 "\"events_per_sec_off\": %.0f, \"events_per_sec_on\": %.0f, "
-                 "\"overhead_pct\": %.1f},\n",
-                 recorder_eps[0], recorder_eps[1],
-                 recorder_eps[0] > 0
-                     ? (1.0 - recorder_eps[1] / recorder_eps[0]) * 100.0
-                     : 0.0);
-    std::fprintf(out,
-                 "  \"e20_partition_heal_series\": {\"procs\": %u, "
-                 "\"makespan_ticks\": %lld, \"latency_p50\": %llu, "
-                 "\"latency_p99\": %llu, \"latency_p999\": %llu, "
-                 "\"windows\": [\n",
-                 e20_procs, static_cast<long long>(e20_result.makespan_ticks),
-                 static_cast<unsigned long long>(e20_lat.percentile(0.5)),
-                 static_cast<unsigned long long>(e20_lat.percentile(0.99)),
-                 static_cast<unsigned long long>(e20_lat.percentile(0.999)));
-    for (std::size_t i = 0; i < e20_series.size(); ++i) {
-      const obs::TimePoint& w = e20_series[i];
-      std::fprintf(out,
-                   "    {\"t\": %lld, \"spawned\": %llu, \"completed\": %llu, "
-                   "\"queue_depth\": %llu, \"in_flight\": %llu, "
-                   "\"ckpt_resident\": %llu, \"p50\": %llu, \"p99\": %llu, "
-                   "\"p999\": %llu}%s\n",
-                   static_cast<long long>(w.window_start),
-                   static_cast<unsigned long long>(w.spawned),
-                   static_cast<unsigned long long>(w.completed),
-                   static_cast<unsigned long long>(w.queue_depth),
-                   static_cast<unsigned long long>(w.in_flight),
-                   static_cast<unsigned long long>(w.checkpoint_residency),
-                   static_cast<unsigned long long>(w.latency_p50),
-                   static_cast<unsigned long long>(w.latency_p99),
-                   static_cast<unsigned long long>(w.latency_p999),
-                   i + 1 < e20_series.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]}\n}\n");
-    std::fclose(out);
-    std::printf("perf json written to %s\n", perf_json);
   }
 
   std::printf(

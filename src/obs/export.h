@@ -9,8 +9,8 @@
 // trace microseconds (one tick nominally models 1 µs, sim/time.h).
 //
 // write_series_csv / write_series_json emit the per-window goodput +
-// gauge + latency-quantile series; bench_json.py folds the JSON form into
-// the recorded trajectory (E20).
+// gauge + latency-quantile series (`splice_trace record --series-csv` and
+// `--series-json`).
 //
 // merge stitches per-rank journals (splice_noded --journal dumps) into one
 // timeline: events re-sorted by time, re-numbered consecutively, causal

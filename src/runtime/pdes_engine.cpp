@@ -140,7 +140,7 @@ void PdesEngine::route(net::Envelope&& envelope, sim::SimTime when) {
   }
 }
 
-// ---- EngineHooks -----------------------------------------------------------
+// ---- services for the Runtime ---------------------------------------------
 
 SPLICE_SHARD_ENTRY
 void PdesEngine::post_host(net::ProcId acting, std::function<void()> fn) {

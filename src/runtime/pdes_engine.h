@@ -62,7 +62,7 @@
 
 namespace splice::runtime {
 
-class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
+class PdesEngine final : public net::EnvelopeRouter {
  public:
   /// Validates the configuration for engine mode (throws
   /// std::invalid_argument naming the offending knob) and builds the shard
@@ -102,16 +102,37 @@ class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
   // ---- net::EnvelopeRouter -------------------------------------------------
   void route(net::Envelope&& envelope, sim::SimTime when) override;
 
-  // ---- EngineHooks ---------------------------------------------------------
-  void post_host(net::ProcId acting, std::function<void()> fn) override;
-  void post_shard(net::ProcId target, std::function<void()> fn) override;
-  void with_shard_of(net::ProcId p, const std::function<void()>& fn) override;
-  [[nodiscard]] std::uint32_t load_of(net::ProcId p) const override;
-  [[nodiscard]] std::uint64_t shard_events() const override;
-  [[nodiscard]] std::uint64_t shard_pending() const override;
+  // ---- services for the Runtime --------------------------------------------
+  // Worker -> coordinator traffic goes through post_host: the op is stamped
+  // with the posting thread's simulated time and a per-acting-processor
+  // sequence number, and the coordinator replays the batch at the next
+  // barrier in (when, acting, seq) order — a pure function of each
+  // processor's own event history, hence independent of the shard count.
+  // Coordinator -> worker traffic goes through post_shard while the workers
+  // are parked at a barrier: the op lands in the target shard's heap and
+  // executes at the start of the next window, ordered by the coordinator's
+  // posting sequence.
+
+  /// Stage `fn` to run on the coordinator thread at the next barrier, as a
+  /// coordinator event at the posting thread's current simulated time.
+  void post_host(net::ProcId acting, std::function<void()> fn);
+  /// Coordinator-only: stage `fn` to run on `target`'s shard thread at the
+  /// start of the next window.
+  void post_shard(net::ProcId target, std::function<void()> fn);
+  /// Run `fn` with `p`'s shard simulator installed as the thread context.
+  /// Setup-time only (no worker may be running).
+  void with_shard_of(net::ProcId p, const std::function<void()>& fn);
+  /// Barrier-published queue length of `p` — the scheduler's load snapshot.
+  /// Workers must not read another shard's live queue.
+  [[nodiscard]] std::uint32_t load_of(net::ProcId p) const;
+  /// Events executed across all shard simulators (coordinator excluded).
+  [[nodiscard]] std::uint64_t shard_events() const;
+  /// Pending events + staged ops across all shards (queue-depth gauge).
+  [[nodiscard]] std::uint64_t shard_pending() const;
+  /// Record one metrics gauge sample; the engine interleaves stored samples
+  /// with journal events when it merges the shard rings.
   void note_gauge_sample(sim::SimTime now, std::uint64_t queue_depth,
-                         std::uint64_t in_flight,
-                         std::uint64_t residency) override;
+                         std::uint64_t in_flight, std::uint64_t residency);
 
  private:
   /// One unit of cross-thread work, totally ordered by

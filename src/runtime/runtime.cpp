@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "recovery/rollback.h"
+#include "runtime/pdes_engine.h"
 
 namespace splice::runtime {
 
@@ -99,7 +100,7 @@ void Runtime::attach_scheduler() {
   scheduler_->attach(env);
 }
 
-void Runtime::set_engine(EngineHooks* engine) {
+void Runtime::set_engine(PdesEngine* engine) {
   engine_ = engine;
   uid_stream_next_.assign(procs_.size(), 0);
   for (net::ProcId p = 0; p < procs_.size(); ++p) {
@@ -309,6 +310,10 @@ void Runtime::note_detection(net::ProcId dead, net::ProcId detector) {
 }
 
 void Runtime::on_kill(net::ProcId dead) {
+  // A crash starts a new death, even of a node a peer still falsely
+  // suspects across an unhealed cut: its detection must fire the
+  // once-per-death hooks again.
+  if (dead < detection_noted_.size()) detection_noted_[dead] = false;
   procs_.at(dead)->nuke();
   recorder_.record(sim_.now(), obs::EventKind::kCrash, {.proc = dead});
 }

@@ -42,45 +42,7 @@ namespace splice::runtime {
   return p % shards;
 }
 
-/// The sharded (PDES) engine's service interface, as the Runtime sees it.
-/// Null on the classic single-thread path. The contract mirrors the
-/// conservative-window design:
-///  * worker -> coordinator traffic goes through post_host: the op is
-///    stamped with the posting thread's simulated time and a per-acting-
-///    processor sequence number, and the coordinator replays the batch at
-///    the next barrier in (when, acting, seq) order — a pure function of
-///    each processor's own event history, hence independent of the shard
-///    count;
-///  * coordinator -> worker traffic goes through post_shard while the
-///    workers are parked at a barrier: the op lands in the target shard's
-///    heap and executes at the start of the next window, ordered by the
-///    coordinator's posting sequence.
-class EngineHooks {
- public:
-  virtual ~EngineHooks() = default;
-  /// Stage `fn` to run on the coordinator thread at the next barrier, as a
-  /// coordinator event at the posting thread's current simulated time.
-  virtual void post_host(net::ProcId acting, std::function<void()> fn) = 0;
-  /// Coordinator-only: stage `fn` to run on `target`'s shard thread at the
-  /// start of the next window.
-  virtual void post_shard(net::ProcId target, std::function<void()> fn) = 0;
-  /// Run `fn` with `p`'s shard simulator installed as the thread context.
-  /// Setup-time only (no worker may be running).
-  virtual void with_shard_of(net::ProcId p,
-                             const std::function<void()>& fn) = 0;
-  /// Barrier-published queue length of `p` — the scheduler's load snapshot.
-  /// Workers must not read another shard's live queue.
-  [[nodiscard]] virtual std::uint32_t load_of(net::ProcId p) const = 0;
-  /// Events executed across all shard simulators (coordinator excluded).
-  [[nodiscard]] virtual std::uint64_t shard_events() const = 0;
-  /// Pending events + staged ops across all shards (queue-depth gauge).
-  [[nodiscard]] virtual std::uint64_t shard_pending() const = 0;
-  /// Record one metrics gauge sample; the engine interleaves stored samples
-  /// with journal events when it merges the shard rings.
-  virtual void note_gauge_sample(sim::SimTime now, std::uint64_t queue_depth,
-                                 std::uint64_t in_flight,
-                                 std::uint64_t residency) = 0;
-};
+class PdesEngine;
 
 class Runtime {
  public:
@@ -181,11 +143,11 @@ class Runtime {
   }
 
   // ---- sharded (PDES) engine ----------------------------------------------
-  /// Install the engine's service hooks (null = classic path). Re-attaches
-  /// the scheduler with per-origin streams and switches uid allocation to
+  /// Install the sharded engine (null = classic path). Re-attaches the
+  /// scheduler with per-origin streams and switches uid allocation to
   /// per-processor streams. Call before start().
-  void set_engine(EngineHooks* engine);
-  [[nodiscard]] EngineHooks* engine() const noexcept { return engine_; }
+  void set_engine(PdesEngine* engine);
+  [[nodiscard]] PdesEngine* engine() const noexcept { return engine_; }
   /// True on an engine worker thread (inside a shard window).
   [[nodiscard]] bool in_shard_context() const noexcept {
     return engine_ != nullptr && sim::ctx_shard() != sim::kNoShard;
@@ -289,7 +251,7 @@ class Runtime {
   std::unique_ptr<checkpoint::SuperRoot> super_root_;
   obs::Recorder recorder_;
 
-  EngineHooks* engine_ = nullptr;
+  PdesEngine* engine_ = nullptr;
   /// Engine path: per-processor uid stream cursors (see next_uid). Written
   /// only by the owning processor's shard thread.
   std::vector<TaskUid> uid_stream_next_;

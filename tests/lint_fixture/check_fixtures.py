@@ -7,6 +7,11 @@ that the set of (rule, line) findings equals the set of markers exactly —
 a missing finding means the rule regressed, an extra finding means the rule
 over-triggers. A fixture with zero markers is itself an error.
 
+A directory tests/lint_fixture/spl*/ is one fixture whose files are linted
+together in tree mode, as `lint_tree` lints the source tree, so a rule that
+reads several files (SPL005's scope) is checked across them; its markers
+are matched per (file, rule, line).
+
 Exit 0 when every fixture matches; 1 otherwise.
 """
 
@@ -24,18 +29,21 @@ LINT = REPO / "tools" / "splice_lint.py"
 MARKER = re.compile(r"//\s*expect-lint:\s*(SPL\d{3})")
 
 
-def expected_of(path: pathlib.Path) -> set[tuple[str, int]]:
+def expected_of(path: pathlib.Path) -> set[tuple[str, str, int]]:
     out = set()
+    rel = path.relative_to(REPO).as_posix()
     for ln, line in enumerate(path.read_text().splitlines(), start=1):
         for m in MARKER.finditer(line):
-            out.add((m.group(1), ln))
+            out.add((rel, m.group(1), ln))
     return out
 
 
-def findings_of(path: pathlib.Path) -> set[tuple[str, int]]:
+def findings_of(fixture: pathlib.Path,
+                files: list[pathlib.Path]) -> set[tuple[str, str, int]]:
+    mode = [] if fixture.is_dir() else ["--fixture"]
     proc = subprocess.run(
-        [sys.executable, str(LINT), "--root", str(REPO), "--fixture",
-         "--json", str(path)],
+        [sys.executable, str(LINT), "--root", str(REPO), *mode, "--json",
+         *map(str, files)],
         capture_output=True,
         text=True,
         check=False,
@@ -43,33 +51,35 @@ def findings_of(path: pathlib.Path) -> set[tuple[str, int]]:
     if proc.returncode not in (0, 1):
         print(proc.stderr, file=sys.stderr)
         raise RuntimeError(
-            f"splice_lint exited {proc.returncode} on {path.name}")
+            f"splice_lint exited {proc.returncode} on {fixture.name}")
     payload = json.loads(proc.stdout)
-    return {(f["rule"], f["line"]) for f in payload["findings"]}
+    return {(f["path"], f["rule"], f["line"]) for f in payload["findings"]}
 
 
 def main() -> int:
-    fixtures = sorted(HERE.glob("spl*.cpp"))
+    fixtures = sorted(HERE.glob("spl*.cpp")) + sorted(
+        p for p in HERE.glob("spl*") if p.is_dir())
     if not fixtures:
         print("error: no fixtures found", file=sys.stderr)
         return 1
     failures = 0
     for fx in fixtures:
-        expected = expected_of(fx)
+        files = sorted(fx.iterdir()) if fx.is_dir() else [fx]
+        expected = set().union(*map(expected_of, files))
         if not expected:
             print(f"FAIL {fx.name}: no expect-lint markers")
             failures += 1
             continue
-        actual = findings_of(fx)
+        actual = findings_of(fx, files)
         if actual == expected:
             print(f"ok   {fx.name}: {len(expected)} finding(s) as expected")
             continue
         failures += 1
         print(f"FAIL {fx.name}:")
-        for rule, line in sorted(expected - actual):
-            print(f"  missing: {rule} at line {line} (rule regressed?)")
-        for rule, line in sorted(actual - expected):
-            print(f"  extra:   {rule} at line {line} (over-trigger?)")
+        for path, rule, line in sorted(expected - actual):
+            print(f"  missing: {rule} at {path}:{line} (rule regressed?)")
+        for path, rule, line in sorted(actual - expected):
+            print(f"  extra:   {rule} at {path}:{line} (over-trigger?)")
     print(f"{len(fixtures) - failures}/{len(fixtures)} fixtures pass")
     return 1 if failures else 0
 

@@ -458,11 +458,12 @@ TEST(RuntimeBasic, HealKeepsASuspicionAnotherCutStillJustifies) {
 }
 
 // The same two cuts, with P2's send to P1 bounced by the second one: the
-// first heal clears P0's suspicion of P1 but not P2's, so P1's once-per-death
-// detection stays spent, and a real death of P1 before the second heal fires
-// no second global-failure hook. The second heal clears P2's suspicion and
-// re-arms it: a death of P1 after that fires the hook again. Periodic-global
-// recovery makes the hook visible, as one restore per firing.
+// first heal clears P0's suspicion of P1 but not P2's, so the heal leaves
+// P1's once-per-death detection spent. A real death of P1 before the second
+// heal still fires the global-failure hook once, because the crash itself
+// re-arms it; so does a death after the second heal, which clears P2's
+// suspicion. Periodic-global recovery makes the hook visible, as one restore
+// per firing.
 TEST(RuntimeBasic, HealReArmsDetectionOnceNoLivePeerSuspects) {
   const auto restores = [](runtime::Runtime& rt) {
     core::Counters counters;
@@ -489,7 +490,7 @@ TEST(RuntimeBasic, HealReArmsDetectionOnceNoLivePeerSuspects) {
     EXPECT_TRUE(m.rt.processor(0).knows_dead(1));
     return restores(m.rt) - before;
   };
-  EXPECT_EQ(restores_after_death_at(CutMachine::kHeal * 5 / 4), 0U);
+  EXPECT_EQ(restores_after_death_at(CutMachine::kHeal * 5 / 4), 1U);
   EXPECT_EQ(restores_after_death_at(CutMachine::kHeal * 9 / 4), 1U);
 }
 

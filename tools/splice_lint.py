@@ -38,6 +38,8 @@ Rules (each has a fixture in tests/lint_fixture/ that must fail):
   SPL005  PDES shard confinement: members annotated SPLICE_SHARD_CONFINED
           (util/annotations.h) may only be accessed inside functions marked
           SPLICE_SHARD_ENTRY — the vetted barrier-ordered entry points.
+          Scoped to the annotating file and its same-stem source: the
+          members are private, so no other file can reach them.
 
 Suppression: `// splice-lint: allow(SPL00N): reason` on the finding's line
 or the line above. A suppression without a reason is itself a finding
@@ -678,12 +680,12 @@ def check_spl005(f: SourceFile, members: set, owner_paths: set,
                  out: list) -> None:
     if not members:
         return
-    # Scope: the annotating files themselves plus any file that includes one
-    # of them (suffix match on the include path).
-    applies = f.path in owner_paths or any(
-        any(op.endswith(inc) for op in owner_paths)
-        for _, inc, _ in f.includes)
-    if not applies:
+    # Scope: the annotating files and their same-stem sources
+    # (pdes_engine.h -> pdes_engine.cpp). Confined members are private, so
+    # access control keeps every other file out; a `.recorder` in a file
+    # that merely includes the header names some other object.
+    stems = {os.path.splitext(op)[0] for op in owner_paths}
+    if os.path.splitext(f.path)[0] not in stems:
         return
     spans = entry_spans(f)
     toks = f.toks
