@@ -111,7 +111,6 @@ using namespace splice;
 namespace {
 
 struct ThroughputRow {
-  std::uint32_t procs = 0;
   double events_per_sec = 0;
   double allocs_per_event = 0;
   std::uint64_t events = 0;
@@ -300,7 +299,6 @@ int main(int argc, char** argv) {
   // messages. Reclaim latency is mean ticks from a reclaimed duplicate's
   // creation to its abort.
   struct E17Row {
-    std::uint32_t procs = 0;
     const char* mode = nullptr;
     double reclaimed = 0;
     double latency = 0;
@@ -355,7 +353,6 @@ int main(int argc, char** argv) {
           });
       auto mean = [&](auto metric) { return bench::mean_of(reps, metric); };
       E17Row row;
-      row.procs = procs;
       row.mode = cancel_mode ? "cancel" : "none";
       row.reclaimed = mean([](const bench::Replicate& r) {
         return static_cast<double>(r.result.counters.tasks_cancelled);
@@ -404,7 +401,6 @@ int main(int argc, char** argv) {
   // completed tasks per kilotick of makespan — the rate useful work keeps
   // landing while the links misbehave; reclaim latency is the E17 proxy.
   struct E19Row {
-    std::uint32_t procs = 0;
     const char* scenario = nullptr;
     int correct = 0;
     int runs = 0;
@@ -460,7 +456,6 @@ int main(int argc, char** argv) {
           });
       auto mean = [&](auto metric) { return bench::mean_of(reps, metric); };
       E19Row row;
-      row.procs = procs;
       row.scenario = gray_mode ? "gray-churn" : "partition-heal";
       row.correct = bench::correct_count(reps);
       row.runs = static_cast<int>(reps.size());
@@ -650,7 +645,6 @@ int main(int argc, char** argv) {
         static_cast<net::ProcId>(procs / 3), sim::SimTime(makespan / 2));
     (void)core::run_once(cfg, perf_program, plan);  // warm-up
     ThroughputRow row;
-    row.procs = procs;
     const std::uint64_t spills0 = sim::EventFn::heap_fallbacks();
     const unsigned long long allocs0 = g_allocs.load();
     // Best of three timed batches: a short batch is one scheduler hiccup
@@ -711,7 +705,6 @@ int main(int argc, char** argv) {
     const char* scheduler = nullptr;
     std::uint32_t shards = 0;
     double events_per_sec = 0;
-    std::uint64_t events = 0;
     int correct = 0;
     int runs = 0;
   };
@@ -751,7 +744,6 @@ int main(int argc, char** argv) {
       double best = 0;
       for (int batch = 0; batch < 2; ++batch) {
         std::uint64_t batch_events = 0;
-        row.events = 0;
         row.correct = 0;
         row.runs = 0;
         const auto t0 = std::chrono::steady_clock::now();
@@ -759,7 +751,6 @@ int main(int argc, char** argv) {
           cfg.seed = 71 + static_cast<std::uint64_t>(i);
           const core::RunResult r = core::run_once(cfg, wl_program, plan);
           batch_events += r.sim_events;
-          row.events += r.sim_events;
           ++row.runs;
           if (r.completed && r.answer_correct) ++row.correct;
         }
@@ -769,7 +760,6 @@ int main(int argc, char** argv) {
                             std::chrono::duration<double>(t1 - t0).count());
       }
       row.events_per_sec = best;
-      row.events /= static_cast<std::uint64_t>(e21_reps);
       e21_rows.push_back(row);
     };
     // Scaling curve: one workload/scheduler across the full thread sweep.

@@ -11,7 +11,9 @@
 //    the pair of barriers around each window; a confined member is safe to
 //    touch exactly when the barrier discipline says so, and the linter's
 //    SPL005 rule rejects any member access outside a function marked
-//    SPLICE_SHARD_ENTRY (docs/STATIC_ANALYSIS.md#spl005).
+//    SPLICE_SHARD_ENTRY (docs/STATIC_ANALYSIS.md#spl005). The member must
+//    be private: SPL005 reads only the annotating file and its same-stem
+//    source, and access control keeps every other file out.
 //
 //  * SPLICE_SHARD_ENTRY — placed on a function definition that is a
 //    legitimate entry point into confined state: the worker loop itself,
