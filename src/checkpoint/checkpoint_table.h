@@ -15,7 +15,7 @@
 // part: the slot keeps the callee, the arguments and the spawn lineage, and
 // the owner rebuilds the rest of the packet from its own stamp, ancestor
 // chain and zone (runtime::Task::child_packet). Every release names the
-// destination its slot filed the record under (the slot's sent_to[0]), so
+// destination its slot filed the record under (CallSlot::filed_at()), so
 // finding a record costs a scan of one entry. Record/unit totals are
 // maintained incrementally (the peak-tracking used to recount every record
 // on every mutation).

@@ -1,7 +1,6 @@
 #include "lang/expr.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace splice::lang {
@@ -70,13 +69,41 @@ namespace {
 
 std::int64_t int_of(const Value& v) { return v.as_int(); }
 
+// Integer arithmetic is total: it wraps in two's complement, as the codec's
+// wrap_add does. Operands can arrive in a peer's frames, so no input may
+// reach signed overflow (undefined) or INT64_MIN / -1 (a hardware trap).
+// Computed in uint64 and cast back; C++20 defines both conversions.
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_neg(std::int64_t a) { return wrap_sub(0, a); }
+
+// Division by zero yields 0, and by -1 negates (INT64_MIN / -1 wraps to
+// INT64_MIN, and INT64_MIN % -1 is 0).
+std::int64_t total_div(std::int64_t a, std::int64_t b) {
+  if (b == 0) return 0;
+  return b == -1 ? wrap_neg(a) : a / b;
+}
+std::int64_t total_mod(std::int64_t a, std::int64_t b) {
+  return b == 0 || b == -1 ? 0 : a % b;
+}
+
 Value scalar2(Op op, std::int64_t a, std::int64_t b) {
   switch (op) {
-    case Op::kAdd: return Value::integer(a + b);
-    case Op::kSub: return Value::integer(a - b);
-    case Op::kMul: return Value::integer(a * b);
-    case Op::kDiv: return Value::integer(b == 0 ? 0 : a / b);
-    case Op::kMod: return Value::integer(b == 0 ? 0 : a % b);
+    case Op::kAdd: return Value::integer(wrap_add(a, b));
+    case Op::kSub: return Value::integer(wrap_sub(a, b));
+    case Op::kMul: return Value::integer(wrap_mul(a, b));
+    case Op::kDiv: return Value::integer(total_div(a, b));
+    case Op::kMod: return Value::integer(total_mod(a, b));
     case Op::kMin: return Value::integer(std::min(a, b));
     case Op::kMax: return Value::integer(std::max(a, b));
     case Op::kEq: return Value::boolean(a == b);
@@ -116,7 +143,7 @@ Value apply_prim(Op op, std::span<const Value> operands,
   Value result;
   switch (op) {
     case Op::kNeg:
-      result = Value::integer(-int_of(operands[0]));
+      result = Value::integer(wrap_neg(int_of(operands[0])));
       break;
     case Op::kNot:
       result = Value::boolean(!operands[0].truthy());
@@ -125,8 +152,10 @@ Value apply_prim(Op op, std::span<const Value> operands,
       result = Value::integer(~int_of(operands[0]));
       break;
     case Op::kBurn: {
+      // The cost is |n| as an unsigned magnitude, defined for INT64_MIN too.
       const std::int64_t n = int_of(operands[0]);
-      cost = static_cast<std::uint64_t>(std::max<std::int64_t>(1, std::llabs(n)));
+      const auto bits = static_cast<std::uint64_t>(n);
+      cost = std::max<std::uint64_t>(1, n < 0 ? 0 - bits : bits);
       result = operands[0];
       break;
     }
@@ -152,7 +181,7 @@ Value apply_prim(Op op, std::span<const Value> operands,
       const auto& xs = operands[0].as_list();
       cost = std::max<std::uint64_t>(1, xs.size());
       std::int64_t total = 0;
-      for (auto x : xs) total += x;
+      for (auto x : xs) total = wrap_add(total, x);
       result = Value::integer(total);
       break;
     }

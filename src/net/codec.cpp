@@ -52,7 +52,9 @@ void put_stamp(Writer& w, const LevelStamp& stamp) {
 
 LevelStamp get_stamp(Reader& r) {
   const std::uint64_t depth = r.varint();
-  if (depth > r.remaining()) throw CodecError("codec: stamp depth overruns");
+  if (depth > r.remaining() || depth > LevelStamp::Digits::kMaxSize) {
+    throw CodecError("codec: stamp depth overruns");
+  }
   LevelStamp::Digits digits;
   digits.reserve(depth);
   std::int64_t prev = 0;
@@ -105,7 +107,10 @@ void put_ancestors(Writer& w, const util::SmallVec<TaskRef, 4>& chain) {
 
 util::SmallVec<TaskRef, 4> get_ancestors(Reader& r) {
   const std::uint64_t count = r.varint();
-  if (count > r.remaining()) throw CodecError("codec: chain overruns");
+  if (count > r.remaining() ||
+      count > util::SmallVec<TaskRef, 4>::kMaxSize) {
+    throw CodecError("codec: chain overruns");
+  }
   util::SmallVec<TaskRef, 4> chain;
   chain.reserve(count);
   std::uint64_t prev_uid = 0;
@@ -171,7 +176,9 @@ void put_args(Writer& w, const TaskPacket::Args& args) {
 
 TaskPacket::Args get_args(Reader& r) {
   const std::uint64_t count = r.varint();
-  if (count > r.remaining()) throw CodecError("codec: args overrun");
+  if (count > r.remaining() || count > TaskPacket::Args::kMaxSize) {
+    throw CodecError("codec: args overrun");
+  }
   TaskPacket::Args args;
   args.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) args.push_back(get_value(r));

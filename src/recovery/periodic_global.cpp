@@ -111,9 +111,7 @@ void PeriodicGlobalPolicy::restore() {
         if (slot.outstanding() &&
             !present.contains(task.stamp().child(slot.site))) {
           slot.spawned = false;
-          slot.sent_to.clear();
-          slot.child_procs.clear();
-          slot.child_uids.clear();
+          slot.children.clear();
         }
       }
       if (!rt_->processor(home).crashed()) {

@@ -31,7 +31,7 @@ void RecoveryPolicy::on_spawn_undeliverable(Processor& proc,
   Task* owner = proc.find_task(packet.parent().uid);
   if (owner == nullptr) return;
   CallSlot* slot = owner->find_slot(packet.call_site);
-  if (slot == nullptr || slot->resolved() || !slot->spawned) return;
+  if (slot == nullptr || slot->resolved || !slot->spawned) return;
   if (packet.lineage < slot->lineage) {
     // Late bounce of a superseded spawn generation: the slot was respawned
     // after this packet left (a death-path reissue, or an earlier bounce)
@@ -44,16 +44,11 @@ void RecoveryPolicy::on_spawn_undeliverable(Processor& proc,
   const std::uint32_t quorum =
       proc.runtime().quorum_for(packet.stamp.depth());
   std::uint32_t possible = slot->votes;
-  for (std::size_t i = 0; i < slot->sent_to.size(); ++i) {
+  for (std::size_t i = 0; i < slot->children.size(); ++i) {
     // The copy that bounced can never ack — the packet itself was lost,
     // even if its destination has since been repaired (rejoin).
     if (i == packet.replica) continue;
-    net::ProcId where = slot->sent_to[i];
-    if (i < slot->child_procs.size() &&
-        slot->child_procs[i] != net::kNoProc) {
-      where = slot->child_procs[i];
-    }
-    if (!proc.knows_dead(where)) ++possible;
+    if (!proc.knows_dead(slot->children[i].where())) ++possible;
   }
   if (possible >= quorum) return;
   proc.respawn_slot(*owner, *slot, /*as_twin=*/false);

@@ -13,15 +13,9 @@ using runtime::Processor;
 using runtime::Task;
 
 bool all_destinations_dead(Processor& proc, const CallSlot& slot) {
-  if (slot.sent_to.empty()) return false;
-  for (std::size_t i = 0; i < slot.sent_to.size(); ++i) {
-    // Prefer the acknowledged location (the packet may have been accepted
-    // by a node that later forwarded nothing), else the send destination.
-    net::ProcId where = slot.sent_to[i];
-    if (i < slot.child_procs.size() && slot.child_procs[i] != net::kNoProc) {
-      where = slot.child_procs[i];
-    }
-    if (!proc.knows_dead(where)) return false;
+  if (slot.children.empty()) return false;
+  for (const runtime::ChildRef& child : slot.children) {
+    if (!proc.knows_dead(child.where())) return false;
   }
   return true;
 }
@@ -37,12 +31,11 @@ bool all_destinations_dead(Processor& proc, const CallSlot& slot) {
 bool slot_still_checkpointed(Processor& proc, const Task& owner,
                              const CallSlot& slot) {
   const runtime::LevelStamp stamp = owner.stamp().child(slot.site);
-  for (std::size_t i = 0; i < slot.sent_to.size(); ++i) {
-    net::ProcId where = slot.sent_to[i];
-    if (i < slot.child_procs.size() && slot.child_procs[i] != net::kNoProc) {
-      where = slot.child_procs[i];
+  for (const runtime::ChildRef& child : slot.children) {
+    const net::ProcId where = child.where();
+    if (where != net::kNoProc && proc.table().contains(where, stamp)) {
+      return true;
     }
-    if (proc.table().contains(where, stamp)) return true;
   }
   return false;
 }
@@ -100,7 +93,7 @@ void reissue_topmost(Processor& proc, net::ProcId dead, bool as_twin) {
       }
       continue;  // a reclaimed owner's branch regrows from a higher ancestor
     }
-    if (slot == nullptr || slot->resolved()) continue;
+    if (slot == nullptr || slot->resolved) continue;
     proc.respawn_slot(*owner, *slot, as_twin);
   }
 }

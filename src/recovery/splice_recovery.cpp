@@ -106,7 +106,7 @@ void SplicePolicy::on_ancestor_result(Processor& proc, ResultMsg msg) {
   // in the stamp digit right below our depth ("Interpret the level stamp").
   const lang::ExprId site = msg.stamp.digits()[ancestor_depth];
   CallSlot& slot = ancestor->slot(site);
-  if (slot.resolved()) {
+  if (slot.resolved) {
     ++proc.counters().late_results_discarded;  // cases 7/8
     return;
   }

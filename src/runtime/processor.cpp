@@ -297,7 +297,7 @@ void Processor::finish_scan(TaskUid uid, ScanOutcome& outcome) {
 
 void Processor::spawn_child(Task& owner, SpawnRequest request) {
   if (const CallSlot* existing = owner.find_slot(request.site);
-      existing != nullptr && existing->spawned && !existing->resolved()) {
+      existing != nullptr && existing->spawned && !existing->resolved) {
     // The slot was pre-linked by a warm rejoin while this scan's outcome
     // was in flight: the original child survives elsewhere and its result
     // is awaited — spawning again would duplicate the whole subtree.
@@ -336,14 +336,14 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
   }
   if (dests.empty()) return;  // no alive processor: the system is gone
   // Where the superseded spawn's checkpoint was filed (a respawn moves it).
-  const net::ProcId filed_at =
-      slot.sent_to.empty() ? net::kNoProc : slot.sent_to[0];
-  slot.sent_to = dests;
-  slot.child_procs.assign(dests.size(), net::kNoProc);
-  slot.child_uids.assign(dests.size(), kNoTask);
+  const net::ProcId filed_at = slot.filed_at();
+  slot.children.clear();
+  for (const net::ProcId dest : dests) {
+    slot.children.push_back(ChildRef{.sent_to = dest});
+  }
   // This spawn is the slot's lineage now; pre-link provenance (used to
   // address cancels at the previous incarnation's child) is spent.
-  slot.prelink_prev_owner = kNoTask;
+  if (slot.side.has_value()) slot.side->prelink_prev_owner = kNoTask;
   if (rt_.has_triggers()) {
     rt_.fire_trigger("spawn:" + rt_.program().function(packet.fn).name);
     if (dead_) return;  // trigger killed this node; owner/slot freed
@@ -492,7 +492,7 @@ void Processor::flush_warm_results() {
 
 void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
   CallSlot& slot = task.slot(msg.call_site);
-  if (slot.resolved()) {
+  if (slot.resolved) {
     // Cases 6/7: "Since they are identical, the second copy is simply
     // ignored."
     ++counters_.duplicate_results_ignored;
@@ -538,8 +538,8 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
   // slot filed it under its first destination; a slot that never spawned
   // (a result for a replayed record's child) names no destination.
   if (rt_.policy().functional_checkpointing()) {
-    if (!slot.sent_to.empty()) {
-      table_.release(slot.sent_to[0], msg.stamp);
+    if (slot.filed_at() != net::kNoProc) {
+      table_.release(slot.filed_at(), msg.stamp);
     } else {
       table_.release_anywhere(msg.stamp);
     }
@@ -617,9 +617,10 @@ void Processor::handle_ack(AckMsg msg) {
   }
   // Grandparent transport role: flush orphan results buffered for the twin.
   CallSlot& slot = task->slot(msg.call_site);
-  if (!slot.pending_relay.empty() && msg.replica == 0) {
-    std::vector<ResultMsg> pending = std::move(slot.pending_relay);
-    slot.pending_relay.clear();
+  if (slot.side.has_value() && !slot.side->pending_relay.empty() &&
+      msg.replica == 0) {
+    std::vector<ResultMsg> pending = std::move(slot.side->pending_relay);
+    slot.side->pending_relay.clear();
     for (ResultMsg& orphan : pending) {
       relay_or_buffer(*task, slot, std::move(orphan));
     }
@@ -630,12 +631,12 @@ void Processor::relay_or_buffer(Task& ancestor, CallSlot& slot,
                                 ResultMsg msg) {
   // Target: the slot's current (step-)child, i.e. the twin of the orphan's
   // dead ancestor.
-  if (slot.child_procs.empty() || slot.child_procs[0] == net::kNoProc ||
-      knows_dead(slot.child_procs[0])) {
-    slot.pending_relay.push_back(std::move(msg));
+  if (slot.children.empty() || slot.children[0].proc == net::kNoProc ||
+      knows_dead(slot.children[0].proc)) {
+    slot.side_mut().pending_relay.push_back(std::move(msg));
     return;
   }
-  const TaskRef twin{slot.child_procs[0], slot.child_uids[0]};
+  const TaskRef twin{slot.children[0].proc, slot.children[0].uid};
   const std::size_t producer_depth = msg.stamp.depth();
   const std::size_t twin_depth = ancestor.stamp().depth() + 1;
   assert(producer_depth > twin_depth);
@@ -885,7 +886,7 @@ void Processor::announce_deaths(std::uint64_t life) {
 }
 
 void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin) {
-  if (slot.resolved() || !slot.spawned) return;
+  if (slot.resolved || !slot.spawned) return;
   // The instances the slot pointed at so far are superseded by the twin
   // about to spawn; any that survive on a live processor (undetected
   // rejoin, pre-link grace expiry, warm re-host vs. survivor fallback)
@@ -946,15 +947,13 @@ void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot,
   // a pre-linked slot the awaited original carries the *previous
   // incarnation's* owner uid; every other never-acked instance carries the
   // current owner's.
-  const TaskRef spawner{id_, slot.prelink_prev_owner != kNoTask
-                                 ? slot.prelink_prev_owner
+  const TaskRef spawner{id_, slot.prelink_prev_owner() != kNoTask
+                                 ? slot.prelink_prev_owner()
                                  : owner.uid()};
-  for (std::size_t r = 0; r < slot.sent_to.size(); ++r) {
+  for (std::size_t r = 0; r < slot.children.size(); ++r) {
     if (spared == r) continue;
-    const bool acked = r < slot.child_procs.size() &&
-                       slot.child_procs[r] != net::kNoProc &&
-                       slot.child_uids[r] != kNoTask;
-    const net::ProcId where = acked ? slot.child_procs[r] : slot.sent_to[r];
+    const ChildRef& child = slot.children[r];
+    const net::ProcId where = child.where();
     if (where == net::kNoProc || where >= rt_.network().size() ||
         (knows_dead(where) && !rt_.network().alive(where))) {
       // Really dead: nothing lives there to reclaim. A destination this
@@ -965,7 +964,7 @@ void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot,
       continue;
     }
     send_cancel(stamp, static_cast<std::uint32_t>(r),
-                acked ? slot.child_uids[r] : kNoTask, spawner, where);
+                child.acked() ? child.uid : kNoTask, spawner, where);
   }
 }
 
@@ -999,9 +998,10 @@ void Processor::cancel_task(TaskUid uid) {
   // Release the checkpoints this lineage retained and propagate the cancel
   // down every outstanding slot before the local abort frees them.
   for (const CallSlot& slot : task->slots()) {
-    if (!slot.spawned || slot.resolved()) continue;
-    if (rt_.policy().functional_checkpointing() && !slot.sent_to.empty()) {
-      table_.release(slot.sent_to[0], task->stamp().child(slot.site));
+    if (!slot.spawned || slot.resolved) continue;
+    if (rt_.policy().functional_checkpointing() &&
+        slot.filed_at() != net::kNoProc) {
+      table_.release(slot.filed_at(), task->stamp().child(slot.site));
     }
     cancel_slot_instances(*task, slot);
   }
@@ -1033,13 +1033,10 @@ bool Processor::has_stake_in(net::ProcId dead) const {
     if (task.packet().parent().proc == dead) return true;
     for (const CallSlot& slot : task.slots()) {
       if (!slot.outstanding()) continue;
-      for (net::ProcId p : slot.sent_to) {
-        if (p == dead) return true;
-      }
       // A child may have been accepted by a node the scheduler did not
       // originally pick (respawn landed elsewhere); the ack knows.
-      for (net::ProcId p : slot.child_procs) {
-        if (p == dead) return true;
+      for (const ChildRef& child : slot.children) {
+        if (child.sent_to == dead || child.proc == dead) return true;
       }
     }
   }
@@ -1266,12 +1263,12 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
     CallSlot& slot =
         task->note_spawned(record->site, record->packet->fn,
                            record->packet->args, record->packet->lineage);
-    slot.sent_to = {dest};
+    slot.children = {ChildRef{.sent_to = dest}};
     slot.prelinked = true;
     // The awaited original out there still carries the previous
     // incarnation's owner uid as its parent ref; a cancel for it (pre-link
     // grace expiry) must name that instance, not the re-hosted owner.
-    slot.prelink_prev_owner = prev_owner;
+    slot.side_mut().prelink_prev_owner = prev_owner;
     rt_.recorder().record(
         rt_.sim().now(), obs::EventKind::kPreLink,
         {.proc = id_, .peer = dest, .stamp = &record->stamp});
@@ -1304,7 +1301,7 @@ void Processor::complete_catch_up() {
                     if (life != incarnation_ || dead_ || rt_.done()) return;
                     for_each_task([&](Task& task) {
                       for (CallSlot& slot : task.slots_mut()) {
-                        if (!slot.prelinked || slot.resolved()) continue;
+                        if (!slot.prelinked || slot.resolved) continue;
                         slot.prelinked = false;
                         respawn_slot(task, slot, /*as_twin=*/true);
                       }

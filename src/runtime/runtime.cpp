@@ -566,14 +566,12 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
     if (parent_hosts != tasks_by_stamp.end()) {
       for (const Host& host : parent_hosts->second) {
         const CallSlot* slot = host.task->find_slot(site);
-        if (slot == nullptr || !slot->spawned || slot->resolved() ||
-            slot->child_procs.empty() ||
-            slot->child_procs[0] == net::kNoProc ||
-            slot->child_uids[0] == kNoTask) {
+        if (slot == nullptr || !slot->spawned || slot->resolved ||
+            slot->children.empty() || !slot->children[0].acked()) {
           continue;
         }
-        keeper_proc = slot->child_procs[0];
-        keeper_uid = slot->child_uids[0];
+        keeper_proc = slot->children[0].proc;
+        keeper_uid = slot->children[0].uid;
         break;
       }
     }

@@ -66,7 +66,7 @@ std::optional<lang::Value> Task::eval(const lang::Program& program,
     }
     case lang::ExprKind::kCall: {
       if (const CallSlot* existing = find_slot(expr);
-          existing != nullptr && existing->resolved()) {
+          existing != nullptr && existing->resolved) {
         return existing->result;
       }
       // Evaluate arguments; nested calls inside them are demanded first.
@@ -131,22 +131,20 @@ bool Task::note_ack(lang::ExprId site, TaskRef child, std::uint32_t replica,
                     std::uint32_t lineage) {
   CallSlot& s = slot(site);
   if (lineage < s.respawns) return false;  // superseded spawn generation
-  if (s.child_procs.size() <= replica) {
-    s.child_procs.resize(replica + 1, net::kNoProc);
-    s.child_uids.resize(replica + 1, kNoTask);
-  }
-  s.child_procs[replica] = child.proc;
-  s.child_uids[replica] = child.uid;
+  if (s.children.size() <= replica) s.children.resize(replica + 1);
+  s.children[replica].proc = child.proc;
+  s.children[replica].uid = child.uid;
   return true;
 }
 
 bool Task::deliver_result(lang::ExprId site, const lang::Value& value,
                           std::uint32_t quorum) {
   CallSlot& s = slot(site);
-  if (s.resolved()) return false;  // duplicate (cases 6-8): ignored
+  if (s.resolved) return false;  // duplicate (cases 6-8): ignored
   ++s.votes;
   if (s.votes >= quorum) {
     s.result = value;
+    s.resolved = true;
     return true;
   }
   return false;
@@ -154,8 +152,9 @@ bool Task::deliver_result(lang::ExprId site, const lang::Value& value,
 
 void Task::prefill(lang::ExprId site, const lang::Value& value) {
   CallSlot& s = slot(site);
-  if (s.resolved()) return;
+  if (s.resolved) return;
   s.result = value;
+  s.resolved = true;
 }
 
 CallSlot* Task::find_slot(lang::ExprId site) {
@@ -184,7 +183,7 @@ std::uint32_t Task::state_units(std::uint32_t ancestor_depth) const {
   std::uint32_t units = packet_.size_units();
   for (const CallSlot& s : slots_) {
     units += 1;
-    if (s.result.has_value()) units += s.result->size_units();
+    if (s.resolved) units += s.result.size_units();
     if (s.spawned) {
       units += child_packet(s, net::kNoProc, ancestor_depth).size_units();
     }

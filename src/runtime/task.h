@@ -28,6 +28,7 @@
 #include "lang/program.h"
 #include "runtime/task_packet.h"
 #include "sim/time.h"
+#include "util/boxed.h"
 
 namespace splice::runtime {
 
@@ -38,6 +39,24 @@ enum class TaskState : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(TaskState state) noexcept;
+
+/// One replica of a call slot's child: where the last (re)spawn sent its
+/// packet and, once the child acknowledged, where it was accepted.
+struct ChildRef {
+  net::ProcId sent_to = net::kNoProc;
+  net::ProcId proc = net::kNoProc;  // kNoProc until the ack
+  TaskUid uid = kNoTask;            // kNoTask until the ack
+
+  [[nodiscard]] bool acked() const noexcept {
+    return proc != net::kNoProc && uid != kNoTask;
+  }
+  /// Where the replica lives: the acknowledged host (the packet may have
+  /// been accepted by a node that later forwarded nothing), else the send
+  /// destination; kNoProc for a replica that was neither sent nor acked.
+  [[nodiscard]] net::ProcId where() const noexcept {
+    return acked() ? proc : sent_to;
+  }
+};
 
 /// Bookkeeping for one call site of the body: the functional checkpoint
 /// (what the child's packet needs beyond the owner), the child pointer(s)
@@ -58,24 +77,16 @@ struct CallSlot {
   /// respawn count at its last (re)spawn, or a replayed record's lineage
   /// for a slot re-linked from that record.
   std::uint32_t lineage = 0;
-  TaskPacket::Args args;
-
-  bool spawned = false;
-  std::optional<lang::Value> result;
-
-  /// Destinations the packet (replicas) went to at the last (re)spawn.
-  /// Inline for the common replication factors — slot bookkeeping costs no
-  /// heap for <= 2 replicas.
-  util::SmallVec<net::ProcId, 2> sent_to;
-  /// Where each replica of the child was acknowledged (kNoProc until ack).
-  util::SmallVec<net::ProcId, 2> child_procs;
-  util::SmallVec<TaskUid, 2> child_uids;
 
   /// Replication votes (§5.3): values returned by replicas so far.
   std::uint32_t votes = 0;
 
   /// Times this slot was re-spawned by recovery.
   std::uint32_t respawns = 0;
+
+  bool spawned = false;
+  /// True once `result` holds the child's value.
+  bool resolved = false;
 
   /// True when the current incarnation of the child is a recovery twin
   /// (step-child) created after a failure.
@@ -86,21 +97,49 @@ struct CallSlot {
   /// the pre-link grace sweep gives up waiting and respawns.
   bool prelinked = false;
 
-  /// Pre-link provenance: the uid of the *previous incarnation's* task that
-  /// originally spawned the awaited child (the restored checkpoint's owner
-  /// before rebinding). A cancel for the awaited original must carry the
-  /// parent ref that original actually holds — the re-hosted owner's fresh
-  /// uid would name the replacement twin instead. Cleared on respawn.
-  TaskUid prelink_prev_owner = kNoTask;
+  TaskPacket::Args args;
+  lang::Value result;
 
-  /// Orphan results received for *grandchildren* under this slot, awaiting
-  /// the twin's ack so they can be relayed (grandparent transport role,
-  /// §4.1: "it transports the orphan results to their step-parent").
-  std::vector<ResultMsg> pending_relay;
+  /// One entry per replica the packet went to at the last (re)spawn,
+  /// extended by an ack for a replica beyond them. Inline for the common
+  /// replication factors: slot bookkeeping costs no heap for <= 2 replicas.
+  util::SmallVec<ChildRef, 2> children;
 
-  [[nodiscard]] bool resolved() const noexcept { return result.has_value(); }
+  /// Splice-relay and warm-rejoin pre-link state. Nearly every slot leaves
+  /// both empty, so they live in a side record boxed on first use.
+  struct Side {
+    /// Pre-link provenance: the uid of the *previous incarnation's* task
+    /// that originally spawned the awaited child (the restored checkpoint's
+    /// owner before rebinding). A cancel for the awaited original must
+    /// carry the parent ref that original actually holds — the re-hosted
+    /// owner's fresh uid would name the replacement twin instead. Cleared
+    /// on respawn.
+    TaskUid prelink_prev_owner = kNoTask;
+    /// Orphan results received for *grandchildren* under this slot,
+    /// awaiting the twin's ack so they can be relayed (grandparent
+    /// transport role, §4.1: "it transports the orphan results to their
+    /// step-parent").
+    std::vector<ResultMsg> pending_relay;
+  };
+  util::Boxed<Side> side;
+
+  /// The side record, created on first use.
+  Side& side_mut() {
+    if (!side.has_value()) side = Side{};
+    return *side;
+  }
+  [[nodiscard]] TaskUid prelink_prev_owner() const noexcept {
+    return side.has_value() ? side->prelink_prev_owner : kNoTask;
+  }
+
+  /// Where the child's functional checkpoint is filed: the last spawn's
+  /// first destination (kNoProc for a slot that never spawned).
+  [[nodiscard]] net::ProcId filed_at() const noexcept {
+    return children.empty() ? net::kNoProc : children[0].sent_to;
+  }
+
   [[nodiscard]] bool outstanding() const noexcept {
-    return spawned && !result.has_value();
+    return spawned && !resolved;
   }
 };
 
@@ -179,7 +218,7 @@ class Task {
   [[nodiscard]] CallSlot* find_slot(lang::ExprId site);
   CallSlot& slot(lang::ExprId site);
   /// Slots in creation (body scan) order; each carries its own `site`.
-  /// Out of line: a CallSlot is 256 bytes, and leaves and tasks not yet
+  /// Out of line: a CallSlot is 160 bytes, and leaves and tasks not yet
   /// scanned have none, so two inline slots would more than double every
   /// live task. The processor reserves for a scan's spawns before creating
   /// their slots, so a binary body allocates once.
@@ -212,15 +251,15 @@ class Task {
   TaskPacket packet_;
   sim::SimTime created_at_;
   TaskState state_ = TaskState::kQueued;
+  bool dirty_ = false;
   Slots slots_;
   std::uint64_t scans_ = 0;
-  bool dirty_ = false;
 };
 
 // Tens of thousands of tasks are live at once in a large run; the call slots
 // stay out of line (see Task::Slots), and a slot keeps no second copy of the
 // packet its owner can rebuild.
-static_assert(sizeof(Task) <= 384);
-static_assert(sizeof(CallSlot) <= 264);
+static_assert(sizeof(Task) <= 304);
+static_assert(sizeof(CallSlot) <= 160);
 
 }  // namespace splice::runtime

@@ -421,7 +421,7 @@ struct HandMachine {
                             net::ProcId dest) {
     runtime::CallSlot& slot =
         owner.note_spawned(site, /*fn=*/0, {lang::Value::integer(site)});
-    slot.sent_to = {dest};
+    slot.children = {runtime::ChildRef{.sent_to = dest}};
     const runtime::TaskPacket child =
         owner.child_packet(slot, 0, cfg.recovery.ancestor_depth);
     checkpoint::CheckpointRecord record;
@@ -467,7 +467,7 @@ TEST(CancelProtocol, ResultReleasesItsOwnSlotsCheckpoint) {
     result.target = runtime::TaskRef{0, delivering.uid()};
     m.proc().deliver_parent_result(delivering, result);
 
-    EXPECT_TRUE(delivering.slot(3).resolved());
+    EXPECT_TRUE(delivering.slot(3).resolved);
     EXPECT_FALSE(m.table().contains(own, child.stamp));
     EXPECT_TRUE(m.table().contains(other, child.stamp));
     ASSERT_EQ(m.table().total_records(), 1U);
@@ -490,7 +490,7 @@ TEST(CancelProtocol, DirectReturnSparesItsProducer) {
     m.proc().respawn_slot(owner, slot, /*as_twin=*/true);
     ASSERT_TRUE(slot.twin_active);
     ASSERT_EQ(slot.lineage, 1U);
-    ASSERT_EQ(slot.sent_to.size(), 1U);
+    ASSERT_EQ(slot.children.size(), 1U);
     const std::uint64_t before = m.proc().counters().cancels_sent;
 
     runtime::ResultMsg result;
@@ -501,7 +501,7 @@ TEST(CancelProtocol, DirectReturnSparesItsProducer) {
     result.lineage = twin_first ? slot.lineage : original.lineage;
     m.proc().deliver_parent_result(owner, result);
 
-    EXPECT_TRUE(slot.resolved());
+    EXPECT_TRUE(slot.resolved);
     EXPECT_EQ(m.proc().counters().cancels_sent - before, twin_first ? 0U : 1U);
   }
 }

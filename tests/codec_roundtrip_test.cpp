@@ -436,6 +436,72 @@ TEST(CodecRoundtrip, CorruptErrorNoticeCountsThrow) {
   EXPECT_THROW((void)decodes(notice(kMax + 1, kMax + 1)), CodecError);
 }
 
+// A task-packet frame whose stamp, argument list and ancestor chain hold
+// the given numbers of one- or two-byte elements. A count above a list's
+// SmallVec capacity must be refused as corrupt, like the error notice's.
+std::vector<std::uint8_t> packet_frame(std::uint64_t digits,
+                                       std::uint64_t args,
+                                       std::uint64_t ancestors) {
+  std::vector<std::uint8_t> bytes;
+  net::codec::Writer w(bytes);
+  w.u8(static_cast<std::uint8_t>(MsgKind::kTaskPacket));
+  w.varint(0);   // from
+  w.varint(1);   // to
+  w.varint(1);   // size_units
+  w.svarint(0);  // sent_at
+  w.varint(digits);
+  for (std::uint64_t i = 0; i < digits; ++i) {
+    if (i == 0) {
+      w.varint(1);
+    } else {
+      w.svarint(0);  // same digit again
+    }
+  }
+  w.varint(0);  // fn
+  w.varint(0);  // call_site
+  w.varint(args);
+  for (std::uint64_t i = 0; i < args; ++i) {
+    w.u8(0);  // integer tag
+    w.svarint(1);
+  }
+  w.varint(ancestors);
+  for (std::uint64_t i = 0; i < ancestors; ++i) {
+    w.varint(2);  // proc
+    if (i == 0) {
+      w.varint(1);  // uid
+    } else {
+      w.svarint(0);  // uid delta
+    }
+  }
+  w.varint(0);   // replica
+  w.varint(0);   // lineage
+  w.svarint(0);  // zone
+  return bytes;
+}
+
+Envelope decode_bytes(const std::vector<std::uint8_t>& bytes) {
+  return net::codec::decode_envelope(bytes.data(), bytes.size());
+}
+
+TEST(CodecRoundtrip, CorruptStampDepthThrows) {
+  constexpr std::uint64_t kMax = LevelStamp::Digits::kMaxSize;
+  EXPECT_NO_THROW((void)decode_bytes(packet_frame(2, 1, 1)));
+  EXPECT_NO_THROW((void)decode_bytes(packet_frame(kMax, 1, 1)));
+  EXPECT_THROW((void)decode_bytes(packet_frame(kMax + 1, 1, 1)), CodecError);
+}
+
+TEST(CodecRoundtrip, CorruptArgCountThrows) {
+  constexpr std::uint64_t kMax = runtime::TaskPacket::Args::kMaxSize;
+  EXPECT_NO_THROW((void)decode_bytes(packet_frame(2, kMax, 1)));
+  EXPECT_THROW((void)decode_bytes(packet_frame(2, kMax + 1, 1)), CodecError);
+}
+
+TEST(CodecRoundtrip, CorruptAncestorCountThrows) {
+  constexpr std::uint64_t kMax = util::SmallVec<TaskRef, 4>::kMaxSize;
+  EXPECT_NO_THROW((void)decode_bytes(packet_frame(2, 1, kMax)));
+  EXPECT_THROW((void)decode_bytes(packet_frame(2, 1, kMax + 1)), CodecError);
+}
+
 TEST(CodecRoundtrip, MutationFuzzNeverCrashes) {
   // Flip bytes at random positions: decode must either throw CodecError or
   // produce some envelope — never crash, hang, or trip a sanitizer. (The

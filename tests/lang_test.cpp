@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "lang/expr.h"
 #include "lang/interpreter.h"
@@ -111,6 +113,43 @@ TEST(Prims, BurnCostsItsOperand) {
   cost = 0;
   (void)prim(Op::kBurn, {Value::integer(0)}, &cost);
   EXPECT_EQ(cost, 1U);  // floor of one tick
+}
+
+// Integer primitives are total: two's-complement wraparound, with
+// INT64_MIN / -1 = INT64_MIN and INT64_MIN % -1 = 0. Operands can come from
+// a peer's frames, so none of these may be undefined or trap.
+constexpr std::int64_t kIntMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
+
+TEST(Prims, IntegerArithmeticWraps) {
+  const auto i = Value::integer;
+  EXPECT_EQ(prim(Op::kAdd, {i(kIntMax), i(1)}).as_int(), kIntMin);
+  EXPECT_EQ(prim(Op::kSub, {i(kIntMin), i(1)}).as_int(), kIntMax);
+  EXPECT_EQ(prim(Op::kMul, {i(kIntMax), i(2)}).as_int(), -2);
+  EXPECT_EQ(prim(Op::kMul, {i(kIntMin), i(-1)}).as_int(), kIntMin);
+  EXPECT_EQ(prim(Op::kNeg, {i(kIntMin)}).as_int(), kIntMin);
+  EXPECT_EQ(prim(Op::kSum, {Value::list({kIntMax, 1})}).as_int(), kIntMin);
+}
+
+TEST(Prims, DivisionByMinusOneIsDefined) {
+  const auto i = Value::integer;
+  EXPECT_EQ(prim(Op::kDiv, {i(kIntMin), i(-1)}).as_int(), kIntMin);
+  EXPECT_EQ(prim(Op::kMod, {i(kIntMin), i(-1)}).as_int(), 0);
+  EXPECT_EQ(prim(Op::kDiv, {i(7), i(-1)}).as_int(), -7);
+  EXPECT_EQ(prim(Op::kMod, {i(7), i(-1)}).as_int(), 0);
+  // Other divisors still truncate toward zero.
+  EXPECT_EQ(prim(Op::kDiv, {i(-7), i(2)}).as_int(), -3);
+  EXPECT_EQ(prim(Op::kMod, {i(-7), i(2)}).as_int(), -1);
+}
+
+TEST(Prims, BurnCostIsTheOperandsMagnitude) {
+  std::uint64_t cost = 0;
+  EXPECT_EQ(prim(Op::kBurn, {Value::integer(-250)}, &cost).as_int(), -250);
+  EXPECT_EQ(cost, 250U);
+  cost = 0;
+  EXPECT_EQ(prim(Op::kBurn, {Value::integer(kIntMin)}, &cost).as_int(),
+            kIntMin);
+  EXPECT_EQ(cost, std::uint64_t{1} << 63);
 }
 
 TEST(Prims, ListOps) {

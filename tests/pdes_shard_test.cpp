@@ -142,6 +142,34 @@ TEST(PdesShard, SingleCrashBitIdentical) {
   }
 }
 
+TEST(PdesShard, ListProgramsWithCrashBitIdentical) {
+  // The sorting programs pass list values, which share their cells by
+  // reference count: a list built on one shard's thread is copied, sent and
+  // released on others. fib and nqueens pass only integers, so this is the
+  // case that puts those counts in front of ThreadSanitizer.
+  // mergesort(96) finishes near t = 1600, quicksort(96) later.
+  const lang::Program mergesort = lang::programs::mergesort(96, 11);
+  const lang::Program quicksort = lang::programs::quicksort(96, 11);
+  const struct {
+    const lang::Program& program;
+    std::int64_t crash_at;
+  } cases[] = {{mergesort, 800}, {quicksort, 800}, {quicksort, 2000}};
+  for (const auto& [program, crash_at] : cases) {
+    const net::FaultPlan plan =
+        net::FaultPlan::single(3, sim::SimTime(crash_at));
+    for (const std::uint64_t seed : {1u, 5u}) {
+      SCOPED_TRACE(program.name() + " crash at " + std::to_string(crash_at));
+      const EngineRun oracle = expect_shard_invariant(program, seed, plan);
+      ASSERT_TRUE(oracle.result.completed);
+      EXPECT_TRUE(oracle.result.answer_correct);
+      EXPECT_TRUE(oracle.result.answer.is_list());
+      // The crash lands inside the run.
+      EXPECT_EQ(oracle.result.faults_injected, 1U);
+      EXPECT_GT(oracle.result.makespan_ticks, crash_at);
+    }
+  }
+}
+
 TEST(PdesShard, KillOnWindowGridBitIdentical) {
   // A kill scheduled exactly at a window boundary (t = k * latency.base)
   // exercises the inclusive coordinator barrier bound: the crash must land

@@ -264,7 +264,7 @@ PacketCheck check_packets_while_running(
         const runtime::CallSlot* slot =
             owner == nullptr ? nullptr
                              : owner->find_slot(child.packet().call_site);
-        if (slot == nullptr || !slot->spawned || slot->resolved() ||
+        if (slot == nullptr || !slot->spawned || slot->resolved ||
             slot->lineage != child.packet().lineage) {
           return;  // a superseded instance, or its slot already resolved
         }

@@ -162,9 +162,9 @@ TEST(TaskSlots, QuorumVoting) {
   task.note_spawned(3, /*fn=*/0, {});
   // Majority of 3: two identical votes required (§5.3).
   EXPECT_FALSE(task.deliver_result(3, Value::integer(9), /*quorum=*/2));
-  EXPECT_FALSE(task.slot(3).resolved());
+  EXPECT_FALSE(task.slot(3).resolved);
   EXPECT_TRUE(task.deliver_result(3, Value::integer(9), 2));
-  EXPECT_TRUE(task.slot(3).resolved());
+  EXPECT_TRUE(task.slot(3).resolved);
   // Third (late) replica: ignored.
   EXPECT_FALSE(task.deliver_result(3, Value::integer(9), 2));
 }
@@ -200,7 +200,7 @@ TEST(TaskSlots, PrefillDoesNotOverwrite) {
   Task task(21, packet_for(p), sim::SimTime(0));
   task.prefill(4, Value::integer(1));
   task.prefill(4, Value::integer(2));
-  EXPECT_EQ(task.slot(4).result->as_int(), 1);
+  EXPECT_EQ(task.slot(4).result.as_int(), 1);
 }
 
 TEST(TaskSlots, AckRecordsChildPointerPerReplica) {
@@ -210,11 +210,12 @@ TEST(TaskSlots, AckRecordsChildPointerPerReplica) {
   EXPECT_TRUE(task.note_ack(6, TaskRef{3, 77}, /*replica=*/0, /*lineage=*/0));
   EXPECT_TRUE(task.note_ack(6, TaskRef{5, 78}, /*replica=*/2, /*lineage=*/0));
   const CallSlot& slot = task.slot(6);
-  ASSERT_EQ(slot.child_procs.size(), 3U);
-  EXPECT_EQ(slot.child_procs[0], 3U);
-  EXPECT_EQ(slot.child_procs[1], net::kNoProc);
-  EXPECT_EQ(slot.child_procs[2], 5U);
-  EXPECT_EQ(slot.child_uids[2], 78U);
+  ASSERT_EQ(slot.children.size(), 3U);
+  EXPECT_EQ(slot.children[0].proc, 3U);
+  EXPECT_EQ(slot.children[1].proc, net::kNoProc);
+  EXPECT_FALSE(slot.children[1].acked());
+  EXPECT_EQ(slot.children[2].proc, 5U);
+  EXPECT_EQ(slot.children[2].uid, 78U);
 }
 
 TEST(TaskSlots, StaleLineageAckIsDropped) {
@@ -227,8 +228,8 @@ TEST(TaskSlots, StaleLineageAckIsDropped) {
   EXPECT_TRUE(task.note_ack(6, TaskRef{4, 90}, /*replica=*/0, /*lineage=*/1));
   EXPECT_FALSE(task.note_ack(6, TaskRef{3, 77}, /*replica=*/0, /*lineage=*/0));
   const CallSlot& slot = task.slot(6);
-  EXPECT_EQ(slot.child_procs[0], 4U);
-  EXPECT_EQ(slot.child_uids[0], 90U);
+  EXPECT_EQ(slot.children[0].proc, 4U);
+  EXPECT_EQ(slot.children[0].uid, 90U);
 }
 
 TEST(TaskSlots, StateUnitsGrowWithRetainedState) {

@@ -117,7 +117,7 @@ inline std::uint32_t reference_state_units(const runtime::Task& task,
   std::uint32_t units = task.packet().size_units();
   for (const runtime::CallSlot& slot : task.slots()) {
     units += 1;
-    if (slot.result.has_value()) units += slot.result->size_units();
+    if (slot.resolved) units += slot.result.size_units();
     if (slot.spawned) {
       units += reference_child_packet(task, slot, host, depth).size_units();
     }

@@ -191,7 +191,7 @@ TEST(WarmRejoin, PreLinkedSlotRebuildsItsRecordsPacket) {
     rejoiner.for_each_task([&](runtime::Task& owner) {
       const auto records = rejoiner.table().restored_children_of(owner.stamp());
       for (const runtime::CallSlot& slot : owner.slots()) {
-        if (!slot.prelinked || slot.resolved()) continue;
+        if (!slot.prelinked || slot.resolved) continue;
         for (const auto& [dest, record] : records) {
           if (record->site != slot.site || record->owner != owner.uid()) {
             continue;
