@@ -99,7 +99,8 @@ inline int correct_count(const std::vector<Replicate>& reps) {
 inline std::string task_name(const lang::Program& program,
                              const obs::Event& event) {
   if (event.stamp.is_root() && event.uid == 0) return {};
-  return program.function_at(event.stamp.digits()).name;
+  const std::vector<lang::ExprId> sites(event.stamp.begin(), event.stamp.end());
+  return program.function_at(sites).name;
 }
 
 inline void emit(const util::Table& table, const Options& opt) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/simulation.h"
 #include "lang/programs.h"
@@ -49,7 +50,8 @@ int main(int argc, char** argv) {
     if (e.kind == obs::EventKind::kPlace) return;
     std::string line = obs::render_event(e);
     if (!e.stamp.is_root() || e.uid != 0) {
-      line += "  [" + program.function_at(e.stamp.digits()).name + "]";
+      const std::vector<lang::ExprId> sites(e.stamp.begin(), e.stamp.end());
+      line += "  [" + program.function_at(sites).name + "]";
     }
     std::printf("%s\n", line.c_str());
   });

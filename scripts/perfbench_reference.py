@@ -26,9 +26,12 @@ against one pinned reference commit.
    this checkout run PAIRS alternating pairs of `--trace 0` invocations at
    seed 71 on every workload, the reference first in odd pairs. For each
    workload and metric the script prints both sides' median and MAD (median
-   absolute deviation) over the pairs, and it fails when the head's median
-   of an `end_to_end` metric of BENCHMARK.json is worse than the
-   reference's by more than that metric's bound. The reference commit
+   absolute deviation) over the pairs and, for an `end_to_end` metric of
+   BENCHMARK.json, how many pairs the head won (a tie counts for neither
+   side). A claimed gain must win at least 9 of the 10 pairs; the count is
+   printed, not gated. The script fails when the head's median of an
+   `end_to_end` metric is worse than the reference's by more than that
+   metric's bound. The reference commit
    moves only by an edit of the file that CHANGES.md records; `--update`
    keeps it.
 
@@ -142,6 +145,12 @@ def mad(values: list[float]) -> float:
     return statistics.median(abs(v - mid) for v in values)
 
 
+def pairs_won(ref: list[float], head: list[float], better: str) -> int:
+    """Pairs in which the head is strictly better; ties count for neither."""
+    sign = 1 if better == "lower" else -1
+    return sum(1 for r, h in zip(ref, head) if sign * (r - h) > 0)
+
+
 def compare_host(commit: str, seconds: float) -> list[str]:
     """Run the pairs; print the medians; return each exceeded bound."""
     sides = {"reference": export(commit), "head": REPO}
@@ -159,7 +168,7 @@ def compare_host(commit: str, seconds: float) -> list[str]:
     print(f"\nhost metrics at seed {PAIR_SEED}, median ± MAD over {PAIRS} "
           f"alternating pairs, reference {commit[:12]} vs head:")
     print(f"{'workload':<18} {'metric':<20} {'reference':>20} "
-          f"{'head':>20} {'change':>8} {'bound':>6}")
+          f"{'head':>20} {'change':>8} {'bound':>6} {'won':>6}")
     failures = []
     for workload in WORKLOADS:
         ref, head = samples[workload]["reference"], samples[workload]["head"]
@@ -169,10 +178,13 @@ def compare_host(commit: str, seconds: float) -> list[str]:
             r_mid, h_mid = statistics.median(r), statistics.median(h)
             change = (h_mid - r_mid) / r_mid if r_mid else 0.0
             bound = bounds.get(name)
+            won = (f"{pairs_won(r, h, bound['better'])}/{len(r)}"
+                   if bound else "-")
             print(f"{workload:<18} {name:<20} "
                   f"{f'{r_mid:.5g} ± {mad(r):.2g}':>20} "
                   f"{f'{h_mid:.5g} ± {mad(h):.2g}':>20} {change:>+8.1%} "
-                  f"{format(bound['bound'], '.0%') if bound else '-':>6}")
+                  f"{format(bound['bound'], '.0%') if bound else '-':>6} "
+                  f"{won:>6}")
             if bound is None:
                 continue
             worse = change if bound["better"] == "lower" else -change

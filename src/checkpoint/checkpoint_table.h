@@ -52,7 +52,7 @@ struct CheckpointRecord {
 
 // Tens of thousands of records are live at once in a large run; a record
 // indexes its owner's slot instead of holding a second copy of the packet.
-static_assert(sizeof(CheckpointRecord) <= 128);
+static_assert(sizeof(CheckpointRecord) <= 56);
 
 enum class RecordOutcome : std::uint8_t {
   kRecorded,   // inserted as a (new) topmost checkpoint

@@ -123,13 +123,18 @@ RunResult Simulation::run() {
     end_time = sim_->now();
   }
 
-  RunResult result =
-      runtime_->collect(end_time, injector_->kills_executed());
+  RunResult result = runtime_->collect(end_time);
+  // Faults count up to the answer: the queue drains on after done(), and a
+  // kill that executes after completion is no fault of the run.
+  const sim::SimTime by = result.completed
+                              ? sim::SimTime(result.makespan_ticks)
+                              : sim::SimTime::max();
+  result.faults_injected = injector_->kills_executed(by);
   // The injector records the first kill that actually executed — with
   // regional/cascade/recurring plans the earliest *scheduled* entry may
   // target an already-dead node and never fire.
-  result.first_failure_ticks = injector_->first_kill_ticks();
-  result.nodes_revived = injector_->revives_executed();
+  result.first_failure_ticks = injector_->first_kill_ticks(by);
+  result.nodes_revived = injector_->revives_executed(by);
   result.answer_checked = true;
   result.answer_correct = result.completed && result.answer == expected;
   return result;

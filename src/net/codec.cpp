@@ -1,8 +1,11 @@
 #include "net/codec.h"
 
 #include <cassert>
+#include <span>
 #include <utility>
 #include <variant>
+
+#include "util/small_vec.h"
 
 namespace splice::net::codec {
 
@@ -34,28 +37,29 @@ using runtime::TaskRef;
 // ---- field encoders --------------------------------------------------------
 
 void put_stamp(Writer& w, const LevelStamp& stamp) {
-  const auto& digits = stamp.digits();
-  w.varint(digits.size());
+  w.varint(stamp.depth());
   // Call-site digits along one root path cluster tightly (they are ExprIds
   // of neighbouring Call nodes), so deltas are almost always one byte.
   std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < digits.size(); ++i) {
+  for (std::size_t i = 0; i < stamp.depth(); ++i) {
+    const runtime::StampDigit digit = stamp.digit(i);
     if (i == 0) {
-      w.varint(digits[0]);
+      w.varint(digit);
     } else {
-      w.svarint(static_cast<std::int64_t>(digits[i]) -
+      w.svarint(static_cast<std::int64_t>(digit) -
                 static_cast<std::int64_t>(prev));
     }
-    prev = digits[i];
+    prev = digit;
   }
 }
 
 LevelStamp get_stamp(Reader& r) {
   const std::uint64_t depth = r.varint();
-  if (depth > r.remaining() || depth > LevelStamp::Digits::kMaxSize) {
+  if (depth > r.remaining() || depth > LevelStamp::kMaxDepth) {
     throw CodecError("codec: stamp depth overruns");
   }
-  LevelStamp::Digits digits;
+  // Heap-free for the narrow stamps nearly every frame carries.
+  util::SmallVec<runtime::StampDigit, LevelStamp::kInlineDepth> digits;
   digits.reserve(depth);
   std::int64_t prev = 0;
   for (std::uint64_t i = 0; i < depth; ++i) {
@@ -71,7 +75,7 @@ LevelStamp get_stamp(Reader& r) {
     digits.push_back(static_cast<runtime::StampDigit>(digit));
     prev = digit;
   }
-  return LevelStamp(std::move(digits));
+  return LevelStamp(std::span(digits.data(), digits.size()));
 }
 
 void put_ref(Writer& w, TaskRef ref) {

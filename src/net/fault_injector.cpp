@@ -168,8 +168,7 @@ void FaultInjector::fire_trigger(const std::string& name) {
 void FaultInjector::kill_now(ProcId target) {
   if (!network_.alive(target)) return;
   network_.kill(target);
-  ++kills_;
-  if (first_kill_ticks_ < 0) first_kill_ticks_ = sim_.now().ticks();
+  kill_times_.push_back(sim_.now());
   if (on_kill_) on_kill_(target);
   if (plan_.rejoin.enabled) {
     sim_.after(plan_.rejoin.delay,
@@ -180,7 +179,7 @@ void FaultInjector::kill_now(ProcId target) {
 void FaultInjector::revive_now(ProcId target) {
   if (network_.alive(target)) return;
   network_.revive(target);
-  ++revives_;
+  revive_times_.push_back(sim_.now());
   if (on_revive_) on_revive_(target);
 }
 

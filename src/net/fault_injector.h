@@ -14,6 +14,7 @@
 // runtime can reconcile the mutual suspicion the cut created.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -58,15 +59,21 @@ class FaultInjector {
     on_heal_ = std::move(on_heal);
   }
 
-  [[nodiscard]] std::uint32_t kills_executed() const noexcept {
-    return kills_;
+  /// Kills (revives) that executed at or before `by`; every one so far by
+  /// default. A completed run counts those up to its answer, since its
+  /// queue drains on after it.
+  [[nodiscard]] std::uint32_t kills_executed(
+      sim::SimTime by = sim::SimTime::max()) const noexcept {
+    return count_by(kill_times_, by);
   }
-  [[nodiscard]] std::uint32_t revives_executed() const noexcept {
-    return revives_;
+  [[nodiscard]] std::uint32_t revives_executed(
+      sim::SimTime by = sim::SimTime::max()) const noexcept {
+    return count_by(revive_times_, by);
   }
-  /// Time of the first kill that actually executed; -1 before any kill.
-  [[nodiscard]] std::int64_t first_kill_ticks() const noexcept {
-    return first_kill_ticks_;
+  /// Time of the first kill that executed at or before `by`; -1 if none.
+  [[nodiscard]] std::int64_t first_kill_ticks(
+      sim::SimTime by = sim::SimTime::max()) const noexcept {
+    return kills_executed(by) == 0 ? -1 : kill_times_.front().ticks();
   }
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   /// The deterministic kill schedule arm() expanded (timed + regional +
@@ -90,6 +97,11 @@ class FaultInjector {
  private:
   void expand_plan();
   void arm_link_faults();
+  [[nodiscard]] static std::uint32_t count_by(
+      const std::vector<sim::SimTime>& times, sim::SimTime by) noexcept {
+    return static_cast<std::uint32_t>(
+        std::upper_bound(times.begin(), times.end(), by) - times.begin());
+  }
 
   sim::Simulator& sim_;
   Network& network_;
@@ -101,9 +113,9 @@ class FaultInjector {
   std::vector<TimedFault> schedule_;
   std::vector<ArmedPartition> partitions_;
   bool armed_ = false;
-  std::uint32_t kills_ = 0;
-  std::uint32_t revives_ = 0;
-  std::int64_t first_kill_ticks_ = -1;
+  /// When each kill and revive executed, in execution (and so time) order.
+  std::vector<sim::SimTime> kill_times_;
+  std::vector<sim::SimTime> revive_times_;
 };
 
 }  // namespace splice::net

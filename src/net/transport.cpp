@@ -163,17 +163,16 @@ class ShmRingTransport final : public Transport {
       deliver_(std::move(env));
       return;
     }
-    ShmRing::Record record;
-    while (pop_next(lane, &record)) {
+    while (pop_next(lane, &recv_)) {
       const std::uint64_t t0 = now_ns();
       Envelope env =
-          codec::decode_envelope(record.bytes.data(), record.bytes.size());
+          codec::decode_envelope(recv_.bytes.data(), recv_.bytes.size());
       wire_.decode_ns += now_ns() - t0;
-      if (record.seq == seq) {
+      if (recv_.seq == seq) {
         deliver_(std::move(env));
         return;
       }
-      lane.reorder.emplace(record.seq, std::move(env));
+      lane.reorder.emplace(recv_.seq, std::move(env));
     }
     // Every submitted frame has exactly one delivery event, so the frame
     // must exist; reaching here means the ring was corrupted.
@@ -184,7 +183,10 @@ class ShmRingTransport final : public Transport {
   bool pop_next(Lane& lane, ShmRing::Record* out) {
     if (lane.ring != nullptr && lane.ring->pop(out)) return true;
     if (lane.spill.empty()) return false;
-    *out = std::move(lane.spill.front());
+    // Copy rather than move, so `out` keeps its grown buffer.
+    const ShmRing::Record& spilled = lane.spill.front();
+    out->seq = spilled.seq;
+    out->bytes.assign(spilled.bytes.begin(), spilled.bytes.end());
     lane.spill.pop_front();
     return true;
   }
@@ -193,6 +195,10 @@ class ShmRingTransport final : public Transport {
   std::uint32_t ring_bytes_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::uint8_t> scratch_;
+  /// Every frame pops into this one record, so its byte buffer grows to the
+  /// largest frame once instead of allocating per frame. Decoding finishes
+  /// before delivery, so a send from the receiver cannot disturb it.
+  ShmRing::Record recv_;
 };
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include "obs/journal.h"
 
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
 #include "net/codec.h"
+#include "util/small_vec.h"
 
 namespace splice::obs {
 
@@ -356,7 +358,7 @@ std::vector<std::uint8_t> serialize(const Journal& journal) {
     w.varint(e.cause);
     w.varint(e.arg);
     w.varint(e.stamp.depth());
-    for (const runtime::StampDigit digit : e.stamp.digits()) w.varint(digit);
+    for (const runtime::StampDigit digit : e.stamp) w.varint(digit);
   }
   return out;
 }
@@ -405,11 +407,12 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
     e.arg = r.varint();
     const std::uint64_t depth = r.varint();
     if (depth > 4096) throw std::runtime_error("journal: stamp too deep");
-    runtime::LevelStamp::Digits digits;
+    util::SmallVec<runtime::StampDigit, runtime::LevelStamp::kInlineDepth>
+        digits;
     for (std::uint64_t d = 0; d < depth; ++d) {
       digits.push_back(narrow(r.varint(), "stamp digit"));
     }
-    e.stamp = runtime::LevelStamp(std::move(digits));
+    e.stamp = runtime::LevelStamp(std::span(digits.data(), digits.size()));
     journal.events.push_back(e);
   }
   if (!r.done()) throw std::runtime_error("journal: trailing bytes");

@@ -104,7 +104,7 @@ void SplicePolicy::on_ancestor_result(Processor& proc, ResultMsg msg) {
   }
   // The grandchild's path through this task goes via the call site encoded
   // in the stamp digit right below our depth ("Interpret the level stamp").
-  const lang::ExprId site = msg.stamp.digits()[ancestor_depth];
+  const lang::ExprId site = msg.stamp.digit(ancestor_depth);
   CallSlot& slot = ancestor->slot(site);
   if (slot.resolved) {
     ++proc.counters().late_results_discarded;  // cases 7/8

@@ -677,15 +677,13 @@ std::uint64_t Runtime::total_state_units() const {
   return units;
 }
 
-core::RunResult Runtime::collect(sim::SimTime end_time,
-                                 std::uint64_t faults_injected) const {
+core::RunResult Runtime::collect(sim::SimTime end_time) const {
   core::RunResult result;
   result.completed = done_;
   if (done_) result.answer = super_root_->answer();
   result.makespan_ticks =
       done_ ? completion_time_.ticks() : end_time.ticks();
   result.detection_ticks = first_detection_ticks_;
-  result.faults_injected = faults_injected;
   result.processors = config_.processors;
   result.processors_alive_at_end = network_.alive_count();
   result.sim_events = sim_.events_executed() +

@@ -232,9 +232,8 @@ class Runtime {
   [[nodiscard]] std::uint64_t total_state_units() const;
 
   /// Aggregate the run's metrics. `end_time` is the simulator time when the
-  /// run loop stopped.
-  [[nodiscard]] core::RunResult collect(sim::SimTime end_time,
-                                        std::uint64_t faults_injected) const;
+  /// run loop stopped. The caller fills in the fault counts.
+  [[nodiscard]] core::RunResult collect(sim::SimTime end_time) const;
 
  private:
   sim::Simulator& sim_;

@@ -259,7 +259,7 @@ class Task {
 // Tens of thousands of tasks are live at once in a large run; the call slots
 // stay out of line (see Task::Slots), and a slot keeps no second copy of the
 // packet its owner can rebuild.
-static_assert(sizeof(Task) <= 304);
+static_assert(sizeof(Task) <= 264);
 static_assert(sizeof(CallSlot) <= 160);
 
 }  // namespace splice::runtime

@@ -57,18 +57,18 @@ std::int64_t fuzz_i64(Rng& rng) {
 }
 
 LevelStamp fuzz_stamp(Rng& rng) {
-  // Sometimes draw depths 12..31, straddling kInlineDepth (15): the
-  // heap-spill path of the digit SmallVec must encode identically to the
-  // inline path.
+  // Sometimes draw depths 12..31, straddling kInlineDepth (15), and
+  // sometimes a full 32-bit digit: the wide form must encode identically to
+  // the narrow one.
   const std::size_t depth =
       pick(rng, 4) == 0 ? 12 + pick(rng, 20) : pick(rng, 8);
-  LevelStamp::Digits digits;
+  std::vector<runtime::StampDigit> digits;
   for (std::size_t i = 0; i < depth; ++i) {
     digits.push_back(pick(rng, 8) == 0
                          ? static_cast<runtime::StampDigit>(rng())
                          : static_cast<runtime::StampDigit>(pick(rng, 16)));
   }
-  return LevelStamp(std::move(digits));
+  return LevelStamp(digits);
 }
 
 TaskRef fuzz_ref(Rng& rng) {
@@ -484,7 +484,7 @@ Envelope decode_bytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(CodecRoundtrip, CorruptStampDepthThrows) {
-  constexpr std::uint64_t kMax = LevelStamp::Digits::kMaxSize;
+  constexpr std::uint64_t kMax = LevelStamp::kMaxDepth;
   EXPECT_NO_THROW((void)decode_bytes(packet_frame(2, 1, 1)));
   EXPECT_NO_THROW((void)decode_bytes(packet_frame(kMax, 1, 1)));
   EXPECT_THROW((void)decode_bytes(packet_frame(kMax + 1, 1, 1)), CodecError);

@@ -18,10 +18,9 @@
 namespace splice {
 namespace {
 
-runtime::LevelStamp make_stamp(std::initializer_list<runtime::StampDigit> ds) {
-  runtime::LevelStamp::Digits digits;
-  for (const runtime::StampDigit d : ds) digits.push_back(d);
-  return runtime::LevelStamp(std::move(digits));
+runtime::LevelStamp make_stamp(
+    const std::vector<runtime::StampDigit>& digits) {
+  return runtime::LevelStamp(digits);
 }
 
 TEST(Recorder, RingWrapKeepsNewestWindowAndCountsDrops) {
@@ -290,6 +289,59 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
 // Writing is bounded the same way: a journal whose consecutive ticks span
 // more than int64 holds (as a merge of dumps from either end of the range
 // yields) is refused instead of encoding a wrapped delta.
+TEST(Journal, WideAndDeepStampsRoundTrip) {
+  // A dump stores a stamp as its depth and then each digit's 32-bit value,
+  // whether the stamp keeps 16-bit digits inline or 32-bit ones on the
+  // heap: a narrow stamp of depth 15, stamps wide by a digit past 16 bits,
+  // and stamps wide by depth.
+  std::vector<runtime::StampDigit> deep(40);
+  for (std::size_t i = 0; i < deep.size(); ++i) {
+    deep[i] = static_cast<runtime::StampDigit>(i * 1000);
+  }
+  std::vector<runtime::StampDigit> narrow(15, 65535);
+  const std::vector<std::vector<runtime::StampDigit>> stamps = {
+      {}, narrow, {70000, 3}, {3, UINT32_MAX}, deep, {65536}};
+  obs::Journal journal;
+  journal.header.processors = 4;
+  journal.header.total_recorded = stamps.size();
+  std::vector<std::uint8_t> want;
+  for (const char c : obs::kJournalMagic) {
+    want.push_back(static_cast<std::uint8_t>(c));
+  }
+  net::codec::Writer w(want);
+  // version, rank, processors, total_recorded, dropped, event count
+  for (const std::uint64_t header :
+       {std::uint64_t{2}, std::uint64_t{0}, std::uint64_t{4},
+        std::uint64_t{stamps.size()}, std::uint64_t{0},
+        std::uint64_t{stamps.size()}}) {
+    w.varint(header);
+  }
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    obs::Event e;
+    e.id = i + 1;
+    e.ticks = static_cast<std::int64_t>(10 * i);
+    e.kind = obs::EventKind::kTwin;
+    e.stamp = make_stamp(stamps[i]);
+    journal.events.push_back(e);
+    w.varint(1);                      // id delta
+    w.svarint(i == 0 ? 0 : 10);       // tick delta
+    w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
+    for (int field = 0; field < 5; ++field) w.varint(0);  // proc ... arg
+    w.varint(stamps[i].size());
+    for (const runtime::StampDigit d : stamps[i]) w.varint(d);
+  }
+  const std::vector<std::uint8_t> bytes = obs::serialize(journal);
+  EXPECT_EQ(bytes, want);
+  const obs::Journal back = obs::deserialize(bytes.data(), bytes.size());
+  ASSERT_EQ(back.events.size(), stamps.size());
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    const runtime::LevelStamp& stamp = back.events[i].stamp;
+    EXPECT_EQ(stamp, journal.events[i].stamp) << i;
+    EXPECT_EQ(std::vector<runtime::StampDigit>(stamp.begin(), stamp.end()),
+              stamps[i]);
+  }
+}
+
 TEST(Journal, SerializeRejectsATickSpanBeyondInt64) {
   obs::Journal journal;
   for (const std::int64_t ticks : {INT64_MIN, INT64_MAX}) {

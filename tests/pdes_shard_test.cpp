@@ -170,6 +170,25 @@ TEST(PdesShard, ListProgramsWithCrashBitIdentical) {
   }
 }
 
+TEST(PdesShard, KillAfterTheAnswerIsNoFault) {
+  // mergesort(96) answers near t = 1600; the event queue drains on after
+  // that, so a kill at t = 5000 still executes, but it is no fault of the
+  // run, on the classic loop (0 shards) or on the engine.
+  const lang::Program program = lang::programs::mergesort(96, 11);
+  const net::FaultPlan plan = net::FaultPlan::single(3, sim::SimTime(5000));
+  for (const std::uint32_t shards : {0u, 1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const core::RunResult result =
+        run_sharded(shards, program, 1, plan).result;
+    ASSERT_TRUE(result.completed);
+    EXPECT_TRUE(result.answer_correct);
+    EXPECT_LT(result.makespan_ticks, 5000);
+    EXPECT_EQ(result.faults_injected, 0U);
+    EXPECT_EQ(result.first_failure_ticks, -1);
+    EXPECT_EQ(result.nodes_revived, 0U);
+  }
+}
+
 TEST(PdesShard, KillOnWindowGridBitIdentical) {
   // A kill scheduled exactly at a window boundary (t = k * latency.base)
   // exercises the inclusive coordinator barrier bound: the crash must land

@@ -20,9 +20,9 @@ using runtime::TaskPacket;
 using store::DurableStore;
 using store::Persistency;
 
-TaskPacket packet_for(LevelStamp::Digits digits) {
+TaskPacket packet_for(const std::vector<runtime::StampDigit>& digits) {
   TaskPacket packet;
-  packet.stamp = LevelStamp(std::move(digits));
+  packet.stamp = LevelStamp(digits);
   packet.fn = 0;
   packet.ancestors.push_back(runtime::TaskRef{0, 1});
   return packet;
@@ -31,7 +31,7 @@ TaskPacket packet_for(LevelStamp::Digits digits) {
 CheckpointRecord record_for(const TaskPacket& packet, runtime::TaskUid owner) {
   CheckpointRecord record;
   record.owner = owner;
-  record.site = packet.stamp.digits().back();
+  record.site = packet.stamp.last();
   record.stamp = packet.stamp;
   record.units = packet.size_units();
   return record;
@@ -39,8 +39,9 @@ CheckpointRecord record_for(const TaskPacket& packet, runtime::TaskUid owner) {
 
 /// Record the spawn of the packet for `digits` onto `dest` by `owner`.
 void record_spawn(CheckpointTable& table, net::ProcId dest,
-                  LevelStamp::Digits digits, runtime::TaskUid owner) {
-  const TaskPacket packet = packet_for(std::move(digits));
+                  const std::vector<runtime::StampDigit>& digits,
+                  runtime::TaskUid owner) {
+  const TaskPacket packet = packet_for(digits);
   table.record(dest, record_for(packet, owner), packet);
 }
 
@@ -57,7 +58,7 @@ TEST(DurableStore, ReplayRoundTripEqualsLiveTable) {
   record_spawn(live, 1, {2}, 10);
   record_spawn(live, 2, {3}, 11);
   record_spawn(live, 3, {4}, 11);
-  EXPECT_TRUE(live.release(1, LevelStamp({2})));   // child returned
+  EXPECT_TRUE(live.release(1, LevelStamp::root().child(2)));   // child returned
   (void)live.take(3);                              // P3 died, reissued
   record_spawn(live, 2, {4}, 11);                  // ... onto P2
 
@@ -133,11 +134,11 @@ TEST(DurableStore, CompactRewritesLogToLiveRecords) {
   live.set_listener(&store);
   record_spawn(live, 1, {1}, 10);
   record_spawn(live, 2, {2}, 10);
-  EXPECT_TRUE(live.release(1, LevelStamp({1})));
+  EXPECT_TRUE(live.release(1, LevelStamp::root().child(1)));
   EXPECT_EQ(store.log().size(), 3U);  // record, record, release
   store.compact_from(live);
   EXPECT_EQ(store.log().size(), 1U);  // one live record remains
-  EXPECT_EQ(store.log()[0].record.stamp, LevelStamp({2}));
+  EXPECT_EQ(store.log()[0].record.stamp, LevelStamp::root().child(2));
 }
 
 TEST(DurableStore, TakeLogsTheWholeEntryDrop) {

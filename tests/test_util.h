@@ -51,7 +51,8 @@ bool has_event(const core::Simulation& sim, obs::EventKind kind, Pred pred) {
 /// The name of the function an event's task runs, from its stamp.
 inline const std::string& function_of(const core::Simulation& sim,
                                       const obs::Event& event) {
-  return sim.program().function_at(event.stamp.digits()).name;
+  const std::vector<lang::ExprId> sites(event.stamp.begin(), event.stamp.end());
+  return sim.program().function_at(sites).name;
 }
 
 /// Reference fibonacci for oracle checks.
