@@ -4,6 +4,9 @@
 // explain a layer's cost; they gate nothing (ctest's
 // bench_smoke_micro_structures only checks that they run). The regression
 // gate is perfbench's pinned reference (scripts/perfbench_reference.py).
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "checkpoint/checkpoint_table.h"
@@ -14,6 +17,7 @@
 #include "runtime/level_stamp.h"
 #include "sched/gradient.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace {
@@ -271,10 +275,58 @@ void BM_CodecDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecDecode);
 
+// The shm transport's cost per frame, with no runtime around it: submit
+// (encode, ring push, the delivery event, freeing the sender's payload box)
+// and deliver (decode where the frame lies, release, freeing the decoded
+// box) of task-packet, forward-result and spawn-ack frames over a bare
+// simulator. The envelopes are built outside the timing. `frame_ns` reads
+// as seconds per frame (e.g. "250n" is 250 ns).
+void BM_ShmRingFrame(benchmark::State& state) {
+  std::vector<std::vector<std::uint8_t>> encoded;
+  for (const net::Envelope& env : sample_wire_mix()) {
+    if (env.kind != net::MsgKind::kHeartbeat) {
+      encoded.push_back(net::codec::encode_envelope(env));
+    }
+  }
+  constexpr std::size_t kRounds = 128;  // of the three frames per batch
+  sim::Simulator sim;
+  const std::unique_ptr<net::Transport> transport =
+      net::make_shm_ring_transport(sim, 8, 1u << 20);
+  std::uint64_t sink = 0;
+  transport->set_deliver(
+      [&sink](net::Envelope&& env) { sink += env.payload.index(); });
+  std::vector<net::Envelope> batch;
+  std::int64_t frames = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    batch.clear();
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      for (const auto& bytes : encoded) {
+        batch.push_back(
+            net::codec::decode_envelope(bytes.data(), bytes.size()));
+      }
+    }
+    state.ResumeTiming();
+    for (net::Envelope& env : batch) {
+      net::Envelope sent = std::move(env);
+      transport->submit(std::move(sent), sim::SimTime(1));
+    }
+    sim.run_until();
+    frames += static_cast<std::int64_t>(batch.size());
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(frames);
+  state.counters["frame_ns"] = benchmark::Counter(
+      static_cast<double>(frames),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ShmRingFrame);
+
 // End-to-end wire density: a full seeded run over the shared-memory ring
 // backend (every protocol message serialized through the codec) reporting
-// encoded bytes per simulated event and per message, plus the measured
-// encode/decode ns per message.
+// encoded bytes per simulated event and per message, plus encode/decode ns
+// per message. Those two are estimates: the transport times one frame in 16
+// and counts it 16 times (net::FrameClock).
 void BM_WireBytesPerEvent(benchmark::State& state) {
   const lang::Program program = lang::programs::tree_sum(8, 2, 60, 10);
   core::SystemConfig cfg;

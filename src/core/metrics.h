@@ -106,6 +106,9 @@ struct RunResult {
   net::NetworkStats net;
   std::uint64_t sim_events = 0;
   std::uint32_t processors = 0;
+  /// Alive when the answer arrived (when the run ended, if it did not),
+  /// so kills and revives after the answer count no more here than in
+  /// faults_injected and nodes_revived.
   std::uint32_t processors_alive_at_end = 0;
   /// Tasks still resident and unfinished when the run ended (orphans the
   /// system never reclaimed — §3.4's observation made measurable).

@@ -135,6 +135,13 @@ RunResult Simulation::run() {
   // target an already-dead node and never fire.
   result.first_failure_ticks = injector_->first_kill_ticks(by);
   result.nodes_revived = injector_->revives_executed(by);
+  // So does the alive count: undo the kills and revives after the answer.
+  const std::uint32_t kills_after =
+      injector_->kills_executed() - injector_->kills_executed(by);
+  const std::uint32_t revives_after =
+      injector_->revives_executed() - injector_->revives_executed(by);
+  result.processors_alive_at_end =
+      result.processors_alive_at_end + kills_after - revives_after;
   result.answer_checked = true;
   result.answer_correct = result.completed && result.answer == expected;
   return result;
@@ -142,9 +149,17 @@ RunResult Simulation::run() {
 
 std::int64_t Simulation::fault_free_makespan(const SystemConfig& config,
                                              const lang::Program& program) {
-  // Only the makespan is read: nobody reads the twin's journal.
+  // Only the makespan is read, so the twin drops what cannot move it.
+  // Nobody reads its journal, and a run without a fault never reads its
+  // durable log. A shm-ring run is bit-identical to an in-process one (the
+  // transport A/B contract), so the twin skips the codec too; a tcp config
+  // still throws in run().
   SystemConfig clean = config;
   clean.obs.recorder = false;
+  clean.store.model = store::Persistency::kNone;
+  if (clean.transport.backend == net::TransportKind::kShmRing) {
+    clean.transport.backend = net::TransportKind::kInProcess;
+  }
   Simulation twin(clean, program);
   const RunResult result = twin.run();
   return result.makespan_ticks;

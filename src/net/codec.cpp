@@ -1,6 +1,8 @@
 #include "net/codec.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <variant>
@@ -200,8 +202,7 @@ void put_packet(Writer& w, const TaskPacket& p) {
   w.svarint(p.zone);
 }
 
-TaskPacket get_packet(Reader& r) {
-  TaskPacket p;
+void get_packet(Reader& r, TaskPacket& p) {
   p.stamp = get_stamp(r);
   const std::uint64_t fn = r.varint();
   const std::uint64_t site = r.varint();
@@ -222,10 +223,11 @@ TaskPacket get_packet(Reader& r) {
   p.replica = static_cast<std::uint32_t>(replica);
   p.lineage = static_cast<std::uint32_t>(lineage);
   p.zone = static_cast<std::int32_t>(zone);
-  return p;
 }
 
 // ---- payload encoders (exhaustive over the closed variant) -----------------
+
+void put_envelope(Writer& w, const Envelope& env);
 
 struct PayloadEncoder {
   Writer& w;
@@ -297,16 +299,26 @@ struct PayloadEncoder {
     }
   }
   void operator()(const EnvelopeBox& box) const {
-    // Recursive: a delivery-failure notice carries the lost envelope.
+    // Recursive: a delivery-failure notice carries the lost envelope,
+    // written in place and then given its length prefix.
     w.u8(box.has_value() ? 1 : 0);
     if (box.has_value()) {
-      std::vector<std::uint8_t> inner;
-      encode_envelope(*box, inner);
-      w.varint(inner.size());
-      for (std::uint8_t b : inner) w.u8(b);
+      const std::size_t start = w.size();
+      put_envelope(w, *box);
+      w.length_prefix(start);
     }
   }
 };
+
+void put_envelope(Writer& w, const Envelope& env) {
+  assert(payload_consistent(env.kind, env.payload));
+  w.u8(static_cast<std::uint8_t>(env.kind));
+  w.varint(env.from);
+  w.varint(env.to);
+  w.varint(env.size_units);
+  w.svarint(env.sent_at.ticks());
+  std::visit(PayloadEncoder{w}, env.payload);
+}
 
 ProcId get_proc(Reader& r) {
   const std::uint64_t p = r.varint();
@@ -321,7 +333,9 @@ std::uint32_t get_u32(Reader& r, const char* what) {
   return static_cast<std::uint32_t>(v);
 }
 
-Payload decode_payload(MsgKind kind, Reader& r) {
+// Builds the kind's payload in `out`; a boxed one is decoded straight into
+// its heap cell.
+void decode_payload(MsgKind kind, Reader& r, Payload& out) {
   // Exhaustive over MsgKind (-Werror=switch): a new kind that reaches the
   // wire without a decode arm fails the build, mirroring PayloadEncoder's
   // compile-time closure over the variant.
@@ -330,21 +344,23 @@ Payload decode_payload(MsgKind kind, Reader& r) {
     case MsgKind::kDataReply:
     case MsgKind::kCheckpointXfer:
     case MsgKind::kLoadUpdate:
-      return std::monostate{};
+      out.emplace<std::monostate>();
+      return;
     case MsgKind::kTaskPacket:
-      return get_packet(r);
+      get_packet(r, *out.emplace<Boxed<TaskPacket>>(std::in_place));
+      return;
     case MsgKind::kSpawnAck: {
-      AckMsg m;
+      AckMsg& m = *out.emplace<Boxed<AckMsg>>(std::in_place);
       m.stamp = get_stamp(r);
       m.call_site = static_cast<lang::ExprId>(get_u32(r, "call_site"));
       m.parent = get_ref(r);
       m.child = get_ref(r);
       m.replica = get_u32(r, "replica");
       m.lineage = get_u32(r, "lineage");
-      return m;
+      return;
     }
     case MsgKind::kForwardResult: {
-      ResultMsg m;
+      ResultMsg& m = *out.emplace<Boxed<ResultMsg>>(std::in_place);
       m.stamp = get_stamp(r);
       m.call_site = static_cast<lang::ExprId>(get_u32(r, "call_site"));
       m.value = get_value(r);
@@ -359,7 +375,7 @@ Payload decode_payload(MsgKind kind, Reader& r) {
       const std::uint8_t relayed = r.u8();
       if (relayed > 1) throw CodecError("codec: bad relayed flag");
       m.relayed = relayed != 0;
-      return m;
+      return;
     }
     case MsgKind::kErrorDetection: {
       // A notice names at least one death (senders drop an empty one), and
@@ -370,47 +386,44 @@ Payload decode_payload(MsgKind kind, Reader& r) {
           count > decltype(ErrorMsg::dead)::kMaxSize) {
         throw CodecError("codec: error notice overruns");
       }
-      ErrorMsg m;
+      ErrorMsg& m = out.emplace<ErrorMsg>();
       m.dead.reserve(count);
       for (std::uint64_t i = 0; i < count; ++i) m.dead.push_back(get_proc(r));
-      return m;
+      return;
     }
-    case MsgKind::kHeartbeat: {
-      HeartbeatMsg m;
-      m.sequence = r.varint();
-      return m;
-    }
-    case MsgKind::kRejoinNotice: {
-      RejoinMsg m;
-      m.who = get_proc(r);
-      return m;
-    }
+    case MsgKind::kHeartbeat:
+      out.emplace<HeartbeatMsg>().sequence = r.varint();
+      return;
+    case MsgKind::kRejoinNotice:
+      out.emplace<RejoinMsg>().who = get_proc(r);
+      return;
     case MsgKind::kControl: {
       const std::uint8_t raw = r.u8();
       if (raw > static_cast<std::uint8_t>(runtime::ControlKind::kShutdown)) {
         throw CodecError("codec: bad control kind");
       }
-      runtime::ControlMsg m;
-      m.kind = static_cast<runtime::ControlKind>(raw);
-      return m;
+      out.emplace<runtime::ControlMsg>().kind =
+          static_cast<runtime::ControlKind>(raw);
+      return;
     }
     case MsgKind::kCancel: {
-      CancelMsg m;
+      CancelMsg& m = *out.emplace<Boxed<CancelMsg>>(std::in_place);
       m.stamp = get_stamp(r);
       m.replica = get_u32(r, "replica");
       m.uid = r.varint();
       m.parent = get_ref(r);
       m.issued_at = sim::SimTime(r.svarint());
-      return m;
+      return;
     }
     case MsgKind::kStateRequest: {
-      store::StateRequestMsg m;
+      store::StateRequestMsg& m = out.emplace<store::StateRequestMsg>();
       m.who = get_proc(r);
       m.incarnation = r.varint();
-      return m;
+      return;
     }
     case MsgKind::kStateChunk: {
-      store::StateChunkMsg m;
+      store::StateChunkMsg& m =
+          *out.emplace<Boxed<store::StateChunkMsg>>(std::in_place);
       m.incarnation = r.varint();
       m.seq = get_u32(r, "seq");
       const std::uint8_t last = r.u8();
@@ -420,7 +433,7 @@ Payload decode_payload(MsgKind kind, Reader& r) {
       if (packets > r.remaining()) throw CodecError("codec: chunk overruns");
       m.packets.reserve(packets);
       for (std::uint64_t i = 0; i < packets; ++i) {
-        m.packets.push_back(get_packet(r));
+        get_packet(r, m.packets.emplace_back());
       }
       const std::uint64_t dead = r.varint();
       if (dead > r.remaining()) throw CodecError("codec: dead set overruns");
@@ -437,18 +450,20 @@ Payload decode_payload(MsgKind kind, Reader& r) {
         m.known_dead.push_back(static_cast<ProcId>(p));
         prev = p;
       }
-      return m;
+      return;
     }
     case MsgKind::kDeliveryFailure: {
       const std::uint8_t present = r.u8();
       if (present > 1) throw CodecError("codec: bad box flag");
-      if (present == 0) return EnvelopeBox{};
+      if (present == 0) {
+        out.emplace<EnvelopeBox>();
+        return;
+      }
+      // The lost envelope decodes from its sub-range of this buffer.
       const std::uint64_t len = r.varint();
-      if (len > r.remaining()) throw CodecError("codec: boxed overruns");
-      std::vector<std::uint8_t> inner;
-      inner.reserve(len);
-      for (std::uint64_t i = 0; i < len; ++i) inner.push_back(r.u8());
-      return EnvelopeBox(decode_envelope(inner.data(), inner.size()));
+      const std::uint8_t* const inner = r.bytes(len);
+      out.emplace<EnvelopeBox>(decode_envelope(inner, len));
+      return;
     }
   }
   throw CodecError("codec: unknown kind");
@@ -456,15 +471,31 @@ Payload decode_payload(MsgKind kind, Reader& r) {
 
 }  // namespace
 
+void Writer::grow(std::size_t n) {
+  // Doubling keeps growth amortised O(1) per byte; the 64-byte floor covers
+  // a typical frame (~40 bytes) in one step.
+  constexpr std::size_t kMinBytes = 64;
+  const std::size_t used = size();
+  out_.resize(std::max({used + n, 2 * out_.size(), kMinBytes}));
+  at_ = out_.data() + used;
+  end_ = out_.data() + out_.size();
+}
+
+void Writer::length_prefix(std::size_t start) {
+  const std::size_t len = size() - start;
+  std::uint8_t prefix[kMaxVarintBytes];
+  const auto width =
+      static_cast<std::size_t>(put_varint(prefix, len) - prefix);
+  room(width);
+  std::uint8_t* const body = out_.data() + start;
+  std::memmove(body + width, body, len);
+  std::memcpy(body, prefix, width);
+  at_ += width;
+}
+
 void encode_envelope(const Envelope& env, std::vector<std::uint8_t>& out) {
-  assert(payload_consistent(env.kind, env.payload));
   Writer w(out);
-  w.u8(static_cast<std::uint8_t>(env.kind));
-  w.varint(env.from);
-  w.varint(env.to);
-  w.varint(env.size_units);
-  w.svarint(env.sent_at.ticks());
-  std::visit(PayloadEncoder{w}, env.payload);
+  put_envelope(w, env);
 }
 
 Envelope decode_envelope(const std::uint8_t* data, std::size_t size) {
@@ -477,7 +508,7 @@ Envelope decode_envelope(const std::uint8_t* data, std::size_t size) {
   env.to = get_proc(r);
   env.size_units = get_u32(r, "size_units");
   env.sent_at = sim::SimTime(r.svarint());
-  env.payload = decode_payload(env.kind, r);
+  decode_payload(env.kind, r, env.payload);
   if (!r.done()) throw CodecError("codec: trailing bytes");
   return env;
 }

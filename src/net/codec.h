@@ -48,23 +48,60 @@ class CodecError : public std::runtime_error {
          -static_cast<std::int64_t>(v & 1);
 }
 
-/// Append-only byte sink with the varint primitives.
+/// Bytes of the longest varint (a 64-bit value in 7-bit groups).
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Append-only byte sink with the varint primitives. It writes through a
+/// raw cursor into `out`, grown ahead of the cursor in doubling steps, so a
+/// varint costs one room check instead of a push_back per byte. The slack
+/// past the cursor is trimmed off `out` when the Writer is destroyed: read
+/// or change `out` only after that.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::vector<std::uint8_t>& out)
+      : out_(out), at_(out.data() + out.size()), end_(at_) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+  ~Writer() { out_.resize(size()); }
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) {
+    room(1);
+    *at_++ = v;
+  }
   void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    out_.push_back(static_cast<std::uint8_t>(v));
+    room(kMaxVarintBytes);
+    at_ = put_varint(at_, v);
   }
   void svarint(std::int64_t v) { varint(zigzag(v)); }
 
+  /// Bytes in `out` up to the cursor, including what it held before.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(at_ - out_.data());
+  }
+
+  /// Put varint(size() - start) in front of the bytes written since
+  /// `start`, shifting them up: a length prefix for a nested encoding
+  /// whose length is known only once it is written.
+  void length_prefix(std::size_t start);
+
  private:
+  /// LEB128 `v` at `p`; returns the byte after it.
+  static std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) noexcept {
+    while (v >= 0x80) {
+      *p++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+  }
+  void room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - at_) < n) grow(n);
+  }
+  void grow(std::size_t n);
+
   std::vector<std::uint8_t>& out_;
+  std::uint8_t* at_;   // next byte to write
+  std::uint8_t* end_;  // end of out_'s current (grown) size
 };
 
 /// Bounds-checked cursor over an encoded buffer. Throws CodecError on
@@ -89,6 +126,14 @@ class Reader {
     throw CodecError("codec: varint exceeds 64 bits");
   }
   [[nodiscard]] std::int64_t svarint() { return unzigzag(varint()); }
+
+  /// The next `n` bytes, skipped over: a nested encoding's sub-range.
+  [[nodiscard]] const std::uint8_t* bytes(std::uint64_t n) {
+    if (n > remaining()) throw CodecError("codec: truncated (bytes)");
+    const std::uint8_t* const at = p_;
+    p_ += n;
+    return at;
+  }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - p_);

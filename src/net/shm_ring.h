@@ -11,8 +11,10 @@
 //
 // Records are [u32 length][u64 sequence][length bytes], byte-wrapped at the
 // capacity boundary. The sequence number is the delivery-ordering handle:
-// the simulator-driven consumer pops records until it finds the one its
-// delivery event names, parking any that arrived ahead of their event.
+// the simulator-driven consumer takes records until it finds the one its
+// delivery event names, parking any that arrived ahead of their event. The
+// consumer reads a record where it lies (peek), then releases its bytes
+// (consume); only a body that wraps the capacity boundary is copied out.
 #pragma once
 
 #include <algorithm>
@@ -36,9 +38,11 @@ namespace splice::net {
 
 class ShmRing {
  public:
-  struct Record {
+  /// The oldest record, as peek() found it.
+  struct View {
     std::uint64_t seq = 0;
-    std::vector<std::uint8_t> bytes;
+    const std::uint8_t* bytes = nullptr;  // valid until consume()
+    std::uint32_t len = 0;
   };
 
   explicit ShmRing(std::uint32_t capacity_bytes)
@@ -88,26 +92,37 @@ class ShmRing {
     std::uint8_t header[kRecordHeader];
     std::memcpy(header, &len, sizeof(len));
     std::memcpy(header + sizeof(len), &seq, sizeof(seq));
-    write_at(tail, header, kRecordHeader);
-    write_at(tail + kRecordHeader, bytes, len);
+    write_at(write_at(tail % capacity_, header, kRecordHeader), bytes, len);
     ctrl_->tail.store(tail + need, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side. Returns false when the ring is empty.
-  bool pop(Record* out) {
+  /// Consumer side: the oldest record, left in the ring. Returns false when
+  /// the ring is empty. `bytes` points into the ring, or into `wrapped`
+  /// when the body wraps the capacity boundary.
+  bool peek(View* out, std::vector<std::uint8_t>& wrapped) const {
     const std::uint64_t tail = ctrl_->tail.load(std::memory_order_acquire);
     const std::uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
     if (head == tail) return false;
     std::uint8_t header[kRecordHeader];
-    read_at(head, header, kRecordHeader);
-    std::uint32_t len = 0;
-    std::memcpy(&len, header, sizeof(len));
-    std::memcpy(&out->seq, header + sizeof(len), sizeof(out->seq));
-    out->bytes.resize(len);
-    read_at(head + kRecordHeader, out->bytes.data(), len);
-    ctrl_->head.store(head + record_bytes(len), std::memory_order_release);
+    const std::uint64_t body = read_at(head % capacity_, header, kRecordHeader);
+    std::memcpy(&out->len, header, sizeof(out->len));
+    std::memcpy(&out->seq, header + sizeof(out->len), sizeof(out->seq));
+    if (body + out->len <= capacity_) {
+      out->bytes = data_ + body;
+    } else {
+      wrapped.resize(out->len);
+      read_at(body, wrapped.data(), out->len);
+      out->bytes = wrapped.data();
+    }
     return true;
+  }
+
+  /// Consumer side: release the record peek() returned.
+  void consume(const View& record) {
+    const std::uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
+    ctrl_->head.store(head + record_bytes(record.len),
+                      std::memory_order_release);
   }
 
   [[nodiscard]] bool empty() const noexcept {
@@ -130,18 +145,27 @@ class ShmRing {
     std::atomic<std::uint64_t> tail{0};  // produced bytes (producer-owned)
   };
 
-  void write_at(std::uint64_t pos, const std::uint8_t* src, std::uint64_t n) {
-    const std::uint64_t off = pos % capacity_;
+  // Copy n bytes (at most the capacity) to or from ring offset `off`,
+  // wrapping at the end; each returns the offset after them.
+  std::uint64_t write_at(std::uint64_t off, const std::uint8_t* src,
+                         std::uint64_t n) {
     const std::uint64_t first = std::min<std::uint64_t>(n, capacity_ - off);
     std::memcpy(data_ + off, src, first);
     if (first < n) std::memcpy(data_, src + first, n - first);
+    return advance(off, n);
   }
 
-  void read_at(std::uint64_t pos, std::uint8_t* dst, std::uint64_t n) const {
-    const std::uint64_t off = pos % capacity_;
+  std::uint64_t read_at(std::uint64_t off, std::uint8_t* dst,
+                        std::uint64_t n) const {
     const std::uint64_t first = std::min<std::uint64_t>(n, capacity_ - off);
     std::memcpy(dst, data_ + off, first);
     if (first < n) std::memcpy(dst + first, data_, n - first);
+    return advance(off, n);
+  }
+
+  [[nodiscard]] std::uint64_t advance(std::uint64_t off,
+                                      std::uint64_t n) const noexcept {
+    return off + n >= capacity_ ? off + n - capacity_ : off + n;
   }
 
   std::uint32_t capacity_;

@@ -102,9 +102,9 @@ class TcpTransport final : public Transport {
     }
 
     frame_.clear();
-    const std::uint64_t t0 = now_ns();
+    encode_clock_.start();
     codec::encode_frame(env, frame_);
-    wire_.encode_ns += now_ns() - t0;
+    encode_clock_.stop(wire_.encode_ns);
     ++wire_.frames;
     wire_.frame_bytes += frame_.size();
     wire_.payload_bytes += frame_.size() - codec::kFrameHeaderBytes;
@@ -251,9 +251,9 @@ class TcpTransport final : public Transport {
                                     &body) &&
            in.buf.size() - off - codec::kFrameHeaderBytes >= body) {
       off += codec::kFrameHeaderBytes;
-      const std::uint64_t t0 = now_ns();
+      decode_clock_.start();
       Envelope env = codec::decode_envelope(in.buf.data() + off, body);
-      wire_.decode_ns += now_ns() - t0;
+      decode_clock_.stop(wire_.decode_ns);
       off += body;
       deliver_(std::move(env));
       ++delivered;
@@ -272,6 +272,8 @@ class TcpTransport final : public Transport {
   std::vector<int> out_fds_;
   std::vector<Inbound> inbound_;
   std::vector<std::uint8_t> frame_;
+  FrameClock encode_clock_;
+  FrameClock decode_clock_;
   std::uint64_t boot_ns_ = now_ns();
 };
 

@@ -1,7 +1,6 @@
 #include "net/transport.h"
 
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <stdexcept>
 #include <string>
@@ -39,13 +38,6 @@ TransportKind parse_transport(std::string_view name) {
 }
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // ---- in-process ------------------------------------------------------------
 
@@ -94,11 +86,11 @@ class InProcessTransport final : public Transport {
 /// the wire codec, pushed as a sequence-tagged frame, and reconstituted at
 /// delivery time. Delivery *scheduling* still rides the simulator event
 /// queue with the same latency as kInProcess, and the delivery event names
-/// the frame's sequence number: the consumer pops (and decodes) frames
-/// until it finds its own, parking early arrivals in a reorder map. Rings
-/// therefore deliver in exactly the event-queue order — seeded runs are
-/// bit-identical to the in-process oracle, which is the A/B contract the
-/// transport tests enforce.
+/// the frame's sequence number: the consumer decodes frames until it finds
+/// its own, parking early arrivals in a reorder map. Rings therefore
+/// deliver in exactly the event-queue order — seeded runs are bit-identical
+/// to the in-process oracle, which is the A/B contract the transport tests
+/// enforce.
 ///
 /// A frame that does not fit (ring full) spills to a per-destination heap
 /// queue, counted in WireStats::ring_spills — overflow degrades to heap
@@ -122,9 +114,9 @@ class ShmRingTransport final : public Transport {
     const std::uint64_t seq = lane.next_seq++;
 
     scratch_.clear();
-    const std::uint64_t t0 = now_ns();
+    encode_clock_.start();
     codec::encode_envelope(env, scratch_);
-    wire_.encode_ns += now_ns() - t0;
+    encode_clock_.stop(wire_.encode_ns);
     ++wire_.frames;
     wire_.payload_bytes += scratch_.size();
     wire_.frame_bytes +=
@@ -138,41 +130,63 @@ class ShmRingTransport final : public Transport {
         !lane.ring->push(seq, scratch_.data(),
                          static_cast<std::uint32_t>(scratch_.size()))) {
       ++wire_.ring_spills;
-      lane.spill.push_back(
-          ShmRing::Record{seq, {scratch_.begin(), scratch_.end()}});
+      lane.spill.push_back(Spilled{seq, {scratch_.begin(), scratch_.end()}});
     }
     const ProcId dest = env.to;
     sim_.after(delay, [this, dest, seq] { deliver_seq(dest, seq); });
   }
 
  private:
+  struct Spilled {
+    std::uint64_t seq = 0;
+    std::vector<std::uint8_t> bytes;
+  };
+
   struct Lane {
     std::unique_ptr<ShmRing> ring;
-    std::deque<ShmRing::Record> spill;
-    /// Frames popped ahead of their delivery event, parked by sequence.
+    std::deque<Spilled> spill;
+    /// Frames decoded ahead of their delivery event, parked by sequence.
     std::unordered_map<std::uint64_t, Envelope> reorder;
     std::uint64_t next_seq = 0;
   };
 
   void deliver_seq(ProcId dest, std::uint64_t seq) {
     Lane& lane = *lanes_[dest];
-    const auto parked = lane.reorder.find(seq);
-    if (parked != lane.reorder.end()) {
-      Envelope env = std::move(parked->second);
-      lane.reorder.erase(parked);
-      deliver_(std::move(env));
-      return;
-    }
-    while (pop_next(lane, &recv_)) {
-      const std::uint64_t t0 = now_ns();
-      Envelope env =
-          codec::decode_envelope(recv_.bytes.data(), recv_.bytes.size());
-      wire_.decode_ns += now_ns() - t0;
-      if (recv_.seq == seq) {
+    if (!lane.reorder.empty()) {
+      const auto parked = lane.reorder.find(seq);
+      if (parked != lane.reorder.end()) {
+        Envelope env = std::move(parked->second);
+        lane.reorder.erase(parked);
         deliver_(std::move(env));
         return;
       }
-      lane.reorder.emplace(recv_.seq, std::move(env));
+    }
+    // Decode each frame where it lies, ring first (see submit), and
+    // release it before delivery, so the receiver's sends find its ring
+    // bytes free.
+    ShmRing::View frame;
+    for (;;) {
+      const bool in_ring =
+          lane.ring != nullptr && lane.ring->peek(&frame, wrapped_);
+      if (!in_ring) {
+        if (lane.spill.empty()) break;
+        const Spilled& spilled = lane.spill.front();
+        frame = {spilled.seq, spilled.bytes.data(),
+                 static_cast<std::uint32_t>(spilled.bytes.size())};
+      }
+      decode_clock_.start();
+      Envelope env = codec::decode_envelope(frame.bytes, frame.len);
+      decode_clock_.stop(wire_.decode_ns);
+      if (in_ring) {
+        lane.ring->consume(frame);
+      } else {
+        lane.spill.pop_front();
+      }
+      if (frame.seq == seq) {
+        deliver_(std::move(env));
+        return;
+      }
+      lane.reorder.emplace(frame.seq, std::move(env));
     }
     // Every submitted frame has exactly one delivery event, so the frame
     // must exist; reaching here means the ring was corrupted.
@@ -180,25 +194,14 @@ class ShmRingTransport final : public Transport {
                            std::to_string(seq));
   }
 
-  bool pop_next(Lane& lane, ShmRing::Record* out) {
-    if (lane.ring != nullptr && lane.ring->pop(out)) return true;
-    if (lane.spill.empty()) return false;
-    // Copy rather than move, so `out` keeps its grown buffer.
-    const ShmRing::Record& spilled = lane.spill.front();
-    out->seq = spilled.seq;
-    out->bytes.assign(spilled.bytes.begin(), spilled.bytes.end());
-    lane.spill.pop_front();
-    return true;
-  }
-
   sim::Simulator& sim_;
   std::uint32_t ring_bytes_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::uint8_t> scratch_;
-  /// Every frame pops into this one record, so its byte buffer grows to the
-  /// largest frame once instead of allocating per frame. Decoding finishes
-  /// before delivery, so a send from the receiver cannot disturb it.
-  ShmRing::Record recv_;
+  /// A ring record whose body wraps the ring's end is copied here to decode.
+  std::vector<std::uint8_t> wrapped_;
+  FrameClock encode_clock_;
+  FrameClock decode_clock_;
 };
 
 }  // namespace

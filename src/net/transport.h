@@ -21,6 +21,7 @@
 // the Network turns that into the §1 bounce).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,13 +46,45 @@ enum class TransportKind : std::uint8_t {
 /// Serialization-side counters, kept by backends that put envelopes on a
 /// byte surface (all zero for kInProcess). frames/payload_bytes drive the
 /// bytes-per-event tables; encode_ns/decode_ns the ns-per-message ones.
+/// encode_ns and decode_ns are estimates: one frame in
+/// FrameClock::kSampleEvery is timed and counts that many times over
+/// (FrameClock below). Every other field is an exact count.
 struct WireStats {
   std::uint64_t frames = 0;         // envelopes serialized
   std::uint64_t payload_bytes = 0;  // encoded envelope bytes (unframed)
   std::uint64_t frame_bytes = 0;    // on-wire bytes incl. length prefixes
-  std::uint64_t encode_ns = 0;
-  std::uint64_t decode_ns = 0;
+  std::uint64_t encode_ns = 0;      // sampled, see above
+  std::uint64_t decode_ns = 0;      // sampled, see above
   std::uint64_t ring_spills = 0;    // frames that overflowed a full ring
+};
+
+/// The clock behind WireStats::encode_ns/decode_ns. A clock read costs about
+/// as much as encoding a small frame, so only one frame in kSampleEvery
+/// reads it, and that frame's time counts kSampleEvery times. The first
+/// frame is always timed, so a run with any frame reports a nonzero time.
+class FrameClock {
+ public:
+  static constexpr std::uint32_t kSampleEvery = 16;
+
+  /// Call before a frame's encode or decode.
+  void start() noexcept {
+    sampled_ = frames_++ % kSampleEvery == 0;
+    if (sampled_) started_ = std::chrono::steady_clock::now();
+  }
+  /// Call after it: adds the scaled time of a sampled frame to `total_ns`.
+  void stop(std::uint64_t& total_ns) const noexcept {
+    if (!sampled_) return;
+    const auto took = std::chrono::steady_clock::now() - started_;
+    total_ns += kSampleEvery *
+                static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(took)
+                        .count());
+  }
+
+ private:
+  std::chrono::steady_clock::time_point started_;
+  std::uint32_t frames_ = 0;
+  bool sampled_ = false;
 };
 
 class Transport {

@@ -329,37 +329,39 @@ std::vector<std::uint8_t> serialize(const Journal& journal) {
   std::vector<std::uint8_t> out;
   out.reserve(32 + journal.events.size() * 12);
   for (const char c : kJournalMagic) out.push_back(static_cast<std::uint8_t>(c));
-  net::codec::Writer w(out);
-  w.varint(journal.header.version);
-  w.varint(journal.header.rank);
-  w.varint(journal.header.processors);
-  w.varint(journal.header.total_recorded);
-  w.varint(journal.header.dropped);
-  w.varint(journal.events.size());
-  // Ids are consecutive in a snapshot, ticks nondecreasing: both delta-
-  // encode to ~1 byte. Proc ids shift by one so kNoProc encodes as 0.
-  EventId prev_id = 0;
-  std::int64_t prev_ticks = 0;
-  for (const Event& e : journal.events) {
-    w.varint(e.id - prev_id);
-    prev_id = e.id;
-    // Nondecreasing ticks may still span more than int64 can hold (a merge
-    // of dumps from either end of the range).
-    std::int64_t tick_delta = 0;
-    if (__builtin_sub_overflow(e.ticks, prev_ticks, &tick_delta)) {
-      throw std::runtime_error("journal: tick span out of range");
+  {
+    net::codec::Writer w(out);
+    w.varint(journal.header.version);
+    w.varint(journal.header.rank);
+    w.varint(journal.header.processors);
+    w.varint(journal.header.total_recorded);
+    w.varint(journal.header.dropped);
+    w.varint(journal.events.size());
+    // Ids are consecutive in a snapshot, ticks nondecreasing: both delta-
+    // encode to ~1 byte. Proc ids shift by one so kNoProc encodes as 0.
+    EventId prev_id = 0;
+    std::int64_t prev_ticks = 0;
+    for (const Event& e : journal.events) {
+      w.varint(e.id - prev_id);
+      prev_id = e.id;
+      // Nondecreasing ticks may still span more than int64 can hold (a merge
+      // of dumps from either end of the range).
+      std::int64_t tick_delta = 0;
+      if (__builtin_sub_overflow(e.ticks, prev_ticks, &tick_delta)) {
+        throw std::runtime_error("journal: tick span out of range");
+      }
+      w.svarint(tick_delta);
+      prev_ticks = e.ticks;
+      w.u8(static_cast<std::uint8_t>(e.kind));
+      w.varint(e.proc == net::kNoProc ? 0 : std::uint64_t{e.proc} + 1);
+      w.varint(e.peer == net::kNoProc ? 0 : std::uint64_t{e.peer} + 1);
+      w.varint(e.uid);
+      w.varint(e.cause);
+      w.varint(e.arg);
+      w.varint(e.stamp.depth());
+      for (const runtime::StampDigit digit : e.stamp) w.varint(digit);
     }
-    w.svarint(tick_delta);
-    prev_ticks = e.ticks;
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.varint(e.proc == net::kNoProc ? 0 : std::uint64_t{e.proc} + 1);
-    w.varint(e.peer == net::kNoProc ? 0 : std::uint64_t{e.peer} + 1);
-    w.varint(e.uid);
-    w.varint(e.cause);
-    w.varint(e.arg);
-    w.varint(e.stamp.depth());
-    for (const runtime::StampDigit digit : e.stamp) w.varint(digit);
-  }
+  }  // the Writer trims its slack off `out` here
   return out;
 }
 

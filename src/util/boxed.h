@@ -21,6 +21,11 @@ class Boxed {
   Boxed(const T& value) : cell_(new T(value)) {}
   // NOLINTNEXTLINE(google-explicit-constructor)
   Boxed(T&& value) : cell_(new T(std::move(value))) {}
+  /// A value built in its cell from `args`, so a decoder can fill it in
+  /// place instead of moving a finished one in.
+  template <typename... Args>
+  explicit Boxed(std::in_place_t, Args&&... args)
+      : cell_(new T(std::forward<Args>(args)...)) {}
   Boxed(const Boxed& other)
       : cell_(other.cell_ != nullptr ? new T(*other.cell_) : nullptr) {}
   Boxed(Boxed&& other) noexcept : cell_(std::exchange(other.cell_, nullptr)) {}

@@ -355,6 +355,113 @@ TEST(CodecRoundtrip, NestedBounceBoxes) {
   expect_roundtrip(empty);
 }
 
+/// LEB128 one push_back per byte: the reference the Writer must match.
+void reference_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+TEST(CodecRoundtrip, WriterVarintsMatchLeb128) {
+  const std::uint64_t values[] = {0,
+                                  127,
+                                  128,
+                                  (std::uint64_t{1} << 14) - 1,
+                                  std::uint64_t{1} << 63,
+                                  UINT64_MAX};
+  for (const std::uint64_t v : values) {
+    std::vector<std::uint8_t> want;
+    reference_varint(want, v);
+    std::vector<std::uint8_t> got;
+    {
+      net::codec::Writer w(got);
+      w.varint(v);
+      EXPECT_EQ(w.size(), want.size()) << v;
+    }
+    EXPECT_EQ(got, want) << v;
+  }
+
+  // Appending to bytes already there: what the vector held stays in front,
+  // and over ~1 KB of varints of every width some varint finds too little
+  // room and grows the buffer (its size, slack included, while the Writer
+  // lives) before writing.
+  std::vector<std::uint8_t> got = {0xAA, 0xBB, 0xCC};
+  std::vector<std::uint8_t> want = got;
+  int varint_grew = 0;
+  {
+    net::codec::Writer w(got);
+    for (int i = 0; i < 40; ++i) {
+      for (const std::uint64_t v : values) {
+        const std::size_t grown = got.size();
+        w.varint(v);
+        if (got.size() > grown) ++varint_grew;
+        reference_varint(want, v);
+      }
+      w.u8(static_cast<std::uint8_t>(i));
+      want.push_back(static_cast<std::uint8_t>(i));
+      w.svarint(-i);
+      reference_varint(want, net::codec::zigzag(-i));
+      EXPECT_EQ(w.size(), want.size());
+    }
+  }
+  EXPECT_GT(varint_grew, 0);
+  EXPECT_EQ(got, want);
+}
+
+TEST(CodecRoundtrip, BounceFrameIsHeaderFlagLengthThenInner) {
+  // A delivery-failure frame is the outer header, the present flag 1,
+  // varint(len) and then the lost envelope's own encoding: the inner
+  // envelope is written in place, so a length of 128 bytes or more shifts
+  // it up behind a two-byte prefix.
+  Rng rng(19);
+  for (const std::size_t list : {std::size_t{2}, std::size_t{300}}) {
+    Envelope inner;
+    inner.kind = MsgKind::kForwardResult;
+    inner.from = 3;
+    inner.to = 4;
+    inner.sent_at = sim::SimTime(900);
+    runtime::ResultMsg result;
+    result.stamp = fuzz_stamp(rng);
+    std::vector<std::int64_t> items(list);
+    for (std::size_t i = 0; i < list; ++i) {
+      items[i] = static_cast<std::int64_t>(i * i);
+    }
+    result.value = lang::Value::list(std::move(items));
+    inner.payload = result;
+    const std::vector<std::uint8_t> inner_bytes =
+        net::codec::encode_envelope(inner);
+
+    Envelope bounce;
+    bounce.kind = MsgKind::kDeliveryFailure;
+    bounce.from = 4;
+    bounce.to = 3;
+    bounce.size_units = 2;
+    bounce.sent_at = sim::SimTime(-5);
+    bounce.payload = EnvelopeBox(std::move(inner));
+
+    std::vector<std::uint8_t> want = {
+        static_cast<std::uint8_t>(MsgKind::kDeliveryFailure)};
+    reference_varint(want, 4);  // from
+    reference_varint(want, 3);  // to
+    reference_varint(want, 2);  // size_units
+    reference_varint(want, net::codec::zigzag(-5));  // sent_at
+    want.push_back(1);  // present
+    reference_varint(want, inner_bytes.size());
+    want.insert(want.end(), inner_bytes.begin(), inner_bytes.end());
+    EXPECT_EQ(net::codec::encode_envelope(bounce), want) << list;
+    EXPECT_EQ(inner_bytes.size() >= 128, list == 300);
+
+    // Decoded from its sub-range of the outer buffer, the lost envelope
+    // re-encodes to the same bytes.
+    const Envelope back = net::codec::decode_envelope(want.data(), want.size());
+    const auto& box = std::get<EnvelopeBox>(back.payload);
+    ASSERT_TRUE(box.has_value());
+    EXPECT_EQ(net::codec::encode_envelope(*box), inner_bytes);
+  }
+}
+
 TEST(CodecRoundtrip, ZigzagIsAnInvolutionOnExtremes) {
   for (const std::int64_t v :
        {std::int64_t{0}, std::int64_t{-1}, std::int64_t{1}, INT64_MIN,
@@ -416,14 +523,16 @@ TEST(CodecRoundtrip, TruncationAlwaysThrows) {
 TEST(CodecRoundtrip, CorruptErrorNoticeCountsThrow) {
   const auto notice = [](std::uint64_t count, std::size_t names) {
     std::vector<std::uint8_t> bytes;
-    net::codec::Writer w(bytes);
-    w.u8(static_cast<std::uint8_t>(MsgKind::kErrorDetection));
-    w.varint(0);  // from
-    w.varint(1);  // to
-    w.varint(1);  // size_units
-    w.svarint(0);  // sent_at
-    w.varint(count);
-    for (std::size_t i = 0; i < names; ++i) w.varint(2);
+    {
+      net::codec::Writer w(bytes);
+      w.u8(static_cast<std::uint8_t>(MsgKind::kErrorDetection));
+      w.varint(0);  // from
+      w.varint(1);  // to
+      w.varint(1);  // size_units
+      w.svarint(0);  // sent_at
+      w.varint(count);
+      for (std::size_t i = 0; i < names; ++i) w.varint(2);
+    }  // the Writer trims its slack off the buffer here
     return bytes;
   };
   const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
@@ -443,39 +552,41 @@ std::vector<std::uint8_t> packet_frame(std::uint64_t digits,
                                        std::uint64_t args,
                                        std::uint64_t ancestors) {
   std::vector<std::uint8_t> bytes;
-  net::codec::Writer w(bytes);
-  w.u8(static_cast<std::uint8_t>(MsgKind::kTaskPacket));
-  w.varint(0);   // from
-  w.varint(1);   // to
-  w.varint(1);   // size_units
-  w.svarint(0);  // sent_at
-  w.varint(digits);
-  for (std::uint64_t i = 0; i < digits; ++i) {
-    if (i == 0) {
-      w.varint(1);
-    } else {
-      w.svarint(0);  // same digit again
+  {
+    net::codec::Writer w(bytes);
+    w.u8(static_cast<std::uint8_t>(MsgKind::kTaskPacket));
+    w.varint(0);   // from
+    w.varint(1);   // to
+    w.varint(1);   // size_units
+    w.svarint(0);  // sent_at
+    w.varint(digits);
+    for (std::uint64_t i = 0; i < digits; ++i) {
+      if (i == 0) {
+        w.varint(1);
+      } else {
+        w.svarint(0);  // same digit again
+      }
     }
-  }
-  w.varint(0);  // fn
-  w.varint(0);  // call_site
-  w.varint(args);
-  for (std::uint64_t i = 0; i < args; ++i) {
-    w.u8(0);  // integer tag
-    w.svarint(1);
-  }
-  w.varint(ancestors);
-  for (std::uint64_t i = 0; i < ancestors; ++i) {
-    w.varint(2);  // proc
-    if (i == 0) {
-      w.varint(1);  // uid
-    } else {
-      w.svarint(0);  // uid delta
+    w.varint(0);  // fn
+    w.varint(0);  // call_site
+    w.varint(args);
+    for (std::uint64_t i = 0; i < args; ++i) {
+      w.u8(0);  // integer tag
+      w.svarint(1);
     }
-  }
-  w.varint(0);   // replica
-  w.varint(0);   // lineage
-  w.svarint(0);  // zone
+    w.varint(ancestors);
+    for (std::uint64_t i = 0; i < ancestors; ++i) {
+      w.varint(2);  // proc
+      if (i == 0) {
+        w.varint(1);  // uid
+      } else {
+        w.svarint(0);  // uid delta
+      }
+    }
+    w.varint(0);   // replica
+    w.varint(0);   // lineage
+    w.svarint(0);  // zone
+  }  // the Writer trims its slack off the buffer here
   return bytes;
 }
 

@@ -227,18 +227,20 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
     for (const char c : obs::kJournalMagic) {
       out.push_back(static_cast<std::uint8_t>(c));
     }
-    net::codec::Writer w(out);
-    // version, rank, processors, total_recorded, dropped, event count
-    for (const std::uint64_t header : {2, 0, 16, 1, 0, 1}) w.varint(header);
-    w.varint(1);  // id delta
-    w.svarint(10);
-    w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
-    w.varint(proc);
-    w.varint(peer);
-    // uid, cause, arg
-    for (const std::uint64_t field : {42, 0, 0}) w.varint(field);
-    w.varint(1);  // stamp depth
-    w.varint(digit);
+    {
+      net::codec::Writer w(out);
+      // version, rank, processors, total_recorded, dropped, event count
+      for (const std::uint64_t header : {2, 0, 16, 1, 0, 1}) w.varint(header);
+      w.varint(1);  // id delta
+      w.svarint(10);
+      w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
+      w.varint(proc);
+      w.varint(peer);
+      // uid, cause, arg
+      for (const std::uint64_t field : {42, 0, 0}) w.varint(field);
+      w.varint(1);  // stamp depth
+      w.varint(digit);
+    }  // the Writer trims its slack off the buffer here
     return out;
   };
   constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
@@ -261,19 +263,21 @@ TEST(Journal, SerializeRoundtripPreservesEveryField) {
     for (const char c : obs::kJournalMagic) {
       out.push_back(static_cast<std::uint8_t>(c));
     }
-    net::codec::Writer w(out);
-    // version, rank, processors, total_recorded, dropped, event count
-    for (const std::uint64_t header :
-         std::initializer_list<std::uint64_t>{2, 0, 16, crashes, 0, crashes}) {
-      w.varint(header);
-    }
-    for (std::uint64_t i = 0; i < crashes; ++i) {
-      w.varint(1);  // id delta
-      w.svarint(INT64_MAX);
-      w.u8(static_cast<std::uint8_t>(obs::EventKind::kCrash));
-      // proc, peer, uid, cause, arg, stamp depth
-      for (const std::uint64_t field : {1, 0, 0, 0, 0, 0}) w.varint(field);
-    }
+    {
+      net::codec::Writer w(out);
+      // version, rank, processors, total_recorded, dropped, event count
+      for (const std::uint64_t header :
+           std::initializer_list<std::uint64_t>{2, 0, 16, crashes, 0, crashes}) {
+        w.varint(header);
+      }
+      for (std::uint64_t i = 0; i < crashes; ++i) {
+        w.varint(1);  // id delta
+        w.svarint(INT64_MAX);
+        w.u8(static_cast<std::uint8_t>(obs::EventKind::kCrash));
+        // proc, peer, uid, cause, arg, stamp depth
+        for (const std::uint64_t field : {1, 0, 0, 0, 0, 0}) w.varint(field);
+      }
+    }  // the Writer trims its slack off the buffer here
     return out;
   };
   const auto one_crash = crash_dump(1);
@@ -308,28 +312,30 @@ TEST(Journal, WideAndDeepStampsRoundTrip) {
   for (const char c : obs::kJournalMagic) {
     want.push_back(static_cast<std::uint8_t>(c));
   }
-  net::codec::Writer w(want);
-  // version, rank, processors, total_recorded, dropped, event count
-  for (const std::uint64_t header :
-       {std::uint64_t{2}, std::uint64_t{0}, std::uint64_t{4},
-        std::uint64_t{stamps.size()}, std::uint64_t{0},
-        std::uint64_t{stamps.size()}}) {
-    w.varint(header);
-  }
-  for (std::size_t i = 0; i < stamps.size(); ++i) {
-    obs::Event e;
-    e.id = i + 1;
-    e.ticks = static_cast<std::int64_t>(10 * i);
-    e.kind = obs::EventKind::kTwin;
-    e.stamp = make_stamp(stamps[i]);
-    journal.events.push_back(e);
-    w.varint(1);                      // id delta
-    w.svarint(i == 0 ? 0 : 10);       // tick delta
-    w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
-    for (int field = 0; field < 5; ++field) w.varint(0);  // proc ... arg
-    w.varint(stamps[i].size());
-    for (const runtime::StampDigit d : stamps[i]) w.varint(d);
-  }
+  {
+    net::codec::Writer w(want);
+    // version, rank, processors, total_recorded, dropped, event count
+    for (const std::uint64_t header :
+         {std::uint64_t{2}, std::uint64_t{0}, std::uint64_t{4},
+          std::uint64_t{stamps.size()}, std::uint64_t{0},
+          std::uint64_t{stamps.size()}}) {
+      w.varint(header);
+    }
+    for (std::size_t i = 0; i < stamps.size(); ++i) {
+      obs::Event e;
+      e.id = i + 1;
+      e.ticks = static_cast<std::int64_t>(10 * i);
+      e.kind = obs::EventKind::kTwin;
+      e.stamp = make_stamp(stamps[i]);
+      journal.events.push_back(e);
+      w.varint(1);                      // id delta
+      w.svarint(i == 0 ? 0 : 10);       // tick delta
+      w.u8(static_cast<std::uint8_t>(obs::EventKind::kTwin));
+      for (int field = 0; field < 5; ++field) w.varint(0);  // proc ... arg
+      w.varint(stamps[i].size());
+      for (const runtime::StampDigit d : stamps[i]) w.varint(d);
+    }
+  }  // the Writer trims its slack off the buffer here
   const std::vector<std::uint8_t> bytes = obs::serialize(journal);
   EXPECT_EQ(bytes, want);
   const obs::Journal back = obs::deserialize(bytes.data(), bytes.size());

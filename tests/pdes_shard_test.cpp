@@ -189,6 +189,20 @@ TEST(PdesShard, KillAfterTheAnswerIsNoFault) {
   }
 }
 
+TEST(PdesShard, AliveCountIsTakenAtTheAnswer) {
+  // The same run: processor 3 dies at t = 5000, after the answer, so all 8
+  // were alive when the answer arrived, as the kill is no fault of the run.
+  const lang::Program program = lang::programs::mergesort(96, 11);
+  const net::FaultPlan plan = net::FaultPlan::single(3, sim::SimTime(5000));
+  for (const std::uint32_t shards : {0u, 1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const core::RunResult result =
+        run_sharded(shards, program, 1, plan).result;
+    ASSERT_TRUE(result.completed);
+    EXPECT_EQ(result.processors_alive_at_end, 8U);
+  }
+}
+
 TEST(PdesShard, KillOnWindowGridBitIdentical) {
   // A kill scheduled exactly at a window boundary (t = k * latency.base)
   // exercises the inclusive coordinator barrier bound: the crash must land

@@ -8,6 +8,8 @@
 // duplicated, or reordered protocol state, exactly the class of bug that
 // would silently corrupt the multi-process TCP deployment.
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +170,9 @@ TEST(TransportAB, WireStatsAccumulate) {
   ASSERT_TRUE(shm.completed);
   EXPECT_GT(wire.frames, 0u);
   EXPECT_GT(wire.payload_bytes, 0u);
+  // Sampled, one frame in 16 from the first, so never zero after a frame.
+  EXPECT_GT(wire.encode_ns, 0u);
+  EXPECT_GT(wire.decode_ns, 0u);
   // Framing overhead on the ring is exactly its record header (length +
   // sequence tag) per frame; the TCP backend instead pays the u32 prefix
   // (codec::kFrameHeaderBytes), which the smoke script exercises.
@@ -196,6 +201,18 @@ TEST(TransportKindNames, ParseAndPrint) {
                std::invalid_argument);
 }
 
+/// Peek the oldest record, copy its body out and consume it.
+bool take(net::ShmRing& ring, std::uint64_t* seq,
+          std::vector<std::uint8_t>* body) {
+  std::vector<std::uint8_t> wrapped;
+  net::ShmRing::View view;
+  if (!ring.peek(&view, wrapped)) return false;
+  *seq = view.seq;
+  body->assign(view.bytes, view.bytes + view.len);
+  ring.consume(view);
+  return true;
+}
+
 TEST(ShmRingUnit, WrapsAcrossTheByteBoundary) {
   // Byte-granular ring: records straddle the wrap point whenever
   // (position % capacity) + record size crosses capacity. Cycle enough
@@ -204,7 +221,6 @@ TEST(ShmRingUnit, WrapsAcrossTheByteBoundary) {
   net::ShmRing ring(1);  // clamps up to the 256-byte minimum
   ASSERT_EQ(ring.capacity(), 256u);
   std::uint64_t seq = 0;
-  net::ShmRing::Record rec;
   for (int round = 0; round < 200; ++round) {
     const std::uint32_t len = 1 + (round * 7) % 40;
     std::vector<std::uint8_t> body(len);
@@ -212,9 +228,11 @@ TEST(ShmRingUnit, WrapsAcrossTheByteBoundary) {
       body[i] = static_cast<std::uint8_t>(round + i);
     }
     ASSERT_TRUE(ring.push(seq, body.data(), len));
-    ASSERT_TRUE(ring.pop(&rec));
-    EXPECT_EQ(rec.seq, seq);
-    EXPECT_EQ(rec.bytes, body);
+    std::uint64_t got_seq = 0;
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(take(ring, &got_seq, &got));
+    EXPECT_EQ(got_seq, seq);
+    EXPECT_EQ(got, body);
     ++seq;
   }
   EXPECT_TRUE(ring.empty());
@@ -228,14 +246,188 @@ TEST(ShmRingUnit, PushFailsWhenFullThenRecovers) {
   ASSERT_TRUE(ring.push(seq++, body.data(), 100));
   ASSERT_TRUE(ring.push(seq++, body.data(), 100));
   EXPECT_FALSE(ring.push(seq, body.data(), 100));
-  net::ShmRing::Record rec;
-  ASSERT_TRUE(ring.pop(&rec));
-  EXPECT_EQ(rec.seq, 0u);
+  std::uint64_t got_seq = 0;
+  std::vector<std::uint8_t> got;
+  ASSERT_TRUE(take(ring, &got_seq, &got));
+  EXPECT_EQ(got_seq, 0u);
   EXPECT_TRUE(ring.push(seq++, body.data(), 100));  // space reclaimed
-  ASSERT_TRUE(ring.pop(&rec));
-  ASSERT_TRUE(ring.pop(&rec));
-  EXPECT_EQ(rec.seq, 2u);
+  ASSERT_TRUE(take(ring, &got_seq, &got));
+  ASSERT_TRUE(take(ring, &got_seq, &got));
+  EXPECT_EQ(got_seq, 2u);
+  EXPECT_EQ(got, body);
   EXPECT_TRUE(ring.empty());
+}
+
+/// A task packet, its spawn ack and a returned result, sent to `to`.
+std::vector<net::Envelope> sample_frames(net::ProcId to) {
+  runtime::TaskPacket packet;
+  packet.stamp = runtime::LevelStamp::root().child(3).child(1).child(4);
+  packet.fn = 2;
+  packet.args = {lang::Value::integer(42), lang::Value::integer(-7)};
+  packet.ancestors.push_back(runtime::TaskRef{1, 10});
+  runtime::AckMsg ack;
+  ack.stamp = packet.stamp;
+  ack.parent = runtime::TaskRef{1, 10};
+  ack.child = runtime::TaskRef{to, 21};
+  runtime::ResultMsg result;
+  result.stamp = packet.stamp;
+  result.value = lang::Value::list({1, 2, 3, 5, 8});
+  result.target = runtime::TaskRef{1, 10};
+  std::vector<net::Envelope> frames(3);
+  frames[0].kind = net::MsgKind::kTaskPacket;
+  frames[0].payload = std::move(packet);
+  frames[1].kind = net::MsgKind::kSpawnAck;
+  frames[1].payload = ack;
+  frames[2].kind = net::MsgKind::kForwardResult;
+  frames[2].payload = std::move(result);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i].from = 1;
+    frames[i].to = to;
+    frames[i].sent_at = sim::SimTime(static_cast<std::int64_t>(100 + i));
+  }
+  return frames;
+}
+
+TEST(ShmRingUnit, WrappedRecordDecodesLikeAnUnwrappedOne) {
+  // A record starting at every offset of a 256-byte ring, so some have
+  // their header and some their body straddle the end: the bytes peek()
+  // hands out decode to what the unwrapped encoding decodes to.
+  for (const net::Envelope& env : sample_frames(2)) {
+    const std::vector<std::uint8_t> bytes = net::codec::encode_envelope(env);
+    const auto len = static_cast<std::uint32_t>(bytes.size());
+    net::ShmRing ring(1);
+    // A filler record after each frame moves the next start one byte on.
+    const std::uint32_t filler_len =
+        ring.capacity() + 1 -
+        2 * static_cast<std::uint32_t>(net::ShmRing::record_bytes(0)) - len;
+    const std::vector<std::uint8_t> filler(filler_len);
+    std::vector<std::uint8_t> wrapped;
+    int straddled = 0;
+    for (std::uint32_t start = 0; start < ring.capacity(); ++start) {
+      net::ShmRing::View view;
+      ASSERT_TRUE(ring.push(start, bytes.data(), len));
+      ASSERT_TRUE(ring.peek(&view, wrapped));
+      EXPECT_EQ(view.seq, start);
+      ASSERT_EQ(view.len, len);
+      if (view.bytes == wrapped.data()) ++straddled;
+      const net::Envelope back = net::codec::decode_envelope(view.bytes, len);
+      EXPECT_EQ(net::codec::encode_envelope(back), bytes) << start;
+      ring.consume(view);
+      ASSERT_TRUE(ring.push(0, filler.data(), filler_len));
+      ASSERT_TRUE(ring.peek(&view, wrapped));
+      ring.consume(view);
+    }
+    EXPECT_EQ(straddled, static_cast<int>(len) - 1)
+        << "bodies that wrap the ring's end";
+    EXPECT_TRUE(ring.empty());
+  }
+}
+
+/// A shm transport over a bare simulator, recording what it delivers.
+struct ShmHarness {
+  explicit ShmHarness(std::uint32_t ring_bytes)
+      : transport(net::make_shm_ring_transport(sim, 4, ring_bytes)) {
+    transport->set_deliver([this](net::Envelope&& env) {
+      delivered.push_back(std::move(env));
+    });
+  }
+  sim::Simulator sim;
+  std::unique_ptr<net::Transport> transport;
+  std::vector<net::Envelope> delivered;
+};
+
+TEST(ShmTransport, ParkedFramesDeliverAtTheirOwnEvents) {
+  // Sequence 0, 1, 2 to one destination, due at t = 30, 10, 20: the event
+  // at t = 10 decodes frame 0 first and parks it, the one at t = 20 does
+  // not find its frame parked and takes frame 2 from the ring, and the one
+  // at t = 30 takes frame 0 from the parked ones.
+  ShmHarness h(1u << 20);
+  std::vector<net::Envelope> frames = sample_frames(2);
+  std::vector<std::vector<std::uint8_t>> sent;
+  const std::int64_t due[] = {30, 10, 20};
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    sent.push_back(net::codec::encode_envelope(frames[i]));
+    h.transport->submit(std::move(frames[i]), sim::SimTime(due[i]));
+  }
+  h.sim.run_until();
+  ASSERT_EQ(h.delivered.size(), 3u);
+  EXPECT_EQ(net::codec::encode_envelope(h.delivered[0]), sent[1]);
+  EXPECT_EQ(net::codec::encode_envelope(h.delivered[1]), sent[2]);
+  EXPECT_EQ(net::codec::encode_envelope(h.delivered[2]), sent[0]);
+}
+
+TEST(ShmTransport, SpilledFramesDecodeFromTheSpillQueue) {
+  // A 256-byte ring holds a handful of these frames; the rest spill and
+  // are decoded where they lie in the spill queue, in submission order.
+  ShmHarness h(1);
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (int round = 0; round < 6; ++round) {
+    for (net::Envelope& env : sample_frames(3)) {
+      env.sent_at = sim::SimTime(round);
+      sent.push_back(net::codec::encode_envelope(env));
+      h.transport->submit(std::move(env), sim::SimTime(5));
+    }
+  }
+  EXPECT_GT(h.transport->wire().ring_spills, 0u);
+  h.sim.run_until();
+  ASSERT_EQ(h.delivered.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(net::codec::encode_envelope(h.delivered[i]), sent[i]) << i;
+  }
+}
+
+TEST(ShmTransport, OneFrameTimesItsEncodeAndDecode) {
+  // The clock samples one frame in 16, starting with the first, so even a
+  // single frame leaves both totals nonzero.
+  ShmHarness h(1u << 20);
+  h.transport->submit(std::move(sample_frames(1)[2]), sim::SimTime(1));
+  h.sim.run_until();
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_EQ(h.transport->wire().frames, 1u);
+  EXPECT_GT(h.transport->wire().encode_ns, 0u);
+  EXPECT_GT(h.transport->wire().decode_ns, 0u);
+}
+
+TEST(FaultFreeTwin, LeanConfigIsExact) {
+  // The twin runs in-process with no store and no recorder. That must be
+  // the makespan of the full config run without faults, whatever its
+  // transport, store and recorder, and the same for all of them.
+  const lang::Program program = lang::programs::tree_sum(8, 2, 60, 10);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    core::SystemConfig base;
+    base.processors = 16;
+    base.topology = net::TopologyKind::kTorus2D;
+    base.scheduler.kind = core::SchedulerKind::kRandom;
+    base.recovery.kind = core::RecoveryKind::kSplice;
+    base.seed = seed;
+    const std::int64_t lean = core::run_once(base, program).makespan_ticks;
+    for (const net::TransportKind backend :
+         {net::TransportKind::kInProcess, net::TransportKind::kShmRing}) {
+      for (const store::Persistency model :
+           {store::Persistency::kNone, store::Persistency::kLocal,
+            store::Persistency::kLossy}) {
+        for (const bool recorder : {false, true}) {
+          core::SystemConfig cfg = base;
+          cfg.transport.backend = backend;
+          cfg.store.model = model;
+          cfg.obs.recorder = recorder;
+          const core::RunResult full = core::run_once(cfg, program);
+          ASSERT_TRUE(full.completed);
+          const std::int64_t twin =
+              core::Simulation::fault_free_makespan(cfg, program);
+          EXPECT_EQ(twin, full.makespan_ticks)
+              << net::to_string(backend) << " " << store::to_string(model)
+              << " recorder=" << recorder;
+          EXPECT_EQ(twin, lean);
+        }
+      }
+    }
+    core::SystemConfig tcp = base;
+    tcp.transport.backend = net::TransportKind::kTcp;
+    EXPECT_THROW((void)core::Simulation::fault_free_makespan(tcp, program),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
