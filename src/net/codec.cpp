@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <span>
 #include <utility>
 #include <variant>
@@ -227,8 +226,6 @@ void get_packet(Reader& r, TaskPacket& p) {
 
 // ---- payload encoders (exhaustive over the closed variant) -----------------
 
-void put_envelope(Writer& w, const Envelope& env);
-
 struct PayloadEncoder {
   Writer& w;
 
@@ -299,26 +296,16 @@ struct PayloadEncoder {
     }
   }
   void operator()(const EnvelopeBox& box) const {
-    // Recursive: a delivery-failure notice carries the lost envelope,
-    // written in place and then given its length prefix.
+    // Recursive: a delivery-failure notice carries the lost envelope.
     w.u8(box.has_value() ? 1 : 0);
     if (box.has_value()) {
-      const std::size_t start = w.size();
-      put_envelope(w, *box);
-      w.length_prefix(start);
+      std::vector<std::uint8_t> inner;
+      encode_envelope(*box, inner);
+      w.varint(inner.size());
+      w.bytes(inner);
     }
   }
 };
-
-void put_envelope(Writer& w, const Envelope& env) {
-  assert(payload_consistent(env.kind, env.payload));
-  w.u8(static_cast<std::uint8_t>(env.kind));
-  w.varint(env.from);
-  w.varint(env.to);
-  w.varint(env.size_units);
-  w.svarint(env.sent_at.ticks());
-  std::visit(PayloadEncoder{w}, env.payload);
-}
 
 ProcId get_proc(Reader& r) {
   const std::uint64_t p = r.varint();
@@ -481,21 +468,15 @@ void Writer::grow(std::size_t n) {
   end_ = out_.data() + out_.size();
 }
 
-void Writer::length_prefix(std::size_t start) {
-  const std::size_t len = size() - start;
-  std::uint8_t prefix[kMaxVarintBytes];
-  const auto width =
-      static_cast<std::size_t>(put_varint(prefix, len) - prefix);
-  room(width);
-  std::uint8_t* const body = out_.data() + start;
-  std::memmove(body + width, body, len);
-  std::memcpy(body, prefix, width);
-  at_ += width;
-}
-
 void encode_envelope(const Envelope& env, std::vector<std::uint8_t>& out) {
+  assert(payload_consistent(env.kind, env.payload));
   Writer w(out);
-  put_envelope(w, env);
+  w.u8(static_cast<std::uint8_t>(env.kind));
+  w.varint(env.from);
+  w.varint(env.to);
+  w.varint(env.size_units);
+  w.svarint(env.sent_at.ticks());
+  std::visit(PayloadEncoder{w}, env.payload);
 }
 
 Envelope decode_envelope(const std::uint8_t* data, std::size_t size) {

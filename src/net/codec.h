@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,7 +56,9 @@ inline constexpr std::size_t kMaxVarintBytes = 10;
 /// raw cursor into `out`, grown ahead of the cursor in doubling steps, so a
 /// varint costs one room check instead of a push_back per byte. The slack
 /// past the cursor is trimmed off `out` when the Writer is destroyed: read
-/// or change `out` only after that.
+/// or change `out` only after that. (std::vector cannot append a varint
+/// without zeroing or a library call per field; docs/ARCHITECTURE.md has
+/// the measured cost of the alternatives.)
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out)
@@ -70,30 +73,25 @@ class Writer {
   }
   void varint(std::uint64_t v) {
     room(kMaxVarintBytes);
-    at_ = put_varint(at_, v);
+    while (v >= 0x80) {
+      *at_++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *at_++ = static_cast<std::uint8_t>(v);
   }
   void svarint(std::int64_t v) { varint(zigzag(v)); }
+  void bytes(const std::vector<std::uint8_t>& b) {
+    room(b.size());
+    if (!b.empty()) std::memcpy(at_, b.data(), b.size());
+    at_ += b.size();
+  }
 
   /// Bytes in `out` up to the cursor, including what it held before.
   [[nodiscard]] std::size_t size() const noexcept {
     return static_cast<std::size_t>(at_ - out_.data());
   }
 
-  /// Put varint(size() - start) in front of the bytes written since
-  /// `start`, shifting them up: a length prefix for a nested encoding
-  /// whose length is known only once it is written.
-  void length_prefix(std::size_t start);
-
  private:
-  /// LEB128 `v` at `p`; returns the byte after it.
-  static std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) noexcept {
-    while (v >= 0x80) {
-      *p++ = static_cast<std::uint8_t>(v) | 0x80;
-      v >>= 7;
-    }
-    *p++ = static_cast<std::uint8_t>(v);
-    return p;
-  }
   void room(std::size_t n) {
     if (static_cast<std::size_t>(end_ - at_) < n) grow(n);
   }

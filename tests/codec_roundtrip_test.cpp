@@ -412,9 +412,8 @@ TEST(CodecRoundtrip, WriterVarintsMatchLeb128) {
 
 TEST(CodecRoundtrip, BounceFrameIsHeaderFlagLengthThenInner) {
   // A delivery-failure frame is the outer header, the present flag 1,
-  // varint(len) and then the lost envelope's own encoding: the inner
-  // envelope is written in place, so a length of 128 bytes or more shifts
-  // it up behind a two-byte prefix.
+  // varint(len) and then the lost envelope's own encoding; a length of 128
+  // bytes or more takes a two-byte prefix.
   Rng rng(19);
   for (const std::size_t list : {std::size_t{2}, std::size_t{300}}) {
     Envelope inner;
