@@ -73,11 +73,14 @@ std::vector<Spawn> random_spawns(std::size_t n) {
   return spawns;
 }
 
+// A table per iteration over one long-lived node pool, as a processor's
+// table draws on its shard's pool.
 void BM_CheckpointTableRecord(benchmark::State& state) {
   const std::vector<Spawn> spawns =
       random_spawns(static_cast<std::size_t>(state.range(0)));
+  checkpoint::RecordPool pool;
   for (auto _ : state) {
-    checkpoint::CheckpointTable table(0, 8);
+    checkpoint::CheckpointTable table(0, 8, pool);
     for (const Spawn& s : spawns) {
       benchmark::DoNotOptimize(table.record(s.dest, s.record, s.packet));
     }
@@ -92,8 +95,9 @@ BENCHMARK(BM_CheckpointTableRecord)->Arg(64)->Arg(512)->Arg(4096);
 void BM_CheckpointTableRelease(benchmark::State& state) {
   const std::vector<Spawn> spawns =
       random_spawns(static_cast<std::size_t>(state.range(0)));
+  checkpoint::RecordPool pool;
   for (auto _ : state) {
-    checkpoint::CheckpointTable table(0, 8);
+    checkpoint::CheckpointTable table(0, 8, pool);
     for (const Spawn& s : spawns) table.record(s.dest, s.record, s.packet);
     for (const Spawn& s : spawns) {
       benchmark::DoNotOptimize(table.release(s.dest, s.packet.stamp));
@@ -122,6 +126,31 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
+
+// Bursts of 64 events at ticks spread across the whole window, drained
+// between bursts: each burst lands in buckets the previous ones left empty,
+// the pattern that grew a vector in every bucket it touched when buckets
+// were vectors.
+void BM_EventQueueBursts(benchmark::State& state) {
+  constexpr std::int64_t kBurst = 64;
+  constexpr std::int64_t kStride = sim::EventQueue::kWindowSize / kBurst;
+  util::Xoshiro256 rng(6);
+  sim::EventQueue q;
+  std::int64_t now = 0;
+  std::int64_t sink = 0;
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < kBurst; ++i) {
+      const auto jitter = static_cast<std::int64_t>(rng.next_below(kStride));
+      q.schedule(sim::SimTime(now + i * kStride + jitter),
+                 [&sink] { ++sink; });
+    }
+    while (!q.empty()) now = q.run_next().ticks();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kBurst);
+}
+BENCHMARK(BM_EventQueueBursts);
 
 // Steady-state ladder behaviour: a rolling horizon of pending events, pop
 // one / push one — the simulator's actual access pattern (near-future

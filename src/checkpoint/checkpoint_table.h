@@ -9,19 +9,29 @@
 // Invariant (property-tested): every entry is an antichain under the
 // level-stamp ancestry order — no record subsumes another.
 //
-// Layout: one entry per destination processor, and each record is an index
-// entry for the owner's call slot. §2.1's "this retained copy is all that
-// the parent needs to regenerate the child task" is kept once, and only in
-// part: the slot keeps the callee, the arguments and the spawn lineage, and
-// the owner rebuilds the rest of the packet from its own stamp, ancestor
-// chain and zone (runtime::Task::child_packet). Every release names the
-// destination its slot filed the record under (CallSlot::filed_at()), so
-// finding a record costs a scan of one entry. Record/unit totals are
-// maintained incrementally (the peak-tracking used to recount every record
-// on every mutation).
+// Layout: §3.2's table of linked lists, literally. Entry N is a FIFO list
+// ({head, tail}) of 64-byte nodes, one per record, in the order the records
+// were made. The nodes come from a RecordPool the caller owns: Runtime
+// keeps one per shard next to its task pools, so a shard's processors
+// recycle each other's released nodes and the table's memory follows its
+// live records, not every record it ever held. A node never moves, so a
+// pointer to its record stays valid until that record is released, taken,
+// evicted or cleared.
+//
+// Each record is an index entry for the owner's call slot. §2.1's "this
+// retained copy is all that the parent needs to regenerate the child task"
+// is kept once, and only in part: the slot keeps the callee, the arguments
+// and the spawn lineage, and the owner rebuilds the rest of the packet from
+// its own stamp, ancestor chain and zone (runtime::Task::child_packet).
+// Every release names the destination its slot filed the record under
+// (CallSlot::filed_at()), so finding a record costs a walk of one entry.
+// Record/unit totals are maintained incrementally.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -30,6 +40,7 @@
 #include "runtime/level_stamp.h"
 #include "runtime/task_packet.h"
 #include "util/boxed.h"
+#include "util/slab.h"
 
 namespace splice::checkpoint {
 
@@ -54,6 +65,53 @@ struct CheckpointRecord {
 // indexes its owner's slot instead of holding a second copy of the packet.
 static_assert(sizeof(CheckpointRecord) <= 56);
 
+/// A record's place in its entry's list.
+struct RecordNode {
+  CheckpointRecord record;
+  RecordNode* next = nullptr;
+};
+static_assert(sizeof(RecordNode) <= 64);
+
+/// Where a table's nodes live. Not thread-safe (util/slab.h): every table
+/// drawing on one pool mutates on that pool's thread.
+using RecordPool = util::SlabPool<RecordNode>;
+
+/// A forward view of one entry's records, oldest first.
+class EntryView : public std::ranges::view_interface<EntryView> {
+ public:
+  class iterator {
+   public:
+    using value_type = CheckpointRecord;
+    using difference_type = std::ptrdiff_t;
+    using iterator_category = std::forward_iterator_tag;
+
+    iterator() = default;
+    explicit iterator(const RecordNode* node) noexcept : node_(node) {}
+    const CheckpointRecord& operator*() const noexcept { return node_->record; }
+    iterator& operator++() noexcept {
+      node_ = node_->next;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator before = *this;
+      node_ = node_->next;
+      return before;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const RecordNode* node_ = nullptr;
+  };
+
+  EntryView() = default;
+  explicit EntryView(const RecordNode* head) noexcept : head_(head) {}
+  [[nodiscard]] iterator begin() const noexcept { return iterator(head_); }
+  [[nodiscard]] iterator end() const noexcept { return iterator(); }
+
+ private:
+  const RecordNode* head_ = nullptr;
+};
+
 enum class RecordOutcome : std::uint8_t {
   kRecorded,   // inserted as a (new) topmost checkpoint
   kSubsumed,   // an existing checkpoint is an ancestor: nothing stored
@@ -74,7 +132,12 @@ class CheckpointTable {
     virtual void on_take(net::ProcId dead) = 0;
   };
 
-  CheckpointTable(net::ProcId self, net::ProcId processors);
+  /// `pool` must outlive the table; the table returns every node it holds
+  /// when it is cleared or destroyed.
+  CheckpointTable(net::ProcId self, net::ProcId processors, RecordPool& pool);
+  ~CheckpointTable();
+  CheckpointTable(const CheckpointTable&) = delete;
+  CheckpointTable& operator=(const CheckpointTable&) = delete;
 
   /// Install (or detach, with nullptr) the mutation listener.
   void set_listener(Listener* listener) noexcept { listener_ = listener; }
@@ -87,8 +150,8 @@ class CheckpointTable {
   RecordOutcome record(net::ProcId dest, CheckpointRecord record,
                        const runtime::TaskPacket& packet);
 
-  /// Remove and return every checkpoint held against `dead` — the
-  /// processor's reissue obligation when `dead` fails.
+  /// Remove and return every checkpoint held against `dead`, in the order
+  /// they were made — the processor's reissue obligation when `dead` fails.
   [[nodiscard]] std::vector<CheckpointRecord> take(net::ProcId dead);
 
   /// Release the checkpoint for `stamp` held against `dest` (child result
@@ -102,7 +165,7 @@ class CheckpointTable {
   /// found.
   bool release_anywhere(const runtime::LevelStamp& stamp);
 
-  /// Is a checkpoint for `stamp` currently held against `dest`? Scans that
+  /// Is a checkpoint for `stamp` currently held against `dest`? Walks that
   /// one entry. Used by the state-transfer pump
   /// to drop packets whose record was released (result arrived, or the
   /// lineage was cancelled) after the stream snapshot was taken — a
@@ -115,17 +178,17 @@ class CheckpointTable {
   /// describe the run, not the node's current contents.
   void clear();
 
-  [[nodiscard]] const std::vector<CheckpointRecord>& entry(
-      net::ProcId dest) const {
-    return entries_.at(dest);
+  /// The records held against `dest`, in the order they were made.
+  [[nodiscard]] EntryView entry(net::ProcId dest) const {
+    return EntryView(entries_.at(dest).head);
   }
 
   [[nodiscard]] net::ProcId processors() const noexcept { return processors_; }
 
   /// Replay-restored records whose packet is a direct child of `parent`,
   /// with the destination entry each lives in. Mutable so a warm rejoin can
-  /// rebind them to the re-accepted owner task; pointers are invalidated by
-  /// the next table mutation, so use immediately.
+  /// rebind them to the re-accepted owner task; a pointer stays valid until
+  /// its record leaves the table.
   [[nodiscard]] std::vector<std::pair<net::ProcId, CheckpointRecord*>>
   restored_children_of(const runtime::LevelStamp& parent);
 
@@ -157,15 +220,26 @@ class CheckpointTable {
   [[nodiscard]] net::ProcId self() const noexcept { return self_; }
 
  private:
+  struct List {  // oldest record at head, newest at tail
+    RecordNode* head = nullptr;
+    RecordNode* tail = nullptr;
+  };
+
   void on_insert(const CheckpointRecord& record) noexcept;
   void on_erase(const CheckpointRecord& record) noexcept;
+  /// Unlink `node`, which follows `prev` (null at the head), uncount it and
+  /// return it to the pool. Returns the node after it.
+  RecordNode* erase(List& list, RecordNode* prev, RecordNode* node) noexcept;
+  /// Return every node to the pool; the totals are the caller's business.
+  void drop_all() noexcept;
 
   net::ProcId self_;
   net::ProcId processors_;
+  RecordPool* pool_;
   Listener* listener_ = nullptr;
   /// entries_[d] holds the checkpoints against processor d (the §3.2
   /// "table of linked lists").
-  std::vector<std::vector<CheckpointRecord>> entries_;
+  std::vector<List> entries_;
 
   std::size_t total_records_ = 0;
   std::uint64_t total_units_ = 0;

@@ -1,6 +1,8 @@
 #include "obs/journal.h"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -90,8 +92,8 @@ const Event* Journal::find(EventId id) const {
 void Recorder::configure(bool enabled, std::uint32_t capacity) {
   enabled_ = enabled && capacity > 0;
   capacity_ = capacity;
-  slots_.clear();
-  if (enabled_) slots_.reserve(capacity_);
+  chunks_.clear();
+  size_ = 0;
   head_ = 0;
   next_id_ = 1;
   dropped_ = 0;
@@ -103,16 +105,20 @@ EventId Recorder::record_slow(sim::SimTime t, EventKind kind,
   // Claim the ring slot first and build the Event in place: the ring is
   // large and cache-cold, so one pass over the destination lines beats a
   // local Event plus a copy.
-  Event* slot;
-  if (slots_.size() < capacity_) {
-    slot = &slots_.emplace_back();
+  Event* claimed;
+  if (size_ < capacity_) {
+    if (size_ == chunks_.size() * kChunkEvents) {
+      chunks_.push_back(std::make_unique<Event[]>(
+          std::min<std::size_t>(kChunkEvents, capacity_ - size_)));
+    }
+    claimed = &slot(size_++);
   } else {
     // Ring full: overwrite the oldest retained slot and count the drop.
-    slot = &slots_[head_];
-    head_ = (head_ + 1) % slots_.size();
+    claimed = &slot(head_);
+    head_ = (head_ + 1) % size_;
     ++dropped_;
   }
-  Event& event = *slot;
+  Event& event = *claimed;
   event.id = next_id_++;
   event.ticks = t.ticks();
   event.kind = kind;
@@ -315,7 +321,7 @@ Journal Recorder::snapshot() const {
   journal.header.processors = header_procs_;
   journal.header.total_recorded = total_recorded();
   journal.header.dropped = dropped_;
-  journal.events.reserve(slots_.size());
+  journal.events.reserve(size_);
   Linker linker;
   for_each([&](const Event& event) {
     Event& linked = journal.events.emplace_back(event);

@@ -15,7 +15,9 @@
 //  * recorder off (the default, and every throughput bench): record() is a
 //    single predictable branch — no allocation, no stamp copy;
 //  * recorder on: a record is one ring-slot write plus the metrics feed
-//    (the ring overwrites the oldest entry once full and counts the drop).
+//    (the ring overwrites the oldest entry once full and counts the drop;
+//    until then it grows a chunk at a time, so memory follows the events
+//    recorded, not the capacity).
 //    Cause edges cost nothing here: snapshot() infers them when the
 //    journal is read.
 //
@@ -28,7 +30,9 @@
 // in a wrapped ring an event links only to retained events.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -157,7 +161,8 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  /// `capacity` bounds the ring (entries).
+  /// `capacity` bounds the ring (entries). Nothing is allocated up front:
+  /// the ring grows a chunk at a time as it fills.
   void configure(bool enabled, std::uint32_t capacity);
   void set_rank(std::uint32_t rank) noexcept { header_rank_ = rank; }
   void set_processors(std::uint32_t n) noexcept { header_procs_ = n; }
@@ -175,14 +180,14 @@ class Recorder {
     return next_id_ - 1;
   }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Visit retained events oldest-first. Fn: void(const Event&) — every
   /// cause is kNoEvent: only snapshot() fills causes.
   template <typename Fn>
   void for_each(Fn fn) const {
-    const std::size_t n = slots_.size();
-    for (std::size_t i = 0; i < n; ++i) fn(slots_[(head_ + i) % n]);
+    const std::size_t n = size_;
+    for (std::size_t i = 0; i < n; ++i) fn(slot((head_ + i) % n));
   }
 
   /// Copy the retained window out as a Journal (id order) and infer each
@@ -194,14 +199,27 @@ class Recorder {
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
  private:
+  /// Events per ring chunk (88 KB of Events): a short run pays for the
+  /// events it records, not for the whole capacity.
+  static constexpr std::size_t kChunkEvents = 1024;
+
   EventId record_slow(sim::SimTime t, EventKind kind, const Fields& fields);
+  [[nodiscard]] Event& slot(std::size_t i) noexcept {
+    return chunks_[i / kChunkEvents][i % kChunkEvents];
+  }
+  [[nodiscard]] const Event& slot(std::size_t i) const noexcept {
+    return chunks_[i / kChunkEvents][i % kChunkEvents];
+  }
 
   bool enabled_ = false;
   std::uint32_t capacity_ = 0;
   std::uint32_t header_rank_ = 0;
   std::uint32_t header_procs_ = 0;
-  // The ring proper: one fixed-size Event per record.
-  std::vector<Event> slots_;
+  // The ring proper: one fixed-size Event per record, kept in chunks of
+  // kChunkEvents (the last one cut to the capacity) that are allocated as
+  // the ring first fills and reused once it wraps.
+  std::vector<std::unique_ptr<Event[]>> chunks_;
+  std::size_t size_ = 0;  // retained events
   std::size_t head_ = 0;  // index of the oldest retained slot once full
   EventId next_id_ = 1;
   std::uint64_t dropped_ = 0;

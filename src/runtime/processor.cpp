@@ -60,7 +60,7 @@ Processor::Processor(Runtime& rt, net::ProcId id)
     : rt_(rt),
       id_(id),
       tasks_(rt.task_pool(id)),
-      table_(id, rt.config().processors),
+      table_(id, rt.config().processors, rt.record_pool(id)),
       store_(id, rt.config().store.model, rt.config().store.survive_p,
              rt.config().seed),
       streamer_(make_streamer_env(*this, rt)) {

@@ -20,6 +20,7 @@ Runtime::Runtime(sim::Simulator& sim, net::Network& network,
       config_(config),
       program_(program),
       task_pools_(shard_count(config)),
+      record_pools_(shard_count(config)),
       hosts_super_root_(network.is_local(0)),
       detection_noted_(config.processors, false) {
   // The recorder is the single write path for observability; the

@@ -104,6 +104,12 @@ class Runtime {
     const auto shards = static_cast<std::uint32_t>(task_pools_.size());
     return task_pools_[shard_of(p, shards)];
   }
+  /// The pool processor `p`'s checkpoint records live in, one per shard
+  /// like task_pool().
+  [[nodiscard]] checkpoint::RecordPool& record_pool(net::ProcId p) noexcept {
+    const auto shards = static_cast<std::uint32_t>(record_pools_.size());
+    return record_pools_[shard_of(p, shards)];
+  }
   [[nodiscard]] std::uint32_t processor_count() const noexcept {
     return static_cast<std::uint32_t>(procs_.size());
   }
@@ -241,9 +247,10 @@ class Runtime {
   core::SystemConfig config_;
   const lang::Program& program_;
 
-  /// One per shard. Declared before procs_, so every processor has returned
-  /// its tasks by the time the pools go.
+  /// One of each per shard. Declared before procs_, so every processor has
+  /// returned its tasks and checkpoint records by the time the pools go.
   std::vector<util::SlabPool<Task>> task_pools_;
+  std::vector<checkpoint::RecordPool> record_pools_;
   std::vector<std::unique_ptr<Processor>> procs_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::unique_ptr<recovery::RecoveryPolicy> policy_;

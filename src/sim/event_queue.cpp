@@ -16,15 +16,30 @@ struct OverflowLater {
 };
 }  // namespace
 
-std::uint32_t EventQueue::acquire_slot(EventFn fn) {
-  if (free_slots_.empty()) {
-    slots_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+std::uint32_t EventQueue::acquire_slot(EventFn fn, std::uint64_t seq) {
+  std::uint32_t idx = free_head_;
+  if (idx == kNil) {
+    idx = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{std::move(fn), seq, kNil});
+    return idx;
   }
-  const std::uint32_t idx = free_slots_.back();
-  free_slots_.pop_back();
-  slots_[idx] = std::move(fn);
+  Slot& slot = slots_[idx];
+  free_head_ = slot.next;
+  slot.fn = std::move(fn);
+  slot.seq = seq;
   return idx;
+}
+
+void EventQueue::append(std::int64_t when, std::uint32_t slot) noexcept {
+  Bucket& b = bucket_of(when);
+  slots_[slot].next = kNil;
+  if (b.head == kNil) {
+    b.head = slot;
+    set_occupied(when);
+  } else {
+    slots_[b.tail].next = slot;
+  }
+  b.tail = slot;
 }
 
 // ---------------------------------------------------------------------------
@@ -100,8 +115,7 @@ void EventQueue::migrate_overflow() {
     const OverflowEntry top = overflow_[0];
     std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
     overflow_.pop_back();
-    bucket_of(top.when).items.push_back(Entry{top.seq, top.slot});
-    set_occupied(top.when);
+    append(top.when, top.slot);
     span_max_ = std::max(span_max_, top.when);
   }
 }
@@ -122,14 +136,13 @@ void EventQueue::rotate_window() {
 void EventQueue::demote_window() {
   std::int64_t off = 0;
   while ((off = next_occupied_offset(off)) < kWindowSize) {
-    Bucket& b = bucket_of(base_ + off);
-    for (std::size_t i = b.head; i < b.items.size(); ++i) {
-      const Entry& e = b.items[i];
-      overflow_push(OverflowEntry{base_ + off, e.seq, e.slot});
+    const std::int64_t when = base_ + off;
+    Bucket& b = bucket_of(when);
+    for (std::uint32_t s = b.head; s != kNil; s = slots_[s].next) {
+      overflow_push(OverflowEntry{when, slots_[s].seq, s});
     }
-    b.items.clear();
-    b.head = 0;
-    clear_occupied(base_ + off);
+    b.head = kNil;
+    clear_occupied(when);
     ++off;
   }
   scan_offset_ = 0;
@@ -163,10 +176,9 @@ void EventQueue::schedule(SimTime when_t, EventFn fn) {
   }
 
   const std::uint64_t seq = ++seq_counter_;
-  const std::uint32_t slot = acquire_slot(std::move(fn));
+  const std::uint32_t slot = acquire_slot(std::move(fn), seq);
   if (when - base_ < kWindowSize) {
-    bucket_of(when).items.push_back(Entry{seq, slot});
-    set_occupied(when);
+    append(when, slot);
     span_max_ = std::max(span_max_, when);
     if (live_ == 0 || when < head_when_) {
       head_when_ = when;
@@ -192,17 +204,18 @@ SimTime EventQueue::run_next(SimTime* clock) {
   assert(live_ > 0 && "run_next on empty queue");
   if (!head_in_window_) rotate_window();
   Bucket& b = bucket_of(head_when_);
-  assert(b.head < b.items.size());
-  const std::uint32_t slot = b.items[b.head++].slot;
-  EventFn fn = std::move(slots_[slot]);  // leaves the slot empty
-  free_slots_.push_back(slot);
+  assert(b.head != kNil);
+  const std::uint32_t idx = b.head;
+  Slot& slot = slots_[idx];
+  b.head = slot.next;
+  // Take the callback before running it: it may schedule, and a schedule
+  // may grow (move) the slot table.
+  EventFn fn = std::move(slot.fn);
+  slot.next = free_head_;
+  free_head_ = idx;
   --live_;
   const SimTime when{head_when_};
-  if (b.head == b.items.size()) {
-    b.items.clear();
-    b.head = 0;
-    clear_occupied(head_when_);
-  }
+  if (b.head == kNil) clear_occupied(head_when_);
   if (clock != nullptr) *clock = when;
   // Re-establish the head *before* running: the callback may schedule new
   // events, and schedule() compares against the head. The base does not

@@ -13,17 +13,24 @@
 //
 // Structure:
 //  * a near-future window of kWindowSize one-tick buckets covering
-//    [base, base + kWindowSize): schedule and pop are O(1) amortized, and
+//    [base, base + kWindowSize): schedule and pop are O(1), and
 //    FIFO-within-timestamp is free because a bucket is a single timestamp
-//    and entries only ever append;
+//    whose events form a list that only ever appends at its tail;
 //  * a sorted overflow tier (binary min-heap over (time, seq)) for events
 //    beyond the window. When the window drains, the next pop re-anchors the
 //    window at the earliest overflow event and migrates everything that now
 //    fits — overflow pops arrive sorted, so bucket order stays FIFO.
 //
-// Callbacks live in a slot table recycled through a free list: a slot is
-// freed the moment its event fires, so callback memory is bounded by
-// *pending* events, not by the total ever scheduled.
+// Memory follows pending events. Every event owns one slot of a table that
+// is recycled through an intrusive free list: a slot is freed the moment
+// its event fires. A window bucket is only a {head, tail} pair of slot
+// indices, and its events are linked through each slot's `next` index, so
+// the window itself never grows. The queue's memory is the slot table (at
+// most the peak of pending events), the overflow heap (at most the peak of
+// events beyond the window) and the fixed bucket array. A slot also keeps
+// its sequence number: a bucket implies its events' time but not their
+// order against overflow events of the same time, which demote_window needs
+// when it spills the window back into the heap.
 #pragma once
 
 #include <cstdint>
@@ -57,31 +64,36 @@ class EventQueue {
     return seq_counter_;
   }
 
-  /// Callback slots currently allocated (bounded by peak pending events).
+  /// Event slots currently allocated (the peak of pending events).
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
     return slots_.size();
   }
 
  private:
-  struct Entry {          // window tier: `when` is implied by the bucket
-    std::uint64_t seq;
-    std::uint32_t slot;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};  // no slot
+
+  struct Slot {
+    EventFn fn;
+    std::uint64_t seq = 0;      // schedule order (demote_window re-keys by it)
+    std::uint32_t next = kNil;  // next slot of its bucket or the free list
   };
   struct OverflowEntry {  // overflow tier: explicit time
     std::int64_t when;
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  struct Bucket {
-    std::vector<Entry> items;
-    std::size_t head = 0;  // popped prefix
+  struct Bucket {  // FIFO list of one tick's window events; empty iff no head
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
 
   [[nodiscard]] Bucket& bucket_of(std::int64_t when) noexcept {
     return buckets_[static_cast<std::size_t>(when) & (kWindowSize - 1)];
   }
 
-  std::uint32_t acquire_slot(EventFn fn);
+  std::uint32_t acquire_slot(EventFn fn, std::uint64_t seq);
+  /// Link `slot` at the tail of the window bucket for `when`.
+  void append(std::int64_t when, std::uint32_t slot) noexcept;
   void overflow_push(OverflowEntry entry);
 
   /// Re-establish the head after a pop: the first occupied bucket at or
@@ -110,8 +122,8 @@ class EventQueue {
       std::vector<std::uint64_t>(static_cast<std::size_t>(kWindowSize / 64), 0);
   std::vector<OverflowEntry> overflow_;  // binary min-heap over (when, seq)
 
-  std::vector<EventFn> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNil;  // free slots, linked through Slot::next
 
   std::int64_t base_ = 0;          // window covers [base_, base_ + kWindowSize)
   std::int64_t scan_offset_ = 0;   // no occupied bucket below this offset

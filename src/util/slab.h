@@ -8,9 +8,10 @@
 // never returns memory: its footprint is its peak, rounded up to a chunk.
 //
 // Not thread-safe: a pool belongs to one owner, and every acquire/release
-// happens on that owner's thread. Runtime keeps one task pool per shard
-// (one on the classic loop), which is the whole trick: no locks, no atomic
-// traffic, and one shard's processors reuse each other's freed slots.
+// happens on that owner's thread. Runtime keeps one task pool and one
+// checkpoint-record pool per shard (one of each on the classic loop), which
+// is the whole trick: no locks, no atomic traffic, and one shard's
+// processors reuse each other's freed slots.
 #pragma once
 
 #include <cstddef>

@@ -24,6 +24,7 @@
 //   * a direct return cancels no instance but the ones still computing.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -349,7 +350,8 @@ TEST(CancelProtocol, ReleaseAnywhereIsIdempotent) {
   // A cancel arriving between a child's result send and the parent's ack
   // must not double-release the checkpoint entry: the second release of
   // the same stamp finds nothing, counts nothing, and the totals stay sane.
-  checkpoint::CheckpointTable table(/*self=*/0, /*processors=*/16);
+  checkpoint::RecordPool pool;
+  checkpoint::CheckpointTable table(/*self=*/0, /*processors=*/16, pool);
   runtime::TaskPacket packet;
   packet.stamp = runtime::LevelStamp::root().child(3);
   checkpoint::CheckpointRecord record;
@@ -357,7 +359,7 @@ TEST(CancelProtocol, ReleaseAnywhereIsIdempotent) {
   record.site = 3;
   ASSERT_EQ(table.record(/*dest=*/9, record, packet),
             checkpoint::RecordOutcome::kRecorded);
-  record = table.entry(9)[0];
+  record = table.entry(9).front();
   EXPECT_EQ(record.stamp, packet.stamp);
   EXPECT_EQ(record.units, packet.size_units());
   ASSERT_TRUE(table.contains(9, record.stamp));
@@ -371,7 +373,8 @@ TEST(CancelProtocol, ReleaseAnywhereIsIdempotent) {
 }
 
 TEST(CancelProtocol, ContainsTracksRecordAndRelease) {
-  checkpoint::CheckpointTable table(/*self=*/2, /*processors=*/32);
+  checkpoint::RecordPool pool;
+  checkpoint::CheckpointTable table(/*self=*/2, /*processors=*/32, pool);
   const auto stamp = runtime::LevelStamp::root().child(5).child(1);
   EXPECT_FALSE(table.contains(17, stamp));
   runtime::TaskPacket packet;
@@ -538,7 +541,7 @@ TEST(CancelProtocol, StateTransferShipsNoRecordWhoseOwnerIsGone) {
   record.site = 0;
   record.packet = replayed;
   m.table().record(4, record, replayed);
-  ASSERT_EQ(m.table().entry(4).size(), 3U);
+  ASSERT_EQ(std::ranges::distance(m.table().entry(4)), 3);
 
   const std::vector<runtime::TaskPacket> shipped = m.proc().packets_against(4);
   ASSERT_EQ(shipped.size(), 2U);

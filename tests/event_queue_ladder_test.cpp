@@ -9,20 +9,63 @@
 // property-test storm then schedules and pops against the same model from
 // window bases that are not a multiple of 64, so the occupancy-bitmap scan
 // crosses word and array edges; it checks the announced head time and the
-// pending count after every step, and slot recycling at the end.
+// pending count after every step, and slot recycling at the end. A counting
+// operator new pins that the queue's memory follows its pending events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <queue>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "util/rng.h"
 
+namespace {
+// Every global operator new in this binary, so a test can check that a
+// block of code allocates nothing.
+std::atomic<std::size_t> g_news{0};
+}  // namespace
+
+// Opaque bodies keep GCC from pairing the malloc inside an inlined new with
+// the free inside an inlined delete (-Wmismatched-new-delete). The array
+// forms are replaced too: AddressSanitizer intercepts them on its own.
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace splice::sim {
 namespace {
+
+/// Heap allocations `fn` makes.
+template <typename Fn>
+std::size_t news_during(Fn&& fn) {
+  const std::size_t before = g_news.load(std::memory_order_relaxed);
+  fn();
+  return g_news.load(std::memory_order_relaxed) - before;
+}
 
 // ---------------------------------------------------------------------------
 // Reference queue: the pre-ladder implementation (std::priority_queue over
@@ -214,6 +257,38 @@ TEST(LadderQueue, SlotTableBoundedByLiveEventsNotTotalScheduled) {
   }
   EXPECT_EQ(q.total_scheduled(), 10001U);
   EXPECT_LE(q.slot_capacity(), 4U);
+}
+
+TEST(LadderQueue, BurstsAcrossTheWindowAllocateNothingBelowPeak) {
+  // Memory follows pending events: once the slot table has reached its
+  // peak, bursts at ticks spread over the whole window reuse freed slots,
+  // whichever buckets they land in. (A vector per bucket allocated in each
+  // bucket a burst touched first.)
+  constexpr std::int64_t kPeak = 256;
+  EventQueue q;
+  std::int64_t now = 0;
+  std::int64_t fired = 0;
+  const auto burst = [&](std::int64_t size, std::int64_t stride,
+                         std::int64_t phase) {
+    for (std::int64_t i = 0; i < size; ++i) {
+      q.schedule(SimTime(now + phase + i * stride), [&fired] { ++fired; });
+    }
+    while (!q.empty()) now = q.run_next().ticks();
+  };
+  burst(kPeak, 1, 0);  // the peak: 256 adjacent ticks
+  ASSERT_EQ(q.slot_capacity(), static_cast<std::size_t>(kPeak));
+
+  util::Xoshiro256 rng(31);
+  const std::size_t news = news_during([&] {
+    for (int round = 0; round < 200; ++round) {
+      const auto size = 1 + static_cast<std::int64_t>(rng.next_below(kPeak));
+      const std::int64_t stride = (EventQueue::kWindowSize - 1) / size;
+      burst(size, stride, static_cast<std::int64_t>(rng.next_below(64)));
+    }
+  });
+  EXPECT_EQ(news, 0U) << "bursts below the peak allocated";
+  EXPECT_EQ(q.slot_capacity(), static_cast<std::size_t>(kPeak));
+  EXPECT_GT(fired, kPeak);
 }
 
 // ---------------------------------------------------------------------------

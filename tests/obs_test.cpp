@@ -49,6 +49,34 @@ TEST(Recorder, RingWrapKeepsNewestWindowAndCountsDrops) {
   EXPECT_EQ(journal.find(20)->uid, 20u);
 }
 
+TEST(Recorder, RingThatSpansChunksWrapsLikeOne) {
+  // The ring grows a chunk (1,024 events) at a time; a capacity that is
+  // not a multiple of it wraps at the capacity all the same, and the
+  // retained window reads back oldest first across chunk edges.
+  constexpr std::uint32_t kCapacity = 2500;
+  obs::Recorder rec;
+  rec.configure(/*enabled=*/true, kCapacity);
+  for (std::uint64_t i = 1; i <= kCapacity; ++i) {
+    rec.record(sim::SimTime(static_cast<std::int64_t>(i)),
+               obs::EventKind::kPlace, {.proc = 0, .uid = i});
+  }
+  EXPECT_EQ(rec.size(), kCapacity);
+  EXPECT_EQ(rec.dropped(), 0u);
+  for (std::uint64_t i = kCapacity + 1; i <= 6001; ++i) {
+    rec.record(sim::SimTime(static_cast<std::int64_t>(i)),
+               obs::EventKind::kPlace, {.proc = 0, .uid = i});
+  }
+  EXPECT_EQ(rec.size(), kCapacity);
+  EXPECT_EQ(rec.dropped(), 6001u - kCapacity);
+  std::uint64_t expected = 6001 - kCapacity + 1;
+  rec.for_each([&](const obs::Event& event) {
+    EXPECT_EQ(event.id, expected);
+    EXPECT_EQ(event.uid, expected);
+    ++expected;
+  });
+  EXPECT_EQ(expected, 6002u);
+}
+
 TEST(Recorder, DisabledJournalsNothing) {
   obs::Recorder rec;
   EXPECT_EQ(rec.record(sim::SimTime(1), obs::EventKind::kPlace, {}),

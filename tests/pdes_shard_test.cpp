@@ -16,6 +16,8 @@
 // the full machinery (routing, op heaps, journal merge, one worker thread)
 // while sharing the engine's event order.
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -326,11 +328,22 @@ TEST(PdesShard, MoreShardsThanProcessorsClamps) {
 
 TEST(PdesShard, EngineRejectsUnsupportedConfigs) {
   const lang::Program program = lang::programs::fib(8, 20);
-  {
+  // Only the in-process transport: the wire backends own their delivery.
+  // The engine itself refuses them (the classic loop's own tcp refusal has
+  // another message).
+  for (const net::TransportKind wire :
+       {net::TransportKind::kShmRing, net::TransportKind::kTcp}) {
     core::SystemConfig cfg = testing::base_config(8, 1);
     cfg.parallel.shards = 2;
-    cfg.transport.backend = net::TransportKind::kShmRing;
-    EXPECT_THROW(core::Simulation(cfg, program).run(), std::invalid_argument);
+    cfg.transport.backend = wire;
+    try {
+      core::Simulation(cfg, program).run();
+      ADD_FAILURE() << net::to_string(wire) << " ran on the engine";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("parallel engine"),
+                std::string::npos)
+          << error.what();
+    }
   }
   {
     core::SystemConfig cfg = testing::base_config(8, 1);

@@ -15,6 +15,7 @@ namespace {
 
 using checkpoint::CheckpointRecord;
 using checkpoint::CheckpointTable;
+using checkpoint::RecordPool;
 using runtime::LevelStamp;
 using runtime::TaskPacket;
 using store::DurableStore;
@@ -37,6 +38,13 @@ CheckpointRecord record_for(const TaskPacket& packet, runtime::TaskUid owner) {
   return record;
 }
 
+/// The records held against `dest`, oldest first.
+std::vector<CheckpointRecord> records_of(const CheckpointTable& table,
+                                         net::ProcId dest) {
+  const checkpoint::EntryView entry = table.entry(dest);
+  return {entry.begin(), entry.end()};
+}
+
 /// Record the spawn of the packet for `digits` onto `dest` by `owner`.
 void record_spawn(CheckpointTable& table, net::ProcId dest,
                   const std::vector<runtime::StampDigit>& digits,
@@ -50,7 +58,8 @@ void record_spawn(CheckpointTable& table, net::ProcId dest,
 // ---------------------------------------------------------------------------
 
 TEST(DurableStore, ReplayRoundTripEqualsLiveTable) {
-  CheckpointTable live(0, 4);
+  RecordPool pool;
+  CheckpointTable live(0, 4, pool);
   DurableStore store(0, Persistency::kLocal, 1.0, 99);
   live.set_listener(&store);
 
@@ -63,41 +72,43 @@ TEST(DurableStore, ReplayRoundTripEqualsLiveTable) {
   record_spawn(live, 2, {4}, 11);                  // ... onto P2
 
   store.on_crash(0);  // local: everything survives
-  CheckpointTable replayed(0, 4);
+  CheckpointTable replayed(0, 4, pool);
   const std::size_t restored = store.replay_into(replayed);
 
   EXPECT_EQ(restored, live.total_records());
   for (net::ProcId dest = 0; dest < 4; ++dest) {
-    ASSERT_EQ(replayed.entry(dest).size(), live.entry(dest).size())
-        << "entry P" << dest;
-    for (std::size_t i = 0; i < live.entry(dest).size(); ++i) {
-      EXPECT_EQ(replayed.entry(dest)[i].stamp, live.entry(dest)[i].stamp);
-      EXPECT_EQ(replayed.entry(dest)[i].units, live.entry(dest)[i].units);
-      EXPECT_TRUE(replayed.entry(dest)[i].restored());
-      EXPECT_FALSE(live.entry(dest)[i].restored());
+    const std::vector<CheckpointRecord> want = records_of(live, dest);
+    const std::vector<CheckpointRecord> got = records_of(replayed, dest);
+    ASSERT_EQ(got.size(), want.size()) << "entry P" << dest;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].stamp, want[i].stamp);
+      EXPECT_EQ(got[i].units, want[i].units);
+      EXPECT_TRUE(got[i].restored());
+      EXPECT_FALSE(want[i].restored());
       // The log stored the full packet, so the replayed record carries it.
-      EXPECT_EQ(replayed.entry(dest)[i].packet->stamp,
-                live.entry(dest)[i].stamp);
+      EXPECT_EQ(got[i].packet->stamp, want[i].stamp);
     }
   }
 }
 
 TEST(DurableStore, PersistencyNoneLogsNothingAndLosesAll) {
-  CheckpointTable live(0, 2);
+  RecordPool pool;
+  CheckpointTable live(0, 2, pool);
   DurableStore store(0, Persistency::kNone, 1.0, 1);
   live.set_listener(&store);
   record_spawn(live, 1, {1}, 10);
   EXPECT_FALSE(store.enabled());
   EXPECT_TRUE(store.log().empty());  // volatile stores skip journaling
   store.on_crash(0);
-  CheckpointTable replayed(0, 2);
+  CheckpointTable replayed(0, 2, pool);
   EXPECT_EQ(store.replay_into(replayed), 0U);
   EXPECT_EQ(replayed.total_records(), 0U);
 }
 
 TEST(DurableStore, LossySurvivalIsSeededAndDeterministic) {
   auto build = [](double p, std::uint64_t seed) {
-    CheckpointTable live(0, 8);
+    RecordPool pool;
+    CheckpointTable live(0, 8, pool);
     DurableStore store(0, Persistency::kLossy, p, seed);
     live.set_listener(&store);
     for (runtime::StampDigit d = 1; d <= 40; ++d) {
@@ -123,13 +134,15 @@ TEST(DurableStore, LossyLostReleaseLeavesHarmlessStaleRecord) {
   store.set_incarnation(0);
   const TaskPacket packet = packet_for({1});
   store.on_record(1, record_for(packet, 10), packet);
-  CheckpointTable replayed(0, 2);
+  RecordPool pool;
+  CheckpointTable replayed(0, 2, pool);
   EXPECT_EQ(store.replay_into(replayed), 1U);
-  EXPECT_EQ(replayed.entry(1).size(), 1U);
+  EXPECT_EQ(records_of(replayed, 1).size(), 1U);
 }
 
 TEST(DurableStore, CompactRewritesLogToLiveRecords) {
-  CheckpointTable live(0, 4);
+  RecordPool pool;
+  CheckpointTable live(0, 4, pool);
   DurableStore store(0, Persistency::kLocal, 1.0, 1);
   live.set_listener(&store);
   record_spawn(live, 1, {1}, 10);
@@ -142,14 +155,15 @@ TEST(DurableStore, CompactRewritesLogToLiveRecords) {
 }
 
 TEST(DurableStore, TakeLogsTheWholeEntryDrop) {
-  CheckpointTable live(0, 4);
+  RecordPool pool;
+  CheckpointTable live(0, 4, pool);
   DurableStore store(0, Persistency::kLocal, 1.0, 1);
   live.set_listener(&store);
   record_spawn(live, 1, {1}, 10);
   record_spawn(live, 1, {2}, 10);
   (void)live.take(1);
   store.on_crash(0);
-  CheckpointTable replayed(0, 4);
+  CheckpointTable replayed(0, 4, pool);
   EXPECT_EQ(store.replay_into(replayed), 0U);  // taken entries stay gone
 }
 
